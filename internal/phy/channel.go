@@ -67,11 +67,6 @@ type Channel struct {
 	// can back the next broadcast's clone instead of becoming garbage.
 	pktFree []*packet.Packet
 	stats   ChannelStats
-
-	// pipe is the staged offer pipeline (see pipe.go); nil keeps broadcast
-	// fully serial. pipeStats preserves the counters past CloseSharding.
-	pipe      *offerPipe
-	pipeStats []PipeShardStats
 }
 
 // NewChannel creates a channel using the given propagation model.
@@ -162,12 +157,7 @@ func (c *Channel) broadcast(src *Radio, p *packet.Packet, duration sim.Time) {
 	srcPos := src.pos()
 	txFreq := src.Freq()
 	if c.idx.active() {
-		cands := c.idx.candidates(c.sched.Now(), srcPos)
-		if c.pipe != nil && len(cands) >= pipeThreshold {
-			c.broadcastStaged(src, cands, srcPos, p, duration, txFreq)
-			return
-		}
-		for _, slot := range cands {
+		for _, slot := range c.idx.candidates(c.sched.Now(), srcPos) {
 			c.offer(src, c.radios[slot], srcPos, p, duration, txFreq)
 		}
 		return

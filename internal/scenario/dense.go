@@ -73,10 +73,6 @@ type DenseHighwayConfig struct {
 	// DisableCulling runs the same workload on the channel's full-receiver
 	// scan, for culled-vs-scan equivalence tests and scaling benchmarks.
 	DisableCulling bool
-	// Shards is the intra-run shard count for the channel's staged offer
-	// pipeline (see StackConfig.Shards). Exact: any value, including 0/1
-	// (serial), produces a byte-identical run.
-	Shards int
 }
 
 // DefaultDenseHighway returns an n-vehicle four-lane run on the given MAC:
@@ -164,7 +160,6 @@ func RunDenseHighway(cfg DenseHighwayConfig) (*DenseHighwayResult, error) {
 	stack := DefaultStackConfig(cfg.MAC)
 	stack.QueueCap = cfg.QueueCap
 	stack.DisableCulling = cfg.DisableCulling
-	stack.Shards = cfg.Shards
 	if cfg.TDMARateBps > 0 {
 		stack.TDMA.DataRateBps = cfg.TDMARateBps
 	}
@@ -204,7 +199,6 @@ func RunDenseHighway(cfg DenseHighwayConfig) (*DenseHighwayResult, error) {
 		stack.Spans = span.NewRecorder()
 	}
 	w := NewWorld(stack, cfg.Seed)
-	defer w.Close()
 	s := w.Sched
 	wallStart := time.Now()
 
@@ -214,10 +208,10 @@ func RunDenseHighway(cfg DenseHighwayConfig) (*DenseHighwayResult, error) {
 	perLane := cfg.Vehicles / cfg.Lanes
 	extra := cfg.Vehicles % cfg.Lanes
 	var (
-		platoons   []*densePlatoon
-		nodeOf     = make(map[packet.NodeID]*Node, cfg.Vehicles)
-		vehicleOf  = make(map[packet.NodeID]*mobility.Vehicle, cfg.Vehicles)
-		laneOrder  = make([][]*mobility.Vehicle, cfg.Lanes) // front to back
+		platoons  []*densePlatoon
+		nodeOf    = make(map[packet.NodeID]*Node, cfg.Vehicles)
+		vehicleOf = make(map[packet.NodeID]*mobility.Vehicle, cfg.Vehicles)
+		laneOrder = make([][]*mobility.Vehicle, cfg.Lanes) // front to back
 		nextID    packet.NodeID
 		frontX    = float64(cfg.Vehicles) * (cfg.SpacingM + cfg.GapM) // room to brake at positive x
 	)
@@ -370,9 +364,7 @@ func RunDenseHighway(cfg DenseHighwayConfig) (*DenseHighwayResult, error) {
 			dp.platoon.Lead().Brake(cfg.DecelMS2)
 		}
 	})
-	// Epoch batching drains each equal-timestamp cohort in one structural
-	// heap repair — byte-for-byte the execution RunUntil produces.
-	s.RunEpochs(cfg.Duration)
+	s.RunUntil(cfg.Duration)
 
 	res := &DenseHighwayResult{Config: cfg, World: w, Platoons: len(platoons)}
 	for _, dp := range platoons {

@@ -87,13 +87,6 @@ type StackConfig struct {
 	// — indexed and scanned runs are byte-identical — so this only costs
 	// time; it exists for equivalence tests and scaling benchmarks.
 	DisableCulling bool
-	// Shards is the intra-run shard count for the channel's staged offer
-	// pipeline: broadcast receivers are partitioned by grid region, the pure
-	// per-receiver computation runs across the shards, and arrivals commit
-	// serially in candidate order. Sharding is exact — any shard count
-	// (0 and 1 mean fully serial) produces a byte-identical run — and
-	// requires culling, so it is inert under DisableCulling or shadowing.
-	Shards int
 }
 
 // DefaultStackConfig returns the paper's fixed parameters: drop-tail
@@ -194,9 +187,6 @@ func NewWorld(cfg StackConfig, seed uint64) *World {
 		// below-median receiver would also skip a draw and shift every
 		// subsequent sample, so shadowed worlds keep the full scan.
 		w.Channel.EnableCulling()
-		if cfg.Shards > 1 {
-			w.Channel.EnableSharding(cfg.Shards)
-		}
 	}
 	if cfg.Faults.LinkEnabled() {
 		w.fault = fault.NewInjector(cfg.Faults, rng.Fork("fault/link"))
@@ -218,12 +208,6 @@ func NewWorld(cfg StackConfig, seed uint64) *World {
 	}
 	return w
 }
-
-// Close releases the world's host-side resources: the channel's parked
-// shard workers, when sharding was enabled. The world remains usable —
-// broadcasts simply return to the serial offer loop, which is
-// byte-identical anyway. Idempotent.
-func (w *World) Close() { w.Channel.CloseSharding() }
 
 // CheckRegistry returns the invariant-violation registry (nil when
 // checking is disabled).

@@ -1,6 +1,7 @@
 package canon
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -72,17 +73,151 @@ func TestDistinctConfigsHashDistinctly(t *testing.T) {
 	}
 }
 
-func TestExecutionKnobsExcluded(t *testing.T) {
-	// The canonical form has no shard/culling field at all: grep the
-	// encoding to prove execution knobs cannot split the cache.
-	for _, body := range []string{
-		`{"kind":"trial","trial":{"trial":1}}`,
-		`{"kind":"dense","dense":{"vehicles":240}}`,
-	} {
-		enc := string(mustCanon(t, body).AppendBinary(nil))
-		if strings.Contains(enc, "shard") || strings.Contains(enc, "cull") {
-			t.Fatalf("canonical encoding leaks an execution knob:\n%s", enc)
+// Every exported field of the two run configs (fault.Plan included, as
+// TrialConfig.Faults) is either hashed or deliberately left out of the
+// canonical encoding. TestCanonicalFieldCoverage fails on a field listed
+// in neither table, so a new config field cannot silently make two
+// different configs share a cache entry.
+var (
+	trialHashed = []string{
+		"Name", "MAC", "PacketSize", "SpeedMS", "SpacingM", "ApproachM",
+		"Duration", "PlatoonSize", "DepartDistM", "RateBps", "TDMARateBps",
+		"QueueCap", "Queue", "TCPWindow", "ThroughputBn", "Seed", "SINRPhy",
+		"Telemetry", "Check",
+		"Faults.Bernoulli.LossProb", "Faults.Bernoulli.BitErrorRate",
+		"Faults.Burst.PGoodBad", "Faults.Burst.PBadGood",
+		"Faults.Burst.LossGood", "Faults.Burst.LossBad",
+		"Faults.ShadowSigmaDB", "Faults.Outages",
+	}
+	trialUnhashed = map[string]string{
+		"CollectTrace": "output-only: the agent-level trace rides beside the result, never in the artifact",
+		"AnimInterval": "output-only: animation frames ride beside the result, never in the artifact",
+		"Spans":        "observation-only: span tracing is byte-identical on or off",
+	}
+	denseHashed = []string{
+		"MAC", "Vehicles", "Lanes", "PlatoonLen", "SpacingM", "GapM",
+		"LaneWidthM", "SpeedMS", "DecelMS2", "CarLengthM", "SafetyDepth",
+		"PacketSize", "RateBps", "BeaconFraction", "BeaconSize",
+		"BeaconRateBps", "BeaconJitter", "TDMARateBps", "ReactionS",
+		"BrakeAt", "Duration", "QueueCap", "Seed", "Telemetry", "Check",
+	}
+	denseUnhashed = map[string]string{
+		"Spans":          "observation-only: span tracing is byte-identical on or off",
+		"DisableCulling": "execution-only: culled and full-scan runs are byte-identical",
+	}
+)
+
+// leafFields returns the dotted path of every exported leaf field of t,
+// descending into nested structs; a slice is one leaf.
+func leafFields(t reflect.Type, prefix string) []string {
+	var out []string
+	for i := 0; i < t.NumField(); i++ {
+		f := t.Field(i)
+		if !f.IsExported() {
+			continue
 		}
+		if f.Type.Kind() == reflect.Struct {
+			out = append(out, leafFields(f.Type, prefix+f.Name+".")...)
+			continue
+		}
+		out = append(out, prefix+f.Name)
+	}
+	return out
+}
+
+// fieldByPath resolves a leafFields path inside the addressable struct v.
+func fieldByPath(v reflect.Value, path string) reflect.Value {
+	for _, name := range strings.Split(path, ".") {
+		v = v.FieldByName(name)
+	}
+	return v
+}
+
+// perturb changes v to a different valid value: numbers grow, booleans
+// flip, strings gain a suffix, and a slice gains one perturbed element.
+func perturb(t *testing.T, v reflect.Value) {
+	t.Helper()
+	switch v.Kind() {
+	case reflect.Bool:
+		v.SetBool(!v.Bool())
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		v.SetInt(v.Int() + 1)
+	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+		v.SetUint(v.Uint() + 1)
+	case reflect.Float32, reflect.Float64:
+		v.SetFloat(v.Float() + 0.5)
+	case reflect.String:
+		v.SetString(v.String() + "x")
+	case reflect.Slice:
+		e := reflect.New(v.Type().Elem()).Elem()
+		perturb(t, e)
+		v.Set(reflect.Append(v, e))
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			if v.Type().Field(i).IsExported() {
+				perturb(t, v.Field(i))
+			}
+		}
+	default:
+		t.Fatalf("no perturbation for kind %v", v.Kind())
+	}
+}
+
+func TestCanonicalFieldCoverage(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		body     string
+		config   func(*Canonical) reflect.Value
+		hashed   []string
+		unhashed map[string]string
+	}{
+		{"trial", `{"kind":"trial","trial":{"trial":1}}`,
+			func(c *Canonical) reflect.Value { return reflect.ValueOf(&c.Trial).Elem() },
+			trialHashed, trialUnhashed},
+		{"dense", `{"kind":"dense","dense":{"vehicles":240}}`,
+			func(c *Canonical) reflect.Value { return reflect.ValueOf(&c.Dense).Elem() },
+			denseHashed, denseUnhashed},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			base := mustCanon(t, tc.body)
+			want := base.Hash()
+			listed := map[string]bool{}
+			for _, f := range tc.hashed {
+				listed[f] = true
+			}
+			for f := range tc.unhashed {
+				if listed[f] {
+					t.Errorf("%s is listed as both hashed and unhashed", f)
+				}
+				listed[f] = true
+			}
+			for _, f := range leafFields(tc.config(base).Type(), "") {
+				if !listed[f] {
+					t.Errorf("field %s is in neither the hashed nor the unhashed table: decide whether it changes result bytes", f)
+				}
+				delete(listed, f)
+			}
+			for f := range listed {
+				t.Errorf("table lists %s, which is not a field", f)
+			}
+			if t.Failed() {
+				return
+			}
+			for _, f := range tc.hashed {
+				c := *base
+				perturb(t, fieldByPath(tc.config(&c), f))
+				if c.Hash() == want {
+					t.Errorf("changing hashed field %s left the hash unchanged", f)
+				}
+			}
+			for f := range tc.unhashed {
+				c := *base
+				perturb(t, fieldByPath(tc.config(&c), f))
+				if c.Hash() != want {
+					t.Errorf("changing unhashed field %s changed the hash", f)
+				}
+			}
+		})
 	}
 }
 

@@ -131,12 +131,11 @@ func (t Timer) Cancel() {
 // stay valid and refer to the postponed event.
 //
 // Postpone declines (ok false, timer untouched) when the event already
-// fired or was cancelled, when at precedes the current deadline, or when
-// the node is temporarily outside its heap mid-DrainEpoch; the caller then
-// falls back to Cancel plus a fresh schedule.
+// fired or was cancelled, or when at precedes the current deadline; the
+// caller then falls back to Cancel plus a fresh schedule.
 func (t Timer) Postpone(at Time) (Timer, bool) {
 	n := t.n
-	if n == nil || n.gen != t.gen || n.index < 0 || at < n.at || math.IsNaN(float64(at)) {
+	if n == nil || n.gen != t.gen || at < n.at || math.IsNaN(float64(at)) {
 		return t, false
 	}
 	s := n.owner
@@ -232,9 +231,6 @@ type Scheduler struct {
 	// comparison.
 	stepHook func(from, to Time)
 
-	// batch is DrainEpoch's reusable scratch (see epoch.go).
-	batch batchState
-
 	// mig is prime's reusable migration scratch.
 	mig migScratch
 }
@@ -307,18 +303,6 @@ func (s *Scheduler) ScheduleArgKind(kind EventKind, delay Time, fn func(any), ar
 	return s.insert(kind, s.now+delay, nil, fn, arg)
 }
 
-// AtArgKind schedules fn(arg) at absolute simulated time t — the
-// absolute-deadline form of ScheduleArgKind, used by the shard runtime to
-// deliver cross-shard events at their exact computed timestamp (going
-// through a delay would re-derive t as (t-now)+now, which need not round
-// back to the same float).
-func (s *Scheduler) AtArgKind(kind EventKind, t Time, fn func(any), arg any) Timer {
-	if fn == nil {
-		panic("sim: At with nil func")
-	}
-	return s.insert(kind, t, nil, fn, arg)
-}
-
 // At runs fn at absolute simulated time t. It panics if t is in the past.
 func (s *Scheduler) At(t Time, fn func()) Timer {
 	return s.AtKind(KindOther, t, fn)
@@ -366,6 +350,31 @@ func (s *Scheduler) release(n *timerNode) {
 	s.free = append(s.free, n)
 }
 
+// Node index sentinels while a node is outside every heap.
+const (
+	indexFree      = -1 // on the free list (set by release)
+	indexMigrating = -2 // mid-flight inside drainTier, reassigned before it returns
+)
+
+// fireNode advances the clock to n and invokes its callback. It captures
+// the callback and recycles the node before invoking it, so a callback
+// that immediately reschedules reuses this node's storage.
+func (s *Scheduler) fireNode(n *timerNode) {
+	if s.stepHook != nil {
+		s.stepHook(s.now, n.at)
+	}
+	s.now = n.at
+	s.executed++
+	s.byKind[n.kind]++
+	fn, fnArg, arg := n.fn, n.fnArg, n.arg
+	s.release(n)
+	if fn != nil {
+		fn()
+	} else {
+		fnArg(arg)
+	}
+}
+
 // Step fires the single earliest pending event. It returns false if no
 // events remain or the scheduler has been stopped.
 func (s *Scheduler) Step() bool {
@@ -378,9 +387,6 @@ func (s *Scheduler) Step() bool {
 			return false
 		}
 	}
-	// fireNode captures the callback and recycles the node before invoking
-	// it, so a callback that immediately reschedules reuses this node's
-	// storage.
 	s.fireNode(s.popMin())
 	return true
 }
@@ -466,8 +472,7 @@ const soonWindow = 8 * Millisecond
 
 // farBit and soonBit mark node.index values that point into the far and
 // soon heaps. Positions within any heap stay well below either bit, and
-// the sentinel values used by DrainEpoch (indexFree and friends) stay
-// negative.
+// the sentinel values (indexFree, indexMigrating) stay negative.
 const (
 	farBit  = 1 << 30
 	soonBit = 1 << 29
@@ -568,12 +573,12 @@ func (s *Scheduler) primeSoon() {
 // drainTier lifts every entry of the tier heap *hp with at <= limit into
 // s.mig.ents (overwriting the previous batch) and repairs the heap with
 // one structural pass. The lifted set is up-closed — a lifted entry's
-// parent is no later, so it is lifted too — which makes this exactly
-// peelCohort's repair with a threshold in place of the equal-timestamp
-// test: refill the vacated subtree from the tail, then Floyd-sift the
-// refilled positions deepest-first. Lifting k entries this way costs
-// O(k) collection plus the repair, where popping them one by one would
-// cost a full root-to-leaf sift through the whole tier each.
+// parent is no later, so it is lifted too — so it is a subtree hanging
+// from the root, and collecting it is a bounded BFS. The repair refills
+// the vacated subtree from the tail, then Floyd-sifts the refilled
+// positions deepest-first. Lifting k entries this way costs O(k)
+// collection plus the repair, where popping them one by one would cost a
+// full root-to-leaf sift through the whole tier each.
 func (s *Scheduler) drainTier(hp *[]heapEntry, tag int, limit Time) {
 	m := &s.mig
 	m.ents = m.ents[:0]
@@ -594,8 +599,16 @@ func (s *Scheduler) drainTier(hp *[]heapEntry, tag int, limit Time) {
 			m.holes = append(m.holes, r)
 		}
 	}
-	// A slot is dead — lifted, or the source of an earlier move — exactly
-	// when its node's index disagrees with its position (see peelCohort).
+	// Refill the vacated subtree from the tail. BFS of a heap subtree emits
+	// indices in ascending order, so the holes are filled lowest first and,
+	// when the tail runs out, every hole at or past the shrunken end simply
+	// falls off. A slot is dead — lifted, or the source of an earlier move —
+	// exactly when its node's index disagrees with its position, so no
+	// nil-marking pass (and none of its GC write-barrier traffic) is
+	// needed. Each refilled entry's in-range ancestors are themselves
+	// refilled holes (the lifted set is up-closed), so sifting them in
+	// descending index order re-establishes the invariant exactly as
+	// build-heap would.
 	last := len(h) - 1
 	m.filled = m.filled[:0]
 	for _, i := range m.holes {
@@ -660,18 +673,6 @@ func (s *Scheduler) popMin() *timerNode {
 
 // remove deletes n from an arbitrary heap position and releases it.
 func (s *Scheduler) remove(n *timerNode) {
-	if n.index < 0 {
-		// The node is out of the heap inside a DrainEpoch batch. Mark it
-		// cancelled so the batch skips it; the batch owns retirement, so
-		// the node must not reach the free list (and thus a new tenancy)
-		// while the batch still points at it.
-		n.gen++
-		n.fn = nil
-		n.fnArg = nil
-		n.arg = nil
-		n.index = indexCancelled
-		return
-	}
 	if n.index&farBit != 0 {
 		tierRemoveAt(&s.far, farBit, n.index&^farBit)
 		s.release(n)

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"container/heap"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -141,10 +142,131 @@ func (h refHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
 func (h *refHeap) Push(x any)   { *h = append(*h, x.(refEvent)) }
 func (h *refHeap) Pop() any     { old := *h; n := len(old); x := old[n-1]; *h = old[:n-1]; return x }
 
+// cohortOp is one step of a same-timestamp-heavy program. Delay is
+// quantized hard so many events share a timestamp; Chain makes the
+// callback schedule a follow-up (zero or short delay, so it joins the
+// running cohort or a later one); CancelVictim makes the callback cancel
+// an earlier-scheduled timer, pending or already fired.
+type cohortOp struct {
+	Delay        uint8
+	Chain        uint8
+	CancelVictim uint8
+}
+
+func (o cohortOp) delay() Time      { return Time(o.Delay%16) / 4 }
+func (o cohortOp) chains() bool     { return o.Chain%3 == 0 && o.Chain != 0 }
+func (o cohortOp) chainDelay() Time { return Time(o.Chain%4) / 4 }
+
+// cohortTrace is everything observable about a cohort program's
+// execution: firing order, every clock advance, and the profile.
+type cohortTrace struct {
+	fired    []int
+	hops     []Time // (from, to) pairs, flattened
+	executed uint64
+	now      Time
+	pending  int
+}
+
+func (a cohortTrace) equal(b cohortTrace) bool {
+	return slices.Equal(a.fired, b.fired) && slices.Equal(a.hops, b.hops) &&
+		a.executed == b.executed && a.now == b.now && a.pending == b.pending
+}
+
+// runCohortProgram executes the program on the scheduler: RunUntil the
+// deadline, then Run. It returns the trace at both points.
+func runCohortProgram(ops []cohortOp, deadline Time) (mid, end cohortTrace) {
+	s := New()
+	var tr cohortTrace
+	s.SetStepHook(func(from, to Time) { tr.hops = append(tr.hops, from, to) })
+	timers := make([]Timer, len(ops))
+	for i, o := range ops {
+		i, o := i, o
+		timers[i] = s.Schedule(o.delay(), func() {
+			tr.fired = append(tr.fired, i)
+			if o.CancelVictim != 0 {
+				timers[int(o.CancelVictim)%len(ops)].Cancel()
+			}
+			if o.chains() {
+				chained := i + len(ops)
+				s.Schedule(o.chainDelay(), func() { tr.fired = append(tr.fired, chained) })
+			}
+		})
+	}
+	snap := func() cohortTrace {
+		c := tr
+		c.fired, c.hops = slices.Clone(tr.fired), slices.Clone(tr.hops)
+		c.executed, c.now, c.pending = s.Executed(), s.Now(), s.Pending()
+		return c
+	}
+	s.RunUntil(deadline)
+	mid = snap()
+	s.Run()
+	return mid, snap()
+}
+
+// refCohortProgram executes the same program on a container/heap event
+// loop with lazy cancellation: live maps each pending id to the sequence
+// number of its heap entry.
+func refCohortProgram(ops []cohortOp, deadline Time) (mid, end cohortTrace) {
+	h := &refHeap{}
+	live := map[int]uint64{}
+	var now Time
+	var seq uint64
+	var tr cohortTrace
+	schedule := func(at Time, id int) {
+		heap.Push(h, refEvent{at: at, seq: seq, id: id})
+		live[id] = seq
+		seq++
+	}
+	for i, o := range ops {
+		schedule(o.delay(), i)
+	}
+	// runTo fires every live event at or before limit.
+	runTo := func(limit Time) {
+		for h.Len() > 0 && (*h)[0].at <= limit {
+			e := heap.Pop(h).(refEvent)
+			if s, ok := live[e.id]; !ok || s != e.seq {
+				continue
+			}
+			delete(live, e.id)
+			tr.hops = append(tr.hops, now, e.at)
+			now = e.at
+			tr.executed++
+			tr.fired = append(tr.fired, e.id)
+			if e.id >= len(ops) {
+				continue
+			}
+			o := ops[e.id]
+			if o.CancelVictim != 0 {
+				delete(live, int(o.CancelVictim)%len(ops))
+			}
+			if o.chains() {
+				schedule(now+o.chainDelay(), e.id+len(ops))
+			}
+		}
+	}
+	snap := func() cohortTrace {
+		c := tr
+		c.fired, c.hops = slices.Clone(tr.fired), slices.Clone(tr.hops)
+		c.now, c.pending = now, len(live)
+		return c
+	}
+	runTo(deadline)
+	if now < deadline {
+		now = deadline
+	}
+	mid = snap()
+	runTo(Forever)
+	return mid, snap()
+}
+
 // TestSchedulerMatchesReferenceHeap is the migration property test: for
 // arbitrary interleavings of schedule and cancel operations, the inlined
 // heap pops events in exactly the order the container/heap implementation
-// it replaced would have.
+// it replaced would have. The second half runs fat same-timestamp cohorts
+// across the tier horizons, with callbacks that chain zero- and
+// short-delay reschedules and cancel earlier timers, and checks the clock
+// and profile too, both at a mid-program RunUntil deadline and after Run.
 func TestSchedulerMatchesReferenceHeap(t *testing.T) {
 	type op struct {
 		Delay    uint16
@@ -188,6 +310,19 @@ func TestSchedulerMatchesReferenceHeap(t *testing.T) {
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
+	}
+
+	cohorts := func(ops []cohortOp, deadline8 uint8) bool {
+		if len(ops) == 0 {
+			return true
+		}
+		deadline := Time(deadline8%20) / 8
+		gotMid, gotEnd := runCohortProgram(ops, deadline)
+		wantMid, wantEnd := refCohortProgram(ops, deadline)
+		return gotMid.equal(wantMid) && gotEnd.equal(wantEnd)
+	}
+	if err := quick.Check(cohorts, &quick.Config{MaxCount: 400}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -356,22 +357,27 @@ func TestPostponeBasics(t *testing.T) {
 
 // TestPostponeMatchesCancelReschedule pins Postpone's contract: combined
 // with its documented fallback, it produces exactly the execution that
-// Cancel plus re-scheduling the same callback at the new time would — on
-// randomized programs, under both the serial Step loop and the batched
-// epoch drain (where mid-batch nodes force the fallback path).
+// Cancel plus re-scheduling the same callback at the new time would, on
+// randomized programs.
 func TestPostponeMatchesCancelReschedule(t *testing.T) {
 	type ppOp struct {
 		Delay  uint8
 		Victim uint8
 		Extend uint8
 	}
-	f := func(ops []ppOp, batched bool) bool {
+	type trace struct {
+		fired    []int
+		executed uint64
+		now      Time
+		pending  int
+	}
+	f := func(ops []ppOp) bool {
 		if len(ops) == 0 {
 			return true
 		}
-		run := func(usePostpone bool) epochTrace {
+		run := func(usePostpone bool) trace {
 			s := New()
-			var tr epochTrace
+			var tr trace
 			timers := make([]Timer, len(ops))
 			fns := make([]func(), len(ops))
 			for i, o := range ops {
@@ -395,18 +401,15 @@ func TestPostponeMatchesCancelReschedule(t *testing.T) {
 				}
 				timers[i] = s.Schedule(Time(o.Delay%16)/4, fns[i])
 			}
-			if batched {
-				for s.DrainEpoch() > 0 {
-				}
-			} else {
-				s.Run()
-			}
+			s.Run()
 			tr.executed = s.Executed()
 			tr.now = s.Now()
 			tr.pending = s.Pending()
 			return tr
 		}
-		return run(false).equal(run(true))
+		a, b := run(false), run(true)
+		return slices.Equal(a.fired, b.fired) && a.executed == b.executed &&
+			a.now == b.now && a.pending == b.pending
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
