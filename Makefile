@@ -103,8 +103,9 @@ fuzz:
 
 # fuzz-nightly is the scheduled CI fuzz budget: the trace codec, the
 # full-stack topology-conservation target, and the service's JSON config
-# canonicaliser (hash stable under field reordering and default elision),
-# a couple of minutes each.
+# canonicaliser (hash stable under field reordering, and injective on
+# hashed fields: perturbing any `canon`-keyed field of the resolved
+# config moves it), a couple of minutes each.
 FUZZTIME ?= 2m
 fuzz-nightly:
 	$(GO) test -run='^$$' -fuzz=FuzzParseLine -fuzztime=$(FUZZTIME) ./internal/trace

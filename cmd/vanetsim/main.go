@@ -283,29 +283,7 @@ func runDense(cfg vanetsim.DenseHighwayConfig, stats bool, statsJSON, statsProm 
 	}
 	fmt.Fprintf(out, "dense highway — %v MAC, %d vehicles, %d lanes, %d platoons (%s), %.0f s simulated in %.2f s wall\n\n",
 		cfg.MAC, cfg.Vehicles, cfg.Lanes, r.Platoons, culling, float64(cfg.Duration), r.WallSeconds)
-	notified, worst := 0, vanetsim.Seconds(0)
-	for _, ind := range r.Indications {
-		if ind.IndicationDelay >= 0 {
-			notified++
-			if ind.IndicationDelay > worst {
-				worst = ind.IndicationDelay
-			}
-		}
-	}
-	fmt.Fprintf(out, "brake indications: %d/%d followers notified, worst delay %.4f s\n",
-		notified, len(r.Indications), float64(worst))
-	fmt.Fprintf(out, "collisions: %d rear-end, %d corrupted frames (MAC contention)\n", r.Collisions, r.RxCollided)
-	safetyPct, beaconPct := 0.0, 0.0
-	if r.SafetySent > 0 {
-		safetyPct = 100 * float64(r.SafetyReceived) / float64(r.SafetySent)
-	}
-	if r.BeaconSent > 0 {
-		beaconPct = 100 * float64(r.BeaconReceived) / float64(r.BeaconSent)
-	}
-	fmt.Fprintf(out, "safety traffic: %d sent, %d delivered (%.1f%%)\n", r.SafetySent, r.SafetyReceived, safetyPct)
-	fmt.Fprintf(out, "beacon traffic: %d sent, %d delivered (%.1f%%)\n", r.BeaconSent, r.BeaconReceived, beaconPct)
-	fmt.Fprintf(out, "channel: %d arrivals offered, %d delivered, %d frequency-filtered\n",
-		r.Channel.Offered, r.Channel.Delivered, r.Channel.FilteredFreq)
+	fmt.Fprint(out, vanetsim.FormatDenseSummary(r))
 	if r.Telemetry != nil {
 		if statsJSON != "" {
 			if err := writeSnapshot(statsJSON, r.Telemetry.NDJSON); err != nil {

@@ -139,3 +139,28 @@ func TestRunFaultFlagErrors(t *testing.T) {
 		}
 	}
 }
+
+func TestRunDense(t *testing.T) {
+	var culled, scan strings.Builder
+	if err := run([]string{"-dense", "48", "-duration", "6"}, &culled); err != nil {
+		t.Fatal(err)
+	}
+	if err := run([]string{"-dense", "48", "-duration", "6", "-no-culling"}, &scan); err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(culled.String(), "\n")
+	if !strings.HasPrefix(lines[0], "dense highway — TDMA MAC, 48 vehicles, 4 lanes, 8 platoons (culled), 6 s simulated in ") {
+		t.Fatalf("dense header wrong: %q", lines[0])
+	}
+	for i, want := range []string{"brake indications: ", "collisions: ", "safety traffic: ", "beacon traffic: ", "channel: "} {
+		if !strings.HasPrefix(lines[2+i], want) {
+			t.Fatalf("dense output line %d = %q, want prefix %q:\n%s", 3+i, lines[2+i], want, culled.String())
+		}
+	}
+	// Culling is exact: only the header's label and wall time may differ.
+	_, culledBody, _ := strings.Cut(culled.String(), "\n")
+	_, scanBody, _ := strings.Cut(scan.String(), "\n")
+	if culledBody != scanBody {
+		t.Fatalf("culled and full-scan summaries differ:\n%s\n---\n%s", culledBody, scanBody)
+	}
+}

@@ -30,11 +30,11 @@ import (
 // reception on a link is destroyed with a fixed probability, memorylessly.
 type Bernoulli struct {
 	// LossProb is the per-frame loss probability in [0, 1].
-	LossProb float64
+	LossProb float64 `canon:"loss"`
 	// BitErrorRate is an independent per-bit error probability in [0, 1);
 	// a frame is lost if any of its 8·size bits flips. It composes with
 	// LossProb: the frame survives only if it dodges both.
-	BitErrorRate float64
+	BitErrorRate float64 `canon:"ber"`
 }
 
 // Enabled reports whether the model can ever drop a frame.
@@ -59,13 +59,14 @@ func (b Bernoulli) FrameLossProb(sizeBytes int) float64 {
 // Every link starts in the good state.
 type GilbertElliott struct {
 	// PGoodBad is the per-frame probability of a good→bad transition.
-	PGoodBad float64
+	PGoodBad float64 `canon:"burst_pgb"`
 	// PBadGood is the per-frame probability of a bad→good transition; its
 	// reciprocal is the mean burst length in frames.
-	PBadGood float64
+	PBadGood float64 `canon:"burst_pbg"`
 	// LossGood and LossBad are the loss probabilities in each state
 	// (classically 0 and 1).
-	LossGood, LossBad float64
+	LossGood float64 `canon:"burst_lg"`
+	LossBad  float64 `canon:"burst_lb"`
 }
 
 // Enabled reports whether the model can ever drop a frame.
@@ -132,18 +133,20 @@ type Outage struct {
 
 // Plan is a trial's complete impairment recipe. The zero value injects
 // nothing and is free: no RNG streams are created, no telemetry is
-// registered, and the PHY hot path pays only a nil check.
+// registered, and the PHY hot path pays only a nil check. The `canon`
+// tags on Plan and its models are their keys in the service's cache-key
+// encoding (see scenario.TrialConfig).
 type Plan struct {
 	// Bernoulli is the independent per-frame/per-bit error model.
-	Bernoulli Bernoulli
+	Bernoulli Bernoulli `canon:""`
 	// Burst is the two-state Gilbert–Elliott bursty loss model. It composes
 	// with Bernoulli: a frame must survive both.
-	Burst GilbertElliott
+	Burst GilbertElliott `canon:""`
 	// ShadowSigmaDB enables log-normal shadowing on the propagation model
 	// with the given standard deviation in dB (0 disables it).
-	ShadowSigmaDB float64
+	ShadowSigmaDB float64 `canon:"shadow_db"`
 	// Outages lists scheduled radio outages.
-	Outages []Outage
+	Outages []Outage `canon:"outage"`
 }
 
 // LinkEnabled reports whether any per-link reception model is active (and

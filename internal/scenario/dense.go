@@ -24,55 +24,57 @@ import (
 // streams from each platoon lead to its near followers once it brakes.
 // It is the workload the channel's spatial-index culling exists for: at
 // 25 m spacing a transmitter's carrier-sense disc holds a few dozen
-// radios regardless of how many thousands share the road.
+// radios regardless of how many thousands share the road. The `canon`
+// tags are as on TrialConfig.
 type DenseHighwayConfig struct {
-	MAC        MACType
-	Vehicles   int     // total vehicle count across all lanes
-	Lanes      int     // parallel lanes along +x
-	PlatoonLen int     // vehicles per platoon (last platoon per lane may be shorter)
-	SpacingM   float64 // intra-platoon following distance
-	GapM       float64 // extra gap between consecutive platoons in a lane
-	LaneWidthM float64
-	SpeedMS    float64
-	DecelMS2   float64
-	CarLengthM float64
+	MAC        MACType `canon:"mac"`
+	Vehicles   int     `canon:"vehicles"`    // total vehicle count across all lanes
+	Lanes      int     `canon:"lanes"`       // parallel lanes along +x
+	PlatoonLen int     `canon:"platoon_len"` // vehicles per platoon (last platoon per lane may be shorter)
+	SpacingM   float64 `canon:"spacing_m"`   // intra-platoon following distance
+	GapM       float64 `canon:"gap_m"`       // extra gap between consecutive platoons in a lane
+	LaneWidthM float64 `canon:"lane_width_m"`
+	SpeedMS    float64 `canon:"speed_ms"`
+	DecelMS2   float64 `canon:"decel_ms2"`
+	CarLengthM float64 `canon:"car_len_m"`
 
 	// SafetyDepth is how many of each platoon's nearest followers receive
 	// the lead's brake-triggered safety stream; 0 or negative means every
 	// follower. Followers beyond the depth get no indication and brake
 	// only by luck — their collisions measure the coverage gap.
-	SafetyDepth int
-	PacketSize  int     // safety segment payload bytes
-	RateBps     float64 // safety stream offered rate per flow
+	SafetyDepth int     `canon:"safety_depth"`
+	PacketSize  int     `canon:"packet"`   // safety segment payload bytes
+	RateBps     float64 `canon:"rate_bps"` // safety stream offered rate per flow
 
 	// BeaconFraction of vehicles (deterministically every k-th by ID)
 	// source periodic beacon datagrams to the vehicle directly ahead in
 	// their lane (the lane's front vehicle beacons backward), with start
 	// phases staggered by the run's forked RNG so the load spreads over
 	// the beacon interval instead of arriving in lockstep.
-	BeaconFraction float64
-	BeaconSize     int
-	BeaconRateBps  float64
+	BeaconFraction float64 `canon:"beacon_fraction"`
+	BeaconSize     int     `canon:"beacon_size"`
+	BeaconRateBps  float64 `canon:"beacon_rate_bps"`
 	// BeaconJitter desynchronises the beacon sources' send intervals: each
 	// source's interval is scaled by a deterministic per-vehicle factor in
 	// [1-BeaconJitter, 1+BeaconJitter), drawn from the run seed's
 	// dense/beacon stream. 0 (the default) keeps every source on the exact
 	// nominal interval — and, drawing nothing extra, keeps the run
 	// byte-identical to configs predating the knob. Must be in [0, 1).
-	BeaconJitter float64
+	BeaconJitter float64 `canon:"beacon_jitter"`
 
-	TDMARateBps float64  // TDMA radio rate override (0 = package default)
-	ReactionS   sim.Time // driver reaction after the indication arrives
-	BrakeAt     sim.Time // when every platoon lead brakes
-	Duration    sim.Time
-	QueueCap    int
-	Seed        uint64
-	Telemetry   bool // collect a cross-layer metrics snapshot
-	Check       bool // arm the runtime invariant checker (observation-only)
-	Spans       bool // arm causal span tracing (observation-only)
+	TDMARateBps float64  `canon:"tdma_rate_bps"` // TDMA radio rate override (0 = package default)
+	ReactionS   sim.Time `canon:"reaction_s"`    // driver reaction after the indication arrives
+	BrakeAt     sim.Time `canon:"brake_at_s"`    // when every platoon lead brakes
+	Duration    sim.Time `canon:"duration_s"`
+	QueueCap    int      `canon:"queue_cap"`
+	Seed        uint64   `canon:"seed"`
+	Telemetry   bool     `canon:"telemetry"` // collect a cross-layer metrics snapshot
+	Check       bool     `canon:"check"`     // arm the runtime invariant checker (observation-only)
+	Spans       bool     `canon:"-"`         // arm causal span tracing (observation-only)
 	// DisableCulling runs the same workload on the channel's full-receiver
 	// scan, for culled-vs-scan equivalence tests and scaling benchmarks.
-	DisableCulling bool
+	// Execution-only: culled and full-scan runs are byte-identical.
+	DisableCulling bool `canon:"-"`
 }
 
 // DefaultDenseHighway returns an n-vehicle four-lane run on the given MAC:

@@ -22,49 +22,54 @@ import (
 // TrialConfig describes one run of the paper's intersection scenario. The
 // fixed parameters (drop-tail priority ifq, AODV, 50 mph) and the variable
 // ones (MAC type, packet size) match §III.A.
+//
+// Each field's `canon` tag is its key in the service's cache-key encoding
+// (internal/service/canon); "-" marks a field that cannot change result
+// bytes, and a key ending in "." prefixes a nested struct's keys.
 type TrialConfig struct {
-	Name       string
-	MAC        MACType
-	PacketSize int // bytes per brake-status packet
+	Name       string  `canon:"name"`
+	MAC        MACType `canon:"mac"`
+	PacketSize int     `canon:"packet"` // bytes per brake-status packet
 
 	// Scenario geometry and choreography.
-	SpeedMS      float64   // cruise speed (paper: 22.4 m/s = 50 mph)
-	SpacingM     float64   // inter-vehicle separation (paper: 25 m)
-	ApproachM    float64   // platoon 1's initial distance from the intersection
-	Duration     sim.Time  // simulated time
-	PlatoonSize  int       // vehicles per platoon (paper: 3)
-	DepartDistM  float64   // how far platoon 2 drives away
-	RateBps      float64   // offered CBR load per flow
-	TDMARateBps  float64   // TDMA radio bit rate (calibration: 1 Mb/s)
-	QueueCap     int       // interface queue length (ns-2 default: 50)
-	Queue        QueueType // interface queue flavour (default: PriQueue)
-	TCPWindow    float64   // TCP max congestion window in segments (0 = ns-2 default 20)
-	ThroughputBn sim.Time  // throughput record interval
-	Seed         uint64
-	SINRPhy      bool // aggregate-interference PHY instead of pairwise capture
-	CollectTrace bool // also record an agent-level trace
+	SpeedMS      float64   `canon:"speed_ms"`      // cruise speed (paper: 22.4 m/s = 50 mph)
+	SpacingM     float64   `canon:"spacing_m"`     // inter-vehicle separation (paper: 25 m)
+	ApproachM    float64   `canon:"approach_m"`    // platoon 1's initial distance from the intersection
+	Duration     sim.Time  `canon:"duration_s"`    // simulated time
+	PlatoonSize  int       `canon:"platoon"`       // vehicles per platoon (paper: 3)
+	DepartDistM  float64   `canon:"depart_m"`      // how far platoon 2 drives away
+	RateBps      float64   `canon:"rate_bps"`      // offered CBR load per flow
+	TDMARateBps  float64   `canon:"tdma_rate_bps"` // TDMA radio bit rate (calibration: 1 Mb/s)
+	QueueCap     int       `canon:"queue_cap"`     // interface queue length (ns-2 default: 50)
+	Queue        QueueType `canon:"queue"`         // interface queue flavour (default: PriQueue)
+	TCPWindow    float64   `canon:"tcp_window"`    // TCP max congestion window in segments (0 = ns-2 default 20)
+	ThroughputBn sim.Time  `canon:"tput_bin_s"`    // throughput record interval
+	Seed         uint64    `canon:"seed"`
+	SINRPhy      bool      `canon:"sinr"` // aggregate-interference PHY instead of pairwise capture
+	CollectTrace bool      `canon:"-"`    // also record an agent-level trace (output-only)
 	// Telemetry enables the cross-layer observability registry; the
 	// snapshot lands on TrialResult.Telemetry. Observation-only: the same
 	// seed yields identical traces and figures with it on or off.
-	Telemetry bool
+	Telemetry bool `canon:"telemetry"`
 	// AnimInterval enables position recording (the Nam-animator role)
-	// with the given sample period; 0 disables it.
-	AnimInterval sim.Time
+	// with the given sample period; 0 disables it. Output-only: frames
+	// ride beside the result and never change it.
+	AnimInterval sim.Time `canon:"-"`
 	// Check arms the runtime invariant checker: layer seams audit packet
 	// conservation, slot exclusivity, route sanity and event monotonicity,
 	// and the violations land on TrialResult.Violations. Observation-only:
 	// the same seed yields identical outputs with it on or off. The
 	// `checkall` build tag forces it on regardless of this field.
-	Check bool
+	Check bool `canon:"check"`
 	// Spans arms causal per-packet span tracing: every datagram's lifecycle
 	// (emit, queue, MAC wait, airtime, loss or delivery) lands on
 	// TrialResult.Spans in scheduler order. Observation-only: the same seed
 	// yields identical traces and figures with it on or off.
-	Spans bool
+	Spans bool `canon:"-"`
 	// Faults is the impairment recipe (packet/bit error models, bursty
 	// loss, shadowing, scheduled outages). The zero value injects nothing:
 	// an unfaulted run is byte-identical with or without this field.
-	Faults fault.Plan
+	Faults fault.Plan `canon:"fault."`
 }
 
 // defaultTrial fills the fixed parameters shared by all three trials.

@@ -107,30 +107,7 @@ func denseArtifact(b *strings.Builder, c *canon.Canonical, progress func(string)
 
 	fmt.Fprintf(b, "dense highway — %v MAC, %d vehicles, %d lanes, %d platoons, %.0f s simulated\n",
 		cfg.MAC, cfg.Vehicles, cfg.Lanes, r.Platoons, float64(cfg.Duration))
-	notified, worst := 0, vanetsim.Seconds(0)
-	for _, ind := range r.Indications {
-		if ind.IndicationDelay >= 0 {
-			notified++
-			if ind.IndicationDelay > worst {
-				worst = ind.IndicationDelay
-			}
-		}
-	}
-	fmt.Fprintf(b, "brake indications: %d/%d followers notified, worst delay %.4f s\n",
-		notified, len(r.Indications), float64(worst))
-	fmt.Fprintf(b, "collisions: %d rear-end, %d corrupted frames (MAC contention)\n", r.Collisions, r.RxCollided)
-	pct := func(recv, sent int) float64 {
-		if sent == 0 {
-			return 0
-		}
-		return 100 * float64(recv) / float64(sent)
-	}
-	fmt.Fprintf(b, "safety traffic: %d sent, %d delivered (%.1f%%)\n",
-		r.SafetySent, r.SafetyReceived, pct(r.SafetyReceived, r.SafetySent))
-	fmt.Fprintf(b, "beacon traffic: %d sent, %d delivered (%.1f%%)\n",
-		r.BeaconSent, r.BeaconReceived, pct(r.BeaconReceived, r.BeaconSent))
-	fmt.Fprintf(b, "channel: %d arrivals offered, %d delivered, %d frequency-filtered\n",
-		r.Channel.Offered, r.Channel.Delivered, r.Channel.FilteredFreq)
+	b.WriteString(vanetsim.FormatDenseSummary(r))
 	writeCheckVerdict(b, cfg.Check, r.Violations)
 	writeTelemetry(b, r.Telemetry)
 	return nil

@@ -12,14 +12,22 @@
 //  2. Apply every default (preset trials, dense-highway defaults, the
 //     paper's degradation grid) before hashing, so an elided field and
 //     an explicitly spelled-out default hash identically.
-//  3. Encode the fully resolved configuration in a fixed field order
-//     (AppendBinary) and hash that — never the incoming JSON bytes.
+//  3. Encode the fully resolved configuration as key=value lines in
+//     field declaration order (AppendBinary) and hash that — never the
+//     incoming JSON bytes.
 //
-// Execution-only knobs (the spatial-culling toggle) are deliberately
-// excluded from the canonical form: they are proven byte-identical on
-// output, so they must not split the cache. canon_test.go's
-// field-coverage test makes every config field declare whether it is
-// hashed.
+// The encoding is derived from `canon` struct tags on the four hashed
+// types: scenario.TrialConfig (with its fault.Plan),
+// scenario.DenseHighwayConfig, ReplicationSpec and DegradationSpec. A
+// tag is the field's key, or on a nested struct a key prefix; canon:"-"
+// marks an execution- or output-only knob (the spatial-culling toggle,
+// span tracing, trace and animation capture) that is proven
+// byte-identical on output and so must not split the cache. An exported
+// field without a tag panics at package init, and canon_test.go walks
+// the same tags to prove every keyed field moves the hash and every "-"
+// field does not. Adding a hashed field is one tagged line. There is no
+// normalized wire form: the resolved config structs are the canonical
+// form.
 //
 // The hash hot path is allocation-free: AppendBinary appends into a
 // caller-reused buffer with strconv appenders, and sha256.Sum256 runs
@@ -33,8 +41,8 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"reflect"
 	"sort"
-	"strconv"
 	"strings"
 
 	"vanetsim/internal/fault"
@@ -164,19 +172,19 @@ const (
 // stopping parameters. Batch size and worker count are execution-only
 // (the study is byte-identical at any value) and deliberately absent.
 type ReplicationSpec struct {
-	Base      scenario.TrialConfig
-	Tolerance float64
-	MinReps   int
-	MaxReps   int
+	Base      scenario.TrialConfig `canon:""`
+	Tolerance float64              `canon:"rep.tolerance"`
+	MinReps   int                  `canon:"rep.min_reps"`
+	MaxReps   int                  `canon:"rep.max_reps"`
 }
 
 // DegradationSpec is the fully resolved degradation sweep.
 type DegradationSpec struct {
-	Base      scenario.TrialConfig // Telemetry forced on (the sweep reads fault counters)
-	LossProbs []float64
-	BurstLen  float64
-	ShadowDB  float64
-	Outage    fault.Outage // Duration 0 = none
+	Base      scenario.TrialConfig `canon:""` // Telemetry forced on (the sweep reads fault counters)
+	LossProbs []float64            `canon:"deg.loss_probs"`
+	BurstLen  float64              `canon:"deg.burst_len"`
+	ShadowDB  float64              `canon:"deg.shadow_db"`
+	Outages   []fault.Outage       `canon:"deg.outage"` // at most one
 }
 
 // Plan builds one sweep point's impairment recipe, mirroring the
@@ -184,14 +192,11 @@ type DegradationSpec struct {
 // selects Gilbert–Elliott bursts, otherwise independent Bernoulli
 // losses; the outage (if any) applies verbatim at every point.
 func (s DegradationSpec) Plan(lossProb float64) fault.Plan {
-	p := fault.Plan{ShadowSigmaDB: s.ShadowDB}
+	p := fault.Plan{ShadowSigmaDB: s.ShadowDB, Outages: s.Outages}
 	if s.BurstLen > 1 {
 		p.Burst = fault.Burst(lossProb, s.BurstLen)
 	} else {
 		p.Bernoulli = fault.Bernoulli{LossProb: lossProb}
-	}
-	if s.Outage.Duration > 0 {
-		p.Outages = []fault.Outage{s.Outage}
 	}
 	return p
 }
@@ -205,8 +210,6 @@ type Canonical struct {
 	Dense scenario.DenseHighwayConfig
 	Deg   DegradationSpec
 	Rep   ReplicationSpec
-
-	req Request // normalized wire form (defaults made explicit)
 }
 
 // Cost is a request's admission-control weight, judged against the
@@ -305,9 +308,9 @@ func duration(name string, overrideS float64, def sim.Time) (sim.Time, error) {
 // canonFaults resolves an optional impairment recipe. Outages are
 // sorted by (node, start, duration): their order never changes the
 // plan's semantics, so two spellings of the same plan hash identically.
-func canonFaults(fr *FaultRequest) (fault.Plan, *FaultRequest, error) {
+func canonFaults(fr *FaultRequest) (fault.Plan, error) {
 	if fr == nil {
-		return fault.Plan{}, nil, nil
+		return fault.Plan{}, nil
 	}
 	for _, f := range []struct {
 		name string
@@ -318,33 +321,30 @@ func canonFaults(fr *FaultRequest) (fault.Plan, *FaultRequest, error) {
 		{"faults.shadow_db", fr.ShadowDB},
 	} {
 		if err := finite(f.name, f.v); err != nil {
-			return fault.Plan{}, nil, err
+			return fault.Plan{}, err
 		}
 	}
-	norm := FaultRequest{
-		Loss: fr.Loss, BER: fr.BER,
-		BurstLoss: fr.BurstLoss, BurstLen: fr.BurstLen, ShadowDB: fr.ShadowDB,
-	}
-	if fr.BurstLoss > 0 && norm.BurstLen == 0 {
-		norm.BurstLen = 4 // the -burst-len default
-	}
-	if norm.BurstLoss == 0 {
-		norm.BurstLen = 0 // inert without a burst model; don't split the form
-	}
 	if fr.BurstLoss < 0 || fr.BurstLoss > 1 {
-		return fault.Plan{}, nil, fmt.Errorf("canon: faults.burst_loss = %v outside [0, 1]", fr.BurstLoss)
+		return fault.Plan{}, fmt.Errorf("canon: faults.burst_loss = %v outside [0, 1]", fr.BurstLoss)
+	}
+	if fr.BurstLen < 0 {
+		return fault.Plan{}, fmt.Errorf("canon: faults.burst_len = %v is negative", fr.BurstLen)
 	}
 	plan := fault.Plan{
 		Bernoulli:     fault.Bernoulli{LossProb: fr.Loss, BitErrorRate: fr.BER},
 		ShadowSigmaDB: fr.ShadowDB,
 	}
-	if norm.BurstLoss > 0 {
-		plan.Burst = fault.Burst(norm.BurstLoss, norm.BurstLen)
+	if fr.BurstLoss > 0 {
+		burstLen := fr.BurstLen
+		if burstLen == 0 {
+			burstLen = 4 // the -burst-len default
+		}
+		plan.Burst = fault.Burst(fr.BurstLoss, burstLen)
 	}
 	for i, o := range fr.Outages {
 		fo, err := canonOutage(fmt.Sprintf("faults.outages[%d]", i), o)
 		if err != nil {
-			return fault.Plan{}, nil, err
+			return fault.Plan{}, err
 		}
 		plan.Outages = append(plan.Outages, fo)
 	}
@@ -359,18 +359,9 @@ func canonFaults(fr *FaultRequest) (fault.Plan, *FaultRequest, error) {
 		return a.Duration < b.Duration
 	})
 	if err := plan.Validate(); err != nil {
-		return fault.Plan{}, nil, fmt.Errorf("canon: %w", err)
+		return fault.Plan{}, fmt.Errorf("canon: %w", err)
 	}
-	for _, o := range plan.Outages {
-		norm.Outages = append(norm.Outages, OutageRequest{
-			Node: int(o.Node), StartS: float64(o.Start), DurationS: float64(o.Duration),
-		})
-	}
-	if norm.Loss == 0 && norm.BER == 0 && norm.BurstLoss == 0 &&
-		norm.ShadowDB == 0 && len(norm.Outages) == 0 {
-		return plan, nil, nil
-	}
-	return plan, &norm, nil
+	return plan, nil
 }
 
 func canonOutage(name string, o OutageRequest) (fault.Outage, error) {
@@ -427,33 +418,12 @@ func canonTrial(tr TrialRequest) (*Canonical, error) {
 	if tr.Seed != 0 {
 		cfg.Seed = tr.Seed
 	}
-	plan, normFaults, err := canonFaults(tr.Faults)
-	if err != nil {
+	if cfg.Faults, err = canonFaults(tr.Faults); err != nil {
 		return nil, err
 	}
-	cfg.Faults = plan
 	cfg.Telemetry = tr.Telemetry
 	cfg.Check = tr.Check
-	// Execution-only knobs stay zero: they never change result bytes.
-	cfg.CollectTrace = false
-	cfg.Spans = false
-	cfg.AnimInterval = 0
-
-	c := &Canonical{Kind: "trial", Trial: cfg}
-	norm := TrialRequest{
-		Trial:     tr.Trial,
-		DurationS: float64(cfg.Duration),
-		Seed:      cfg.Seed,
-		Faults:    normFaults,
-		Telemetry: cfg.Telemetry,
-		Check:     cfg.Check,
-	}
-	if tr.Trial == 0 {
-		norm.MAC = macName(cfg.MAC)
-		norm.Packet = cfg.PacketSize
-	}
-	c.req = Request{Kind: "trial", Trial: &norm}
-	return c, nil
+	return &Canonical{Kind: "trial", Trial: cfg}, nil
 }
 
 func canonDense(dr DenseRequest) (*Canonical, error) {
@@ -507,27 +477,7 @@ func canonDense(dr DenseRequest) (*Canonical, error) {
 	}
 	cfg.Telemetry = dr.Telemetry
 	cfg.Check = dr.Check
-	// Execution-only knobs stay zero (culling is proven byte-identical on
-	// output, so it must not split the cache).
-	cfg.DisableCulling = false
-	cfg.Spans = false
-
-	frac := cfg.BeaconFraction
-	c := &Canonical{Kind: "dense", Dense: cfg}
-	c.req = Request{Kind: "dense", Dense: &DenseRequest{
-		Vehicles:       cfg.Vehicles,
-		MAC:            macName(cfg.MAC),
-		Lanes:          cfg.Lanes,
-		PlatoonLen:     cfg.PlatoonLen,
-		BeaconFraction: &frac,
-		BeaconJitter:   cfg.BeaconJitter,
-		SafetyDepth:    cfg.SafetyDepth,
-		DurationS:      float64(cfg.Duration),
-		Seed:           cfg.Seed,
-		Telemetry:      cfg.Telemetry,
-		Check:          cfg.Check,
-	}}
-	return c, nil
+	return &Canonical{Kind: "dense", Dense: cfg}, nil
 }
 
 func canonDegradation(gr DegradationRequest) (*Canonical, error) {
@@ -578,31 +528,13 @@ func canonDegradation(gr DegradationRequest) (*Canonical, error) {
 		spec.LossProbs = append([]float64(nil), gr.LossProbs...)
 	}
 	if gr.Outage != nil {
-		spec.Outage, err = canonOutage("degradation.outage", *gr.Outage)
+		o, err := canonOutage("degradation.outage", *gr.Outage)
 		if err != nil {
 			return nil, err
 		}
+		spec.Outages = []fault.Outage{o}
 	}
-
-	c := &Canonical{Kind: "degradation", Deg: spec}
-	norm := DegradationRequest{
-		MAC:       macName(mac),
-		LossProbs: spec.LossProbs,
-		BurstLen:  spec.BurstLen,
-		ShadowDB:  spec.ShadowDB,
-		DurationS: float64(base.Duration),
-		Seed:      base.Seed,
-		Check:     base.Check,
-	}
-	if spec.Outage.Duration > 0 {
-		norm.Outage = &OutageRequest{
-			Node:      int(spec.Outage.Node),
-			StartS:    float64(spec.Outage.Start),
-			DurationS: float64(spec.Outage.Duration),
-		}
-	}
-	c.req = Request{Kind: "degradation", Degradation: &norm}
-	return c, nil
+	return &Canonical{Kind: "degradation", Deg: spec}, nil
 }
 
 func canonReplication(rr ReplicationRequest) (*Canonical, error) {
@@ -638,25 +570,13 @@ func canonReplication(rr ReplicationRequest) (*Canonical, error) {
 	if maxReps < minReps {
 		return nil, fmt.Errorf("canon: replication.max_reps = %d below min_reps %d", maxReps, minReps)
 	}
-	c := &Canonical{Kind: "replication", Rep: ReplicationSpec{
+	return &Canonical{Kind: "replication", Rep: ReplicationSpec{
 		Base:      base.Trial,
 		Tolerance: rr.Tolerance,
 		MinReps:   minReps,
 		MaxReps:   maxReps,
-	}}
-	c.req = Request{Kind: "replication", Replication: &ReplicationRequest{
-		Trial:     base.req.Trial,
-		Tolerance: rr.Tolerance,
-		MinReps:   minReps,
-		MaxReps:   maxReps,
-	}}
-	return c, nil
+	}}, nil
 }
-
-// Request returns the normalized wire form: every default explicit,
-// canonical MAC spellings, outages sorted. Canonicalising it again
-// yields a byte-identical canonical encoding (the fuzz round trip).
-func (c *Canonical) Request() Request { return c.req }
 
 // Cost returns the request's admission-control weight.
 func (c *Canonical) Cost() Cost {
@@ -733,153 +653,43 @@ func (c *Canonical) RepEntryHash(seed uint64) Hash {
 	dst := append(buf[:0], Version...)
 	dst = append(dst, '\n')
 	dst = appendStr(dst, "kind", "replication-entry")
-	dst = appendTrial(dst, &t)
+	dst = trialSchema.append(dst, reflect.ValueOf(&t).Elem())
 	return sha256.Sum256(dst)
 }
 
 // AppendBinary appends the canonical encoding to dst and returns the
-// extended slice. The encoding is versioned key=value lines in a fixed
-// field order; it allocates nothing beyond dst growth, so reusing dst
-// across calls makes the hash hot path allocation-free.
+// extended slice. The encoding is versioned key=value lines in field
+// declaration order; it allocates nothing beyond dst growth, so reusing
+// dst across calls makes the hash hot path allocation-free.
 func (c *Canonical) AppendBinary(dst []byte) []byte {
 	dst = append(dst, Version...)
 	dst = append(dst, '\n')
 	dst = appendStr(dst, "kind", c.Kind)
-	switch c.Kind {
-	case "trial":
-		dst = appendTrial(dst, &c.Trial)
-	case "dense":
-		dst = appendDense(dst, &c.Dense)
-	case "replication":
-		dst = appendTrial(dst, &c.Rep.Base)
-		dst = appendFloat(dst, "rep.tolerance", c.Rep.Tolerance)
-		dst = appendInt(dst, "rep.min_reps", c.Rep.MinReps)
-		dst = appendInt(dst, "rep.max_reps", c.Rep.MaxReps)
-	case "degradation":
+	if c.Kind == KindDegradation {
+		// The sweep's MAC leads: it selects the base trial's preset.
 		dst = appendStr(dst, "deg.mac", macName(c.Deg.Base.MAC))
-		dst = appendTrial(dst, &c.Deg.Base)
-		dst = append(dst, "deg.loss_probs="...)
-		for i, p := range c.Deg.LossProbs {
-			if i > 0 {
-				dst = append(dst, ',')
-			}
-			dst = strconv.AppendFloat(dst, p, 'g', -1, 64)
-		}
-		dst = append(dst, '\n')
-		dst = appendFloat(dst, "deg.burst_len", c.Deg.BurstLen)
-		dst = appendFloat(dst, "deg.shadow_db", c.Deg.ShadowDB)
-		dst = appendOutage(dst, "deg.outage", c.Deg.Outage)
 	}
-	return dst
+	s, v := c.root()
+	return s.append(dst, v)
 }
 
-func appendTrial(dst []byte, t *scenario.TrialConfig) []byte {
-	dst = appendStr(dst, "name", t.Name)
-	dst = appendStr(dst, "mac", macName(t.MAC))
-	dst = appendInt(dst, "packet", t.PacketSize)
-	dst = appendFloat(dst, "speed_ms", t.SpeedMS)
-	dst = appendFloat(dst, "spacing_m", t.SpacingM)
-	dst = appendFloat(dst, "approach_m", t.ApproachM)
-	dst = appendFloat(dst, "duration_s", float64(t.Duration))
-	dst = appendInt(dst, "platoon", t.PlatoonSize)
-	dst = appendFloat(dst, "depart_m", t.DepartDistM)
-	dst = appendFloat(dst, "rate_bps", t.RateBps)
-	dst = appendFloat(dst, "tdma_rate_bps", t.TDMARateBps)
-	dst = appendInt(dst, "queue_cap", t.QueueCap)
-	dst = appendInt(dst, "queue", int(t.Queue))
-	dst = appendFloat(dst, "tcp_window", t.TCPWindow)
-	dst = appendFloat(dst, "tput_bin_s", float64(t.ThroughputBn))
-	dst = appendUint(dst, "seed", t.Seed)
-	dst = appendBool(dst, "sinr", t.SINRPhy)
-	dst = appendBool(dst, "telemetry", t.Telemetry)
-	dst = appendBool(dst, "check", t.Check)
-	dst = appendFloat(dst, "fault.loss", t.Faults.Bernoulli.LossProb)
-	dst = appendFloat(dst, "fault.ber", t.Faults.Bernoulli.BitErrorRate)
-	dst = appendFloat(dst, "fault.burst_pgb", t.Faults.Burst.PGoodBad)
-	dst = appendFloat(dst, "fault.burst_pbg", t.Faults.Burst.PBadGood)
-	dst = appendFloat(dst, "fault.burst_lg", t.Faults.Burst.LossGood)
-	dst = appendFloat(dst, "fault.burst_lb", t.Faults.Burst.LossBad)
-	dst = appendFloat(dst, "fault.shadow_db", t.Faults.ShadowSigmaDB)
-	for _, o := range t.Faults.Outages {
-		dst = appendOutage(dst, "fault.outage", o)
+// root returns the schema of c's kind and the resolved config it walks.
+func (c *Canonical) root() (*schema, reflect.Value) {
+	switch c.Kind {
+	case KindTrial:
+		return &trialSchema, reflect.ValueOf(&c.Trial).Elem()
+	case KindDense:
+		return &denseSchema, reflect.ValueOf(&c.Dense).Elem()
+	case KindReplication:
+		return &repSchema, reflect.ValueOf(&c.Rep).Elem()
+	default:
+		return &degSchema, reflect.ValueOf(&c.Deg).Elem()
 	}
-	return dst
-}
-
-func appendDense(dst []byte, d *scenario.DenseHighwayConfig) []byte {
-	dst = appendStr(dst, "mac", macName(d.MAC))
-	dst = appendInt(dst, "vehicles", d.Vehicles)
-	dst = appendInt(dst, "lanes", d.Lanes)
-	dst = appendInt(dst, "platoon_len", d.PlatoonLen)
-	dst = appendFloat(dst, "spacing_m", d.SpacingM)
-	dst = appendFloat(dst, "gap_m", d.GapM)
-	dst = appendFloat(dst, "lane_width_m", d.LaneWidthM)
-	dst = appendFloat(dst, "speed_ms", d.SpeedMS)
-	dst = appendFloat(dst, "decel_ms2", d.DecelMS2)
-	dst = appendFloat(dst, "car_len_m", d.CarLengthM)
-	dst = appendInt(dst, "safety_depth", d.SafetyDepth)
-	dst = appendInt(dst, "packet", d.PacketSize)
-	dst = appendFloat(dst, "rate_bps", d.RateBps)
-	dst = appendFloat(dst, "beacon_fraction", d.BeaconFraction)
-	dst = appendInt(dst, "beacon_size", d.BeaconSize)
-	dst = appendFloat(dst, "beacon_rate_bps", d.BeaconRateBps)
-	dst = appendFloat(dst, "beacon_jitter", d.BeaconJitter)
-	dst = appendFloat(dst, "tdma_rate_bps", d.TDMARateBps)
-	dst = appendFloat(dst, "reaction_s", float64(d.ReactionS))
-	dst = appendFloat(dst, "brake_at_s", float64(d.BrakeAt))
-	dst = appendFloat(dst, "duration_s", float64(d.Duration))
-	dst = appendInt(dst, "queue_cap", d.QueueCap)
-	dst = appendUint(dst, "seed", d.Seed)
-	dst = appendBool(dst, "telemetry", d.Telemetry)
-	dst = appendBool(dst, "check", d.Check)
-	return dst
-}
-
-func appendOutage(dst []byte, key string, o fault.Outage) []byte {
-	if o.Duration <= 0 {
-		return dst
-	}
-	dst = append(dst, key...)
-	dst = append(dst, '=')
-	dst = strconv.AppendInt(dst, int64(o.Node), 10)
-	dst = append(dst, ':')
-	dst = strconv.AppendFloat(dst, float64(o.Start), 'g', -1, 64)
-	dst = append(dst, ':')
-	dst = strconv.AppendFloat(dst, float64(o.Duration), 'g', -1, 64)
-	return append(dst, '\n')
 }
 
 func appendStr(dst []byte, key, v string) []byte {
 	dst = append(dst, key...)
 	dst = append(dst, '=')
 	dst = append(dst, v...)
-	return append(dst, '\n')
-}
-
-func appendInt(dst []byte, key string, v int) []byte {
-	dst = append(dst, key...)
-	dst = append(dst, '=')
-	dst = strconv.AppendInt(dst, int64(v), 10)
-	return append(dst, '\n')
-}
-
-func appendUint(dst []byte, key string, v uint64) []byte {
-	dst = append(dst, key...)
-	dst = append(dst, '=')
-	dst = strconv.AppendUint(dst, v, 10)
-	return append(dst, '\n')
-}
-
-func appendFloat(dst []byte, key string, v float64) []byte {
-	dst = append(dst, key...)
-	dst = append(dst, '=')
-	dst = strconv.AppendFloat(dst, v, 'g', -1, 64)
-	return append(dst, '\n')
-}
-
-func appendBool(dst []byte, key string, v bool) []byte {
-	dst = append(dst, key...)
-	dst = append(dst, '=')
-	dst = strconv.AppendBool(dst, v)
 	return append(dst, '\n')
 }

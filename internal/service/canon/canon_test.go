@@ -1,6 +1,7 @@
 package canon
 
 import (
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -73,70 +74,10 @@ func TestDistinctConfigsHashDistinctly(t *testing.T) {
 	}
 }
 
-// Every exported field of the two run configs (fault.Plan included, as
-// TrialConfig.Faults) is either hashed or deliberately left out of the
-// canonical encoding. TestCanonicalFieldCoverage fails on a field listed
-// in neither table, so a new config field cannot silently make two
-// different configs share a cache entry.
-var (
-	trialHashed = []string{
-		"Name", "MAC", "PacketSize", "SpeedMS", "SpacingM", "ApproachM",
-		"Duration", "PlatoonSize", "DepartDistM", "RateBps", "TDMARateBps",
-		"QueueCap", "Queue", "TCPWindow", "ThroughputBn", "Seed", "SINRPhy",
-		"Telemetry", "Check",
-		"Faults.Bernoulli.LossProb", "Faults.Bernoulli.BitErrorRate",
-		"Faults.Burst.PGoodBad", "Faults.Burst.PBadGood",
-		"Faults.Burst.LossGood", "Faults.Burst.LossBad",
-		"Faults.ShadowSigmaDB", "Faults.Outages",
-	}
-	trialUnhashed = map[string]string{
-		"CollectTrace": "output-only: the agent-level trace rides beside the result, never in the artifact",
-		"AnimInterval": "output-only: animation frames ride beside the result, never in the artifact",
-		"Spans":        "observation-only: span tracing is byte-identical on or off",
-	}
-	denseHashed = []string{
-		"MAC", "Vehicles", "Lanes", "PlatoonLen", "SpacingM", "GapM",
-		"LaneWidthM", "SpeedMS", "DecelMS2", "CarLengthM", "SafetyDepth",
-		"PacketSize", "RateBps", "BeaconFraction", "BeaconSize",
-		"BeaconRateBps", "BeaconJitter", "TDMARateBps", "ReactionS",
-		"BrakeAt", "Duration", "QueueCap", "Seed", "Telemetry", "Check",
-	}
-	denseUnhashed = map[string]string{
-		"Spans":          "observation-only: span tracing is byte-identical on or off",
-		"DisableCulling": "execution-only: culled and full-scan runs are byte-identical",
-	}
-)
-
-// leafFields returns the dotted path of every exported leaf field of t,
-// descending into nested structs; a slice is one leaf.
-func leafFields(t reflect.Type, prefix string) []string {
-	var out []string
-	for i := 0; i < t.NumField(); i++ {
-		f := t.Field(i)
-		if !f.IsExported() {
-			continue
-		}
-		if f.Type.Kind() == reflect.Struct {
-			out = append(out, leafFields(f.Type, prefix+f.Name+".")...)
-			continue
-		}
-		out = append(out, prefix+f.Name)
-	}
-	return out
-}
-
-// fieldByPath resolves a leafFields path inside the addressable struct v.
-func fieldByPath(v reflect.Value, path string) reflect.Value {
-	for _, name := range strings.Split(path, ".") {
-		v = v.FieldByName(name)
-	}
-	return v
-}
-
-// perturb changes v to a different valid value: numbers grow, booleans
-// flip, strings gain a suffix, and a slice gains one perturbed element.
-func perturb(t *testing.T, v reflect.Value) {
-	t.Helper()
+// perturb changes v so its canonical encoding differs: numbers step to
+// the next value, booleans flip, strings gain a suffix, a slice gains
+// one perturbed element, and a struct has every field perturbed.
+func perturb(v reflect.Value) {
 	switch v.Kind() {
 	case reflect.Bool:
 		v.SetBool(!v.Bool())
@@ -145,80 +86,80 @@ func perturb(t *testing.T, v reflect.Value) {
 	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
 		v.SetUint(v.Uint() + 1)
 	case reflect.Float32, reflect.Float64:
-		v.SetFloat(v.Float() + 0.5)
+		v.SetFloat(math.Nextafter(v.Float(), math.Inf(1)))
 	case reflect.String:
 		v.SetString(v.String() + "x")
 	case reflect.Slice:
 		e := reflect.New(v.Type().Elem()).Elem()
-		perturb(t, e)
+		perturb(e)
 		v.Set(reflect.Append(v, e))
 	case reflect.Struct:
 		for i := 0; i < v.NumField(); i++ {
 			if v.Type().Field(i).IsExported() {
-				perturb(t, v.Field(i))
+				perturb(v.Field(i))
 			}
 		}
 	default:
-		t.Fatalf("no perturbation for kind %v", v.Kind())
+		panic("no perturbation for kind " + v.Kind().String())
 	}
 }
 
+// perturbedHashes perturbs each of leaves in turn on a copy of c and
+// returns the names of the leaves whose change left c's hash unchanged
+// (moved = false) or moved it (moved = true).
+func perturbedHashes(c *Canonical, leaves []leaf, moved bool) []string {
+	want := c.Hash()
+	var names []string
+	for _, l := range leaves {
+		p := *c
+		_, v := p.root()
+		perturb(v.FieldByIndex(l.index))
+		if (p.Hash() != want) == moved {
+			names = append(names, l.name)
+		}
+	}
+	return names
+}
+
+// TestCanonicalFieldCoverage walks each kind's `canon` tags: changing a
+// keyed field must move the hash, and changing a canon:"-" field must
+// not. An exported field with no tag panics schema construction at
+// package init (TestSchemaRejectsUntaggedField), so no config field can
+// go unclassified.
 func TestCanonicalFieldCoverage(t *testing.T) {
-	for _, tc := range []struct {
-		name     string
-		body     string
-		config   func(*Canonical) reflect.Value
-		hashed   []string
-		unhashed map[string]string
-	}{
-		{"trial", `{"kind":"trial","trial":{"trial":1}}`,
-			func(c *Canonical) reflect.Value { return reflect.ValueOf(&c.Trial).Elem() },
-			trialHashed, trialUnhashed},
-		{"dense", `{"kind":"dense","dense":{"vehicles":240}}`,
-			func(c *Canonical) reflect.Value { return reflect.ValueOf(&c.Dense).Elem() },
-			denseHashed, denseUnhashed},
+	for _, body := range []string{
+		`{"kind":"trial","trial":{"trial":1}}`,
+		`{"kind":"dense","dense":{"vehicles":240}}`,
+		`{"kind":"degradation","degradation":{}}`,
+		`{"kind":"replication","replication":{"trial":{"trial":1},"tolerance":0.05}}`,
 	} {
-		t.Run(tc.name, func(t *testing.T) {
-			base := mustCanon(t, tc.body)
-			want := base.Hash()
-			listed := map[string]bool{}
-			for _, f := range tc.hashed {
-				listed[f] = true
+		c := mustCanon(t, body)
+		t.Run(c.Kind, func(t *testing.T) {
+			s, _ := c.root()
+			for _, f := range perturbedHashes(c, s.hashed, false) {
+				t.Errorf("changing keyed field %s left the hash unchanged", f)
 			}
-			for f := range tc.unhashed {
-				if listed[f] {
-					t.Errorf("%s is listed as both hashed and unhashed", f)
-				}
-				listed[f] = true
-			}
-			for _, f := range leafFields(tc.config(base).Type(), "") {
-				if !listed[f] {
-					t.Errorf("field %s is in neither the hashed nor the unhashed table: decide whether it changes result bytes", f)
-				}
-				delete(listed, f)
-			}
-			for f := range listed {
-				t.Errorf("table lists %s, which is not a field", f)
-			}
-			if t.Failed() {
-				return
-			}
-			for _, f := range tc.hashed {
-				c := *base
-				perturb(t, fieldByPath(tc.config(&c), f))
-				if c.Hash() == want {
-					t.Errorf("changing hashed field %s left the hash unchanged", f)
-				}
-			}
-			for f := range tc.unhashed {
-				c := *base
-				perturb(t, fieldByPath(tc.config(&c), f))
-				if c.Hash() != want {
-					t.Errorf("changing unhashed field %s changed the hash", f)
-				}
+			for _, f := range perturbedHashes(c, s.skipped, true) {
+				t.Errorf(`changing canon:"-" field %s changed the hash`, f)
 			}
 		})
 	}
+}
+
+func TestSchemaRejectsUntaggedField(t *testing.T) {
+	type inner struct {
+		Gain float64
+	}
+	type config struct {
+		Speed float64 `canon:"speed"`
+		Radio inner   `canon:"radio."`
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("schema accepted an exported field with no canon tag")
+		}
+	}()
+	schemaOf(reflect.TypeOf(config{}))
 }
 
 func TestOutageOrderNormalized(t *testing.T) {
@@ -253,6 +194,7 @@ func TestCanonicalizeRejects(t *testing.T) {
 		`{"kind":"trial","trial":{"trial":1,"duration_s":-5}}`,
 		`{"kind":"trial","trial":{"trial":1,"faults":{"loss":1.5}}}`,
 		`{"kind":"trial","trial":{"trial":1,"faults":{"burst_loss":-0.1}}}`,
+		`{"kind":"trial","trial":{"trial":1,"faults":{"burst_loss":0.1,"burst_len":-3}}}`,
 		`{"kind":"trial","trial":{"trial":1,"faults":{"outages":[{"node":-1,"start_s":0,"duration_s":1}]}}}`,
 		`{"kind":"dense","dense":{"vehicles":1}}`,
 		`{"kind":"dense","dense":{"vehicles":48,"beacon_jitter":1}}`,
@@ -287,26 +229,6 @@ func TestDecodeRejectsUnknownFieldsAndTrailer(t *testing.T) {
 	}
 	if _, err := Decode(strings.NewReader(`{"kind":"trial","trial":{"trial":1}} trailing`)); err == nil {
 		t.Fatalf("trailing data accepted")
-	}
-}
-
-func TestNormalizedRequestRoundTrips(t *testing.T) {
-	for _, body := range []string{
-		`{"kind":"trial","trial":{"trial":3,"seed":9,"faults":{"burst_loss":0.1}}}`,
-		`{"kind":"trial","trial":{"trial":0,"mac":"dcf"}}`,
-		`{"kind":"dense","dense":{"vehicles":96,"beacon_fraction":0,"safety_depth":2}}`,
-		`{"kind":"degradation","degradation":{"mac":"802.11","outage":{"node":1,"start_s":22,"duration_s":5}}}`,
-		`{"kind":"replication","replication":{"trial":{"trial":1,"duration_s":40},"tolerance":0.05,"min_reps":3,"max_reps":8}}`,
-	} {
-		c := mustCanon(t, body)
-		c2, err := Canonicalize(c.Request())
-		if err != nil {
-			t.Fatalf("normalized request of %s rejected: %v", body, err)
-		}
-		a, b := c.AppendBinary(nil), c2.AppendBinary(nil)
-		if string(a) != string(b) {
-			t.Fatalf("round trip changed the canonical form:\n%q\n%q", a, b)
-		}
 	}
 }
 

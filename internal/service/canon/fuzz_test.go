@@ -7,14 +7,15 @@ import (
 	"testing"
 )
 
-// FuzzCanonicalRoundTrip is the canonicaliser's stability target: for
-// any JSON body the decoder accepts, (1) re-encoding the normalized
-// request and canonicalising again must reproduce the exact canonical
-// bytes and hash, and (2) rewriting the body through a generic
-// map[string]any — which re-orders every object's keys — must too. A
-// failure means the cache key depends on the wire form instead of the
-// semantic configuration, which would split (or worse, alias) cache
-// entries.
+// FuzzCanonicalRoundTrip checks the cache key's soundness in both
+// directions for any JSON body the canonicaliser accepts. (1)
+// Injectivity: perturbing any keyed field of the resolved config, walked
+// through the same `canon` tags the encoder uses, must move the hash.
+// (2) Stability: rewriting the body through a generic map[string]any,
+// which re-orders every object's keys, must reproduce the exact hash. A
+// failure of (1) aliases two different configurations onto one cache
+// entry; a failure of (2) splits entries on the wire form instead of the
+// semantic configuration.
 func FuzzCanonicalRoundTrip(f *testing.F) {
 	f.Add(`{"kind":"trial","trial":{"trial":1}}`)
 	f.Add(`{"kind":"trial","trial":{"trial":0,"mac":"802.11","packet":500,"duration_s":40,"seed":7}}`)
@@ -37,33 +38,14 @@ func FuzzCanonicalRoundTrip(f *testing.F) {
 		if err != nil {
 			return
 		}
-		enc1 := c1.AppendBinary(nil)
-		h1 := c1.Hash()
-
-		// Round trip 1: the normalized request (defaults explicit,
-		// spellings canonical) must reproduce the canonical form.
-		norm, err := json.Marshal(c1.Request())
-		if err != nil {
-			t.Fatalf("marshal normalized request: %v", err)
-		}
-		req2, err := Decode(bytes.NewReader(norm))
-		if err != nil {
-			t.Fatalf("normalized request %s does not decode: %v", norm, err)
-		}
-		c2, err := Canonicalize(req2)
-		if err != nil {
-			t.Fatalf("normalized request %s does not canonicalise: %v", norm, err)
-		}
-		if !bytes.Equal(enc1, c2.AppendBinary(nil)) {
-			t.Fatalf("normalized round trip changed the canonical form:\n%q\n%q", enc1, c2.AppendBinary(nil))
-		}
-		if c2.Hash() != h1 {
-			t.Fatalf("normalized round trip changed the hash")
+		s, _ := c1.root()
+		for _, f := range perturbedHashes(c1, s.hashed, false) {
+			t.Fatalf("changing keyed field %s of %s left the hash unchanged", f, body)
 		}
 
-		// Round trip 2: reorder every object's fields by bouncing the
-		// original body through a generic map (Go maps marshal with
-		// sorted keys). UseNumber keeps 64-bit seeds exact.
+		// Reorder every object's fields by bouncing the body through a
+		// generic map (Go maps marshal with sorted keys). UseNumber keeps
+		// 64-bit seeds exact.
 		dec := json.NewDecoder(strings.NewReader(body))
 		dec.UseNumber()
 		var generic any
@@ -74,17 +56,17 @@ func FuzzCanonicalRoundTrip(f *testing.F) {
 		if err != nil {
 			return
 		}
-		req3, err := Decode(bytes.NewReader(reordered))
+		req2, err := Decode(bytes.NewReader(reordered))
 		if err != nil {
 			// The generic bounce can legalise duplicate keys the strict
 			// decoder tolerated; only equal-decodable bodies must agree.
 			return
 		}
-		c3, err := Canonicalize(req3)
+		c2, err := Canonicalize(req2)
 		if err != nil {
 			return
 		}
-		if c3.Hash() != h1 {
+		if c2.Hash() != c1.Hash() {
 			t.Fatalf("field reordering changed the hash:\noriginal:  %s\nreordered: %s", body, reordered)
 		}
 	})

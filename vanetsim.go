@@ -128,6 +128,38 @@ func RunDenseHighway(cfg DenseHighwayConfig) (*DenseHighwayResult, error) {
 	return scenario.RunDenseHighway(cfg)
 }
 
+// FormatDenseSummary renders a dense-highway run's outcome in five lines:
+// brake indications, collisions, safety and beacon delivery, and channel
+// arrivals.
+func FormatDenseSummary(r *DenseHighwayResult) string {
+	notified, worst := 0, Seconds(0)
+	for _, ind := range r.Indications {
+		if ind.IndicationDelay >= 0 {
+			notified++
+			if ind.IndicationDelay > worst {
+				worst = ind.IndicationDelay
+			}
+		}
+	}
+	pct := func(recv, sent int) float64 {
+		if sent == 0 {
+			return 0
+		}
+		return 100 * float64(recv) / float64(sent)
+	}
+	var b strings.Builder
+	fmt.Fprintf(&b, "brake indications: %d/%d followers notified, worst delay %.4f s\n",
+		notified, len(r.Indications), float64(worst))
+	fmt.Fprintf(&b, "collisions: %d rear-end, %d corrupted frames (MAC contention)\n", r.Collisions, r.RxCollided)
+	fmt.Fprintf(&b, "safety traffic: %d sent, %d delivered (%.1f%%)\n",
+		r.SafetySent, r.SafetyReceived, pct(r.SafetyReceived, r.SafetySent))
+	fmt.Fprintf(&b, "beacon traffic: %d sent, %d delivered (%.1f%%)\n",
+		r.BeaconSent, r.BeaconReceived, pct(r.BeaconReceived, r.BeaconSent))
+	fmt.Fprintf(&b, "channel: %d arrivals offered, %d delivered, %d frequency-filtered\n",
+		r.Channel.Offered, r.Channel.Delivered, r.Channel.FilteredFreq)
+	return b.String()
+}
+
 // JammingConfig configures the denial-of-service experiment: a stopped
 // platoon exchanging EBL status datagrams while an attacker floods the
 // radio channel (the 802.11-vs-TDMA/FHSS security trade-off the paper's
