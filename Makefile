@@ -52,12 +52,15 @@ bench-parallel:
 
 # bench-hot runs the discrete-event hot-path benchmarks tracked in
 # BENCH_PR3.json: scheduler push/pop and cancel/reschedule, trace
-# encode/decode, the end-to-end trial, and the trial with the span
-# recorder disarmed (pinning the nil-check-only span overhead). Fixed
-# -benchtime values keep runs comparable across machines and commits.
+# encode/decode, MSER-5 warm-up detection on a trial-3-sized series
+# (catches a return to the O(n²) scan), the end-to-end trial, and the
+# trial with the span recorder disarmed (pinning the nil-check-only span
+# overhead). Fixed -benchtime values keep runs comparable across machines
+# and commits.
 bench-hot:
 	$(GO) test -bench='BenchmarkScheduler(HotPath|CancelReschedule)$$' -benchmem -benchtime=2s -run='^$$' ./internal/sim
 	$(GO) test -bench='BenchmarkTrace(Encode|Decode)$$' -benchmem -benchtime=2s -run='^$$' ./internal/trace
+	$(GO) test -bench='BenchmarkTruncationIndexTrial3Size$$' -benchmem -benchtime=2s -run='^$$' ./internal/metrics
 	$(GO) test -bench='BenchmarkTrial1(Baseline|SpansDisarmed)$$' -benchmem -benchtime=5x -run='^$$' .
 
 # bench-guard is the benchmark-regression gate: run the tracked hot-path
@@ -102,15 +105,17 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzParseLine -fuzztime=30s ./internal/trace
 
 # fuzz-nightly is the scheduled CI fuzz budget: the trace codec, the
-# full-stack topology-conservation target, and the service's JSON config
+# full-stack topology-conservation target, the service's JSON config
 # canonicaliser (hash stable under field reordering, and injective on
 # hashed fields: perturbing any `canon`-keyed field of the resolved
-# config moves it), a couple of minutes each.
+# config moves it), and the O(n) MSER-5 against the exact O(n²) scan
+# (identical cut on any series), a couple of minutes each.
 FUZZTIME ?= 2m
 fuzz-nightly:
 	$(GO) test -run='^$$' -fuzz=FuzzParseLine -fuzztime=$(FUZZTIME) ./internal/trace
 	$(GO) test -tags=checkall -run='^$$' -fuzz=FuzzTopologyConservation -fuzztime=$(FUZZTIME) ./internal/scenario
 	$(GO) test -run='^$$' -fuzz=FuzzCanonicalRoundTrip -fuzztime=$(FUZZTIME) ./internal/service/canon
+	$(GO) test -run='^$$' -fuzz=FuzzTruncationIndex -fuzztime=$(FUZZTIME) ./internal/metrics
 
 # lint runs the static analyzers CI uses; tools are expected on PATH
 # (CI installs them, see .github/workflows/ci.yml).

@@ -153,12 +153,20 @@ type MAC struct {
 	navTimer sim.Timer
 
 	// Hot-path callbacks, bound once at construction: the access and NAV
-	// timers are re-armed on nearly every medium transition, and a fresh
-	// method value (or closure) per arming is real allocation traffic at
-	// dense fleet sizes.
-	difsEndFn    func()
-	backoffEndFn func()
-	navExpireFn  func()
+	// timers are re-armed on nearly every medium transition, and every
+	// frame schedules its end of transmission and its ACK/CTS timeout; a
+	// fresh method value (or closure) per arming is real allocation
+	// traffic at dense fleet sizes.
+	difsEndFn        func()
+	backoffEndFn     func()
+	navExpireFn      func()
+	txEndFn          func() // end of an ACK or CTS we sent
+	broadcastTxEndFn func()
+	unicastTxEndFn   func()
+	rtsTxEndFn       func()
+	ackTimeoutFn     func()
+	ctsTimeoutFn     func()
+	sendAfterCTSFn   func()
 
 	txBusy     bool // our radio is clocking out a frame
 	pendingAck sim.Timer
@@ -204,6 +212,13 @@ func New(id packet.NodeID, sched *sim.Scheduler, radio *phy.Radio, ifq queue.Que
 		m.navTimer = sim.Timer{}
 		m.startAccess()
 	}
+	m.txEndFn = func() { m.txBusy = false }
+	m.broadcastTxEndFn = m.onBroadcastTxEnd
+	m.unicastTxEndFn = m.onUnicastTxEnd
+	m.rtsTxEndFn = m.onRTSTxEnd
+	m.ackTimeoutFn = m.onAckTimeout
+	m.ctsTimeoutFn = m.onCtsTimeout
+	m.sendAfterCTSFn = m.onSendAfterCTS
 	radio.SetMAC(m)
 	return m
 }
@@ -329,20 +344,29 @@ func (m *MAC) transmitDataFrame(p *packet.Packet, broadcast bool) {
 	// Schedule our end-of-transmission bookkeeping *before* the radio's
 	// own tx-end event so that the ChannelIdle callback the radio emits at
 	// the same instant sees txBusy already cleared.
-	m.sched.ScheduleKind(sim.KindMAC, dur, func() {
-		m.txBusy = false
-		if broadcast {
-			m.finishCurrent(true)
-			return
-		}
-		m.waitingAck = true
-		m.ackTimer = m.sched.ScheduleKind(sim.KindMAC, m.cfg.AckTimeout(), m.onAckTimeout)
-	})
+	if broadcast {
+		m.sched.ScheduleKind(sim.KindMAC, dur, m.broadcastTxEndFn)
+	} else {
+		m.sched.ScheduleKind(sim.KindMAC, dur, m.unicastTxEndFn)
+	}
 	if err := m.radio.Transmit(p, dur); err != nil {
 		// The frame never hit the air; the bookkeeping above still runs, so
 		// the exchange degrades through the normal ack-timeout path.
 		m.stats.TxErrors++
 	}
+}
+
+// onBroadcastTxEnd completes a broadcast data frame: there is no ACK.
+func (m *MAC) onBroadcastTxEnd() {
+	m.txBusy = false
+	m.finishCurrent(true)
+}
+
+// onUnicastTxEnd starts waiting for the ACK of a unicast data frame.
+func (m *MAC) onUnicastTxEnd() {
+	m.txBusy = false
+	m.waitingAck = true
+	m.ackTimer = m.sched.ScheduleKind(sim.KindMAC, m.cfg.AckTimeout(), m.ackTimeoutFn)
 }
 
 // transmitRTS opens an RTS/CTS exchange for the frame in service. The RTS
@@ -359,14 +383,17 @@ func (m *MAC) transmitRTS(p *packet.Packet) {
 	dur := m.cfg.RTSTxTime()
 	m.stats.TxRTS++
 	m.txBusy = true
-	m.sched.ScheduleKind(sim.KindMAC, dur, func() {
-		m.txBusy = false
-		m.waitingCTS = true
-		m.ctsTimer = m.sched.ScheduleKind(sim.KindMAC, m.cfg.CTSTimeout(), m.onCtsTimeout)
-	})
+	m.sched.ScheduleKind(sim.KindMAC, dur, m.rtsTxEndFn)
 	if err := m.radio.Transmit(rts, dur); err != nil {
 		m.stats.TxErrors++ // degrade through the CTS timeout
 	}
+}
+
+// onRTSTxEnd starts waiting for the CTS answering our RTS.
+func (m *MAC) onRTSTxEnd() {
+	m.txBusy = false
+	m.waitingCTS = true
+	m.ctsTimer = m.sched.ScheduleKind(sim.KindMAC, m.cfg.CTSTimeout(), m.ctsTimeoutFn)
 }
 
 // onCtsTimeout handles a missing CTS like a missing ACK: back off and
@@ -511,7 +538,7 @@ func (m *MAC) scheduleAck(data *packet.Packet) {
 		dur := m.cfg.AckTxTime()
 		// As in transmitData: clear txBusy before the radio's same-instant
 		// ChannelIdle so a deferred access can resume.
-		m.sched.ScheduleKind(sim.KindMAC, dur, func() { m.txBusy = false })
+		m.sched.ScheduleKind(sim.KindMAC, dur, m.txEndFn)
 		if err := m.radio.Transmit(ack, dur); err != nil {
 			m.stats.TxErrors++ // lost ACK; the data sender retries
 		}
@@ -534,7 +561,7 @@ func (m *MAC) scheduleCTS(rts *packet.Packet) {
 		m.stats.TxCTS++
 		m.txBusy = true
 		dur := m.cfg.CTSTxTime()
-		m.sched.ScheduleKind(sim.KindMAC, dur, func() { m.txBusy = false })
+		m.sched.ScheduleKind(sim.KindMAC, dur, m.txEndFn)
 		if err := m.radio.Transmit(cts, dur); err != nil {
 			m.stats.TxErrors++ // lost CTS; the RTS sender times out
 		}
@@ -544,13 +571,17 @@ func (m *MAC) scheduleCTS(rts *packet.Packet) {
 // sendDataAfterCTS transmits the reserved data frame one SIFS after the
 // CTS arrived.
 func (m *MAC) sendDataAfterCTS() {
-	m.sched.ScheduleKind(sim.KindMAC, m.cfg.SIFS, func() {
-		p := m.current
-		if p == nil || m.txBusy {
-			return
-		}
-		m.transmitDataFrame(p, false)
-	})
+	m.sched.ScheduleKind(sim.KindMAC, m.cfg.SIFS, m.sendAfterCTSFn)
+}
+
+// onSendAfterCTS sends the reserved frame, unless it is gone or our radio
+// is busy.
+func (m *MAC) onSendAfterCTS() {
+	p := m.current
+	if p == nil || m.txBusy {
+		return
+	}
+	m.transmitDataFrame(p, false)
 }
 
 // isDup records and tests receipt of a data frame UID, bounding memory

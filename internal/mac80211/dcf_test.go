@@ -284,3 +284,73 @@ func TestThroughputExceedsTDMAClass(t *testing.T) {
 		t.Fatalf("saturated DCF throughput = %.2f Mb/s, want > 2", mbps)
 	}
 }
+
+// releasingUp hands every delivered frame straight back to the radio's
+// pool, the way the network layer does once it has consumed one.
+type releasingUp struct{ m *MAC }
+
+func (u *releasingUp) RecvFromMac(p *packet.Packet)        { u.m.ReleaseDelivered(p) }
+func (u *releasingUp) MacTxDone(p *packet.Packet, ok bool) {}
+
+// slotQueue is a one-frame interface queue that never allocates (DropTail
+// re-makes its backing array whenever it drains).
+type slotQueue struct{ p *packet.Packet }
+
+func (q *slotQueue) Enqueue(p *packet.Packet) bool {
+	if q.p != nil {
+		return false
+	}
+	q.p = p
+	return true
+}
+func (q *slotQueue) Dequeue() *packet.Packet { p := q.p; q.p = nil; return p }
+func (q *slotQueue) Peek() *packet.Packet    { return q.p }
+func (q *slotQueue) Len() int {
+	if q.p == nil {
+		return 0
+	}
+	return 1
+}
+func (q *slotQueue) Cap() int   { return 1 }
+func (q *slotQueue) Drops() int { return 0 }
+
+// TestUnicastExchangeAllocs pins the allocations of one unicast DATA→ACK
+// exchange in steady state to the two that are per-frame by nature: the
+// ACK frame itself and scheduleAck's callback, which must carry its own
+// destination because ACKs can overlap. Every other DCF callback (ends of
+// transmission, the ACK timeout) is bound once per MAC.
+func TestUnicastExchangeAllocs(t *testing.T) {
+	s := sim.New()
+	ch := phy.NewChannel(s, phy.DefaultPropagation())
+	pf := &packet.Factory{}
+	rng := sim.NewRNG(1234)
+	ifqs := make([]queue.Queue, 2)
+	macs := make([]*MAC, 2)
+	for i := range macs {
+		x := float64(i) * 50
+		r := phy.NewRadio(packet.NodeID(i), s, func() geom.Vec2 { return geom.V(x, 0) }, phy.DefaultRadioParams())
+		ch.Attach(r)
+		up := &releasingUp{}
+		ifqs[i] = &slotQueue{}
+		macs[i] = New(packet.NodeID(i), s, r, ifqs[i], up, pf, rng.Fork(string(rune('a'+i))), DefaultConfig())
+		up.m = macs[i]
+	}
+	p := pf.New(packet.TypeTCP, 1000, 0)
+	p.IP.Src, p.IP.Dst, p.IP.NextHop = 0, 1, 1
+	exchange := func() {
+		p.UID++ // a fresh frame to the receiver's duplicate filter
+		ifqs[0].Enqueue(p)
+		macs[0].Poke()
+		for s.Step() {
+		}
+	}
+	for i := 0; i < 300; i++ { // warm the pools and the dedup window
+		exchange()
+	}
+	if allocs := testing.AllocsPerRun(500, exchange); allocs != 2 {
+		t.Fatalf("unicast DATA→ACK exchange: %v allocs, want 2 (the ACK frame and its scheduleAck callback)", allocs)
+	}
+	if st := macs[0].Stats(); st.Retries != 0 || st.TxData != 801 {
+		t.Fatalf("clean channel should need one attempt per frame: %+v", st)
+	}
+}

@@ -1,15 +1,21 @@
-package metrics
+package metrics_test
 
 import (
+	"encoding/binary"
+	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
+	"vanetsim/internal/metrics"
+	"vanetsim/internal/scenario"
 	"vanetsim/internal/sim"
+	"vanetsim/internal/stats"
 )
 
 func TestDelaySeriesBasics(t *testing.T) {
-	var s DelaySeries
+	var s metrics.DelaySeries
 	s.Add(1, 0.1)
 	s.Add(2, 0.3)
 	s.Add(3, 0.2)
@@ -27,14 +33,14 @@ func TestDelaySeriesBasics(t *testing.T) {
 }
 
 func TestDelaySeriesFirstEmpty(t *testing.T) {
-	var s DelaySeries
+	var s metrics.DelaySeries
 	if _, ok := s.First(); ok {
 		t.Fatal("empty series should report no first packet")
 	}
 }
 
 func TestSplitAt(t *testing.T) {
-	var s DelaySeries
+	var s metrics.DelaySeries
 	for i := 1; i <= 10; i++ {
 		s.Add(i, sim.Time(i))
 	}
@@ -53,7 +59,7 @@ func TestSplitAt(t *testing.T) {
 
 func TestTruncationIndexFindsWarmup(t *testing.T) {
 	// A clear warm-up ramp followed by flat steady state.
-	var s DelaySeries
+	var s metrics.DelaySeries
 	id := 1
 	for i := 0; i < 50; i++ { // ramp 0 -> 2.5
 		s.Add(id, sim.Time(float64(i)*0.05))
@@ -74,7 +80,7 @@ func TestTruncationIndexFindsWarmup(t *testing.T) {
 }
 
 func TestTruncationIndexFlatSeries(t *testing.T) {
-	var s DelaySeries
+	var s metrics.DelaySeries
 	for i := 1; i <= 100; i++ {
 		s.Add(i, 1.0)
 	}
@@ -84,7 +90,7 @@ func TestTruncationIndexFlatSeries(t *testing.T) {
 }
 
 func TestTruncationIndexShortSeries(t *testing.T) {
-	var s DelaySeries
+	var s metrics.DelaySeries
 	s.Add(1, 1)
 	if s.TruncationIndex() != 0 {
 		t.Fatal("tiny series must not truncate")
@@ -96,7 +102,7 @@ func TestTruncationIndexShortSeries(t *testing.T) {
 }
 
 func TestSteadyStateEmpty(t *testing.T) {
-	var s DelaySeries
+	var s metrics.DelaySeries
 	pts, level := s.SteadyState()
 	if pts != nil || level != 0 {
 		t.Fatal("empty series steady state should be nil, 0")
@@ -104,7 +110,7 @@ func TestSteadyStateEmpty(t *testing.T) {
 }
 
 func TestThroughputBinning(t *testing.T) {
-	tp := NewThroughput(0.5)
+	tp := metrics.NewThroughput(0.5)
 	tp.Add(0.1, 62500)  // 62500 B in bin 0 -> 1 Mbps over 0.5 s
 	tp.Add(0.6, 125000) // bin 1 -> 2 Mbps
 	tp.Add(0.7, 0)
@@ -128,7 +134,7 @@ func TestThroughputBinning(t *testing.T) {
 // the quarter-second tail [1.0, 1.25) is 1 Mbps, not the 0.5 Mbps a full
 // 0.5 s divisor would claim.
 func TestThroughputFinalPartialBinNormalized(t *testing.T) {
-	tp := NewThroughput(0.5)
+	tp := metrics.NewThroughput(0.5)
 	tp.Add(0.1, 62500) // bin 0, full width: 1 Mbps
 	tp.Add(1.1, 31250) // bin 2, cut at 1.25: 31250·8 / 0.25 s = 1 Mbps
 	series := tp.SeriesUntil(1.25)
@@ -151,7 +157,7 @@ func TestThroughputFinalPartialBinNormalized(t *testing.T) {
 func TestThroughputSummaryIncludesSilentPrefix(t *testing.T) {
 	// The paper's min throughput is 0 because bins before communication
 	// starts are part of the record.
-	tp := NewThroughput(0.5)
+	tp := metrics.NewThroughput(0.5)
 	tp.Add(5.0, 62500)
 	sm := tp.Summary(10)
 	if sm.Min != 0 {
@@ -166,7 +172,7 @@ func TestThroughputSummaryIncludesSilentPrefix(t *testing.T) {
 }
 
 func TestThroughputCI(t *testing.T) {
-	tp := NewThroughput(0.5)
+	tp := metrics.NewThroughput(0.5)
 	// Steady 1 Mbps with slight alternation.
 	for i := 0; i < 100; i++ {
 		b := 62500
@@ -193,14 +199,14 @@ func TestThroughputZeroBinPanics(t *testing.T) {
 			t.Fatal("zero bin did not panic")
 		}
 	}()
-	NewThroughput(0)
+	metrics.NewThroughput(0)
 }
 
 // Regression: impossible samples are rejected with an error and counted,
 // not panicked over — a corrupted timestamp mid-sweep must not kill the
 // whole run, and the checker surfaces the rejection instead.
 func TestThroughputRejectsBadSamples(t *testing.T) {
-	tp := NewThroughput(1)
+	tp := metrics.NewThroughput(1)
 	if err := tp.Add(-1, 10); err == nil {
 		t.Fatal("negative time accepted")
 	}
@@ -225,7 +231,7 @@ func TestThroughputRejectsBadSamples(t *testing.T) {
 // non-negative and bounded by bytes·8/bin.
 func TestThroughputConservationProperty(t *testing.T) {
 	f := func(arrivals []uint16) bool {
-		tp := NewThroughput(0.5)
+		tp := metrics.NewThroughput(0.5)
 		total := 0
 		for i, a := range arrivals {
 			at := sim.Time(float64(i%200)) * 0.05
@@ -251,7 +257,7 @@ func TestThroughputConservationProperty(t *testing.T) {
 // keeps a non-negative summary.
 func TestDelaySeriesProperty(t *testing.T) {
 	f := func(ds []uint16) bool {
-		var s DelaySeries
+		var s metrics.DelaySeries
 		for i, d := range ds {
 			s.Add(i+1, sim.Time(d)/1000)
 		}
@@ -269,7 +275,7 @@ func TestDelaySeriesProperty(t *testing.T) {
 func almost(a, b float64) bool { return math.Abs(a-b) < 1e-9 }
 
 func BenchmarkThroughputAdd(b *testing.B) {
-	tp := NewThroughput(0.5)
+	tp := metrics.NewThroughput(0.5)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		tp.Add(sim.Time(i%400)*0.5, 1000)
@@ -277,7 +283,7 @@ func BenchmarkThroughputAdd(b *testing.B) {
 }
 
 func BenchmarkDelaySeriesSteadyState(b *testing.B) {
-	var s DelaySeries
+	var s metrics.DelaySeries
 	for i := 1; i <= 2000; i++ {
 		s.Add(i, sim.Time(i%7)+1)
 	}
@@ -286,3 +292,250 @@ func BenchmarkDelaySeriesSteadyState(b *testing.B) {
 		s.SteadyState()
 	}
 }
+
+// referenceTruncationIndex is the plain MSER-5 scan TruncationIndex must
+// reproduce exactly: every cut in the first half scored with
+// stats.Summarize (O(n²) overall), a later cut winning only by more than
+// 1e-12.
+func referenceTruncationIndex(s *metrics.DelaySeries) int {
+	const batch = 5
+	xs := s.Delays()
+	n := len(xs) / batch
+	if n < 4 {
+		return 0
+	}
+	means := make([]float64, n)
+	for b := 0; b < n; b++ {
+		sum := 0.0
+		for i := b * batch; i < (b+1)*batch; i++ {
+			sum += xs[i]
+		}
+		means[b] = sum / batch
+	}
+	bestD, bestSE := 0, math.Inf(1)
+	for d := 0; d <= n/2; d++ {
+		sm := stats.Summarize(means[d:])
+		se := sm.Std / math.Sqrt(float64(sm.N))
+		if se < bestSE-1e-12 {
+			bestSE, bestD = se, d
+		}
+	}
+	return bestD * batch
+}
+
+func seriesOf(xs []float64) *metrics.DelaySeries {
+	var s metrics.DelaySeries
+	for i, x := range xs {
+		s.Add(i+1, sim.Time(x))
+	}
+	return &s
+}
+
+// truncationMatches reports a mismatch between TruncationIndex and the
+// reference scan on s.
+func truncationMatches(t *testing.T, name string, s *metrics.DelaySeries) bool {
+	t.Helper()
+	got, want := s.TruncationIndex(), referenceTruncationIndex(s)
+	if got != want {
+		t.Errorf("%s (%d points): TruncationIndex = %d, reference = %d", name, s.Len(), got, want)
+	}
+	return got == want
+}
+
+// adversarialSeries builds the fixed families most likely to separate a
+// fast MSER-5 from the exact scan: exact ties, ties blurred below and at
+// the 1e-12 margin, periodic slot-like delays, warm-up ramps and late
+// spikes.
+func adversarialSeries() map[string][]float64 {
+	rng := rand.New(rand.NewSource(7))
+	out := map[string][]float64{}
+	noisy := func(n int, base, amp float64) []float64 {
+		xs := make([]float64, n)
+		for i := range xs {
+			xs[i] = base + amp*(rng.Float64()-0.5)
+		}
+		return xs
+	}
+	for _, n := range []int{20, 21, 99, 500, 2001, 6000} {
+		// Large levels widen the bounds (Summarize's own mean rounding
+		// grows with the level), so their tie-scale jitter leaves
+		// comparisons to the exact scores.
+		for _, base := range []float64{0, 1e-3, 1, 2.6, 1280e-3, 1e4, 1e6} {
+			out[fmt.Sprintf("flat/%d/%g", n, base)] = noisy(n, base, 0)
+			for _, amp := range []float64{1e-13, 1e-11, 1e-10, 1e-9, 1e-8, 1e-7} {
+				out[fmt.Sprintf("jitter/%d/%g/%g", n, base, amp)] = noisy(n, base, amp)
+			}
+		}
+		for _, period := range []int{3, 5, 8, 50} {
+			xs := make([]float64, n)
+			for i := range xs {
+				// A TDMA-like sawtooth: the wait for the next owned slot.
+				xs[i] = 0.01 + 0.02*float64(i%period)
+			}
+			out[fmt.Sprintf("periodic/%d/%d", n, period)] = xs
+		}
+		for _, ramp := range []int{n / 10, n / 3, n / 2, n} {
+			for _, amp := range []float64{0, 1e-12, 1e-4} {
+				xs := noisy(n, 0.5, amp)
+				for i := 0; i < ramp; i++ {
+					xs[i] += 2 * float64(ramp-i) / float64(ramp)
+				}
+				out[fmt.Sprintf("ramp/%d/%d/%g", n, ramp, amp)] = xs
+			}
+		}
+		for _, spike := range []float64{1e-9, 1, 1e6} {
+			xs := noisy(n, 1, 1e-6)
+			xs[n-1] += spike
+			xs[n-3] += spike / 2
+			out[fmt.Sprintf("spike/%d/%g", n, spike)] = xs
+		}
+	}
+	// One outlier batch just after cut 0 on a large level: the outlier's
+	// cut is a near-tie left to the exact scores, the next cut drops
+	// clearly, and the flat tail after it is a near-tie again — scored
+	// against the exact SE of the new best, not the stale one.
+	for _, level := range []float64{1e4, 1e6, 1e8} {
+		for _, outlier := range []float64{1e-5, 1e-4, 1e-3, 1e-2} {
+			for _, n := range []int{100, 500, 2000} {
+				xs := noisy(n, level, 0)
+				for i := 5; i < 10; i++ {
+					xs[i] += outlier
+				}
+				out[fmt.Sprintf("outlier/%d/%g/%g", n, level, outlier)] = xs
+			}
+		}
+	}
+	for n := 0; n <= 25; n++ {
+		out[fmt.Sprintf("short/%d", n)] = noisy(n, 1, 1)
+		out[fmt.Sprintf("short-flat/%d", n)] = noisy(n, 1, 0)
+	}
+	for _, at := range []int{0, 50, 99} {
+		for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			xs := noisy(100, 1, 1)
+			xs[at] = bad
+			out[fmt.Sprintf("nonfinite/%d/%g", at, bad)] = xs
+		}
+	}
+	out["huge"] = noisy(100, 1e200, 1e199)
+	out["tiny"] = noisy(100, 1e-300, 1e-301)
+	return out
+}
+
+// TestTruncationIndexMatchesReference holds the O(n) MSER-5 to the exact
+// scan's cut on random series, on the adversarial families, and on every
+// flow of trials 1–3 at three seeds.
+func TestTruncationIndexMatchesReference(t *testing.T) {
+	t.Run("quick", func(t *testing.T) {
+		millis := func(ds []uint16, shift uint8) bool {
+			xs := make([]float64, len(ds))
+			for i, d := range ds {
+				xs[i] = float64(d) / 1000 * math.Ldexp(1, int(shift%16)-8)
+			}
+			return truncationMatches(t, "quick/millis", seriesOf(xs))
+		}
+		if err := quick.Check(millis, &quick.Config{MaxCount: 500}); err != nil {
+			t.Error(err)
+		}
+		raw := func(xs []float64) bool { return truncationMatches(t, "quick/raw", seriesOf(xs)) }
+		if err := quick.Check(raw, &quick.Config{MaxCount: 200}); err != nil {
+			t.Error(err)
+		}
+	})
+	t.Run("random", func(t *testing.T) {
+		// Longer series than quick generates: a random level, noise
+		// amplitude (down to the tie scale) and warm-up length each.
+		rng := rand.New(rand.NewSource(42))
+		for i := 0; i < 300; i++ {
+			n := 20 + rng.Intn(3000)
+			level := math.Ldexp(rng.Float64(), rng.Intn(12)-10)
+			amp := level * math.Pow(10, -float64(rng.Intn(14)))
+			ramp := rng.Intn(n/2 + 1)
+			xs := make([]float64, n)
+			for j := range xs {
+				xs[j] = level + amp*rng.NormFloat64()
+				if j < ramp {
+					xs[j] += level * float64(ramp-j) / float64(ramp)
+				}
+			}
+			truncationMatches(t, fmt.Sprintf("random/%d", i), seriesOf(xs))
+		}
+	})
+	t.Run("adversarial", func(t *testing.T) {
+		for name, xs := range adversarialSeries() {
+			truncationMatches(t, name, seriesOf(xs))
+		}
+	})
+	t.Run("trials", func(t *testing.T) {
+		for _, mk := range []func() scenario.TrialConfig{scenario.Trial1, scenario.Trial2, scenario.Trial3} {
+			for _, seed := range []uint64{1, 7, 42} {
+				cfg := mk()
+				cfg.Seed = seed
+				if cfg.MAC == scenario.MAC80211 {
+					cfg.Duration = 60
+				}
+				r := scenario.RunTrial(cfg)
+				for pi, p := range []*scenario.PlatoonResult{r.Platoon1, r.Platoon2} {
+					for fi, s := range p.AllDelays() {
+						truncationMatches(t, fmt.Sprintf("%s/seed%d/platoon%d/flow%d", cfg.Name, seed, pi+1, fi), s)
+					}
+				}
+			}
+		}
+	})
+}
+
+// FuzzTruncationIndex holds TruncationIndex to the exact scan on arbitrary
+// series. The first byte picks how the rest decodes: raw float64 bit
+// patterns (NaN, ±Inf, huge and subnormal values included), millisecond
+// delays, or one level plus jitter at the 1e-12 tie scale.
+func FuzzTruncationIndex(f *testing.F) {
+	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 240, 63})
+	f.Add([]byte("\x01 a warm-up ramp, then a long and flat tail.............."))
+	f.Add([]byte("\x02 near-tie jitter around a flat level ...................."))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		mode, body := data[0]%3, data[1:]
+		var xs []float64
+		switch mode {
+		case 0:
+			for ; len(body) >= 8; body = body[8:] {
+				xs = append(xs, math.Float64frombits(binary.LittleEndian.Uint64(body)))
+			}
+		case 1:
+			for ; len(body) >= 2; body = body[2:] {
+				xs = append(xs, float64(binary.LittleEndian.Uint16(body))/1000)
+			}
+		case 2:
+			for _, b := range body {
+				xs = append(xs, 0.25+float64(int(b)-128)*1e-13)
+			}
+		}
+		// The oracle is quadratic: cap the series so each input stays fast.
+		truncationMatches(t, "fuzz", seriesOf(xs[:min(len(xs), 1500)]))
+	})
+}
+
+// BenchmarkTruncationIndexTrial3Size times MSER-5 on a series the size of
+// a 200 s trial-3 flow (31 500 packets): a decaying warm-up over the first
+// few hundred packets, then millisecond-scale noise. The O(n²) scan takes
+// ~100x longer here.
+func BenchmarkTruncationIndexTrial3Size(b *testing.B) {
+	rng := rand.New(rand.NewSource(3))
+	var s metrics.DelaySeries
+	for i := 0; i < 31500; i++ {
+		d := 0.002 + 0.001*rng.ExpFloat64()
+		if i < 600 {
+			d += 0.05 * float64(600-i) / 600
+		}
+		s.Add(i+1, sim.Time(d))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cutSink = s.TruncationIndex()
+	}
+}
+
+var cutSink int

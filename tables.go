@@ -29,7 +29,7 @@ func DelayTable(r *TrialResult) []DelayRow {
 	add := func(platoon int, vehicle string, s *metrics.DelaySeries) {
 		sm := s.Summary()
 		first, _ := s.First()
-		_, steady := s.SteadyState()
+		rest, steady := s.SteadyState()
 		rows = append(rows, DelayRow{
 			Trial:     r.Config.Name,
 			Platoon:   platoon,
@@ -40,7 +40,7 @@ func DelayTable(r *TrialResult) []DelayRow {
 			MaxS:      sm.Max,
 			FirstS:    float64(first),
 			SteadyS:   steady,
-			Transient: s.TruncationIndex(),
+			Transient: s.Len() - len(rest),
 		})
 	}
 	add(1, "middle", r.Platoon1.MiddleDelays())
