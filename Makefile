@@ -53,15 +53,16 @@ bench-parallel:
 # bench-hot runs the discrete-event hot-path benchmarks tracked in
 # BENCH_PR3.json: scheduler push/pop and cancel/reschedule, trace
 # encode/decode, MSER-5 warm-up detection on a trial-3-sized series
-# (catches a return to the O(n²) scan), the end-to-end trial, and the
-# trial with the span recorder disarmed (pinning the nil-check-only span
-# overhead). Fixed -benchtime values keep runs comparable across machines
-# and commits.
+# (catches a return to the O(n²) scan), the end-to-end trial, the trial
+# with the span recorder disarmed (pinning the nil-check-only span
+# overhead), and trial 3 (pinning the pooled 802.11 frame path). Fixed
+# -benchtime values keep runs comparable across machines and commits.
 bench-hot:
 	$(GO) test -bench='BenchmarkScheduler(HotPath|CancelReschedule)$$' -benchmem -benchtime=2s -run='^$$' ./internal/sim
 	$(GO) test -bench='BenchmarkTrace(Encode|Decode)$$' -benchmem -benchtime=2s -run='^$$' ./internal/trace
 	$(GO) test -bench='BenchmarkTruncationIndexTrial3Size$$' -benchmem -benchtime=2s -run='^$$' ./internal/metrics
 	$(GO) test -bench='BenchmarkTrial1(Baseline|SpansDisarmed)$$' -benchmem -benchtime=5x -run='^$$' .
+	$(GO) test -bench='BenchmarkTrial3$$' -benchmem -benchtime=3x -run='^$$' .
 
 # bench-guard is the benchmark-regression gate: run the tracked hot-path
 # benchmarks and judge them against BENCH_PR3.json with cmd/benchguard

@@ -322,14 +322,17 @@ func (a *Agent) handleData(p *packet.Packet) {
 	if p.IP.TTL <= 0 {
 		a.stats.DataTTLExpired++
 		a.spans.Record(span.OpNetDrop, span.CauseTTLExpired, a.id, p)
+		a.pf.Release(p)
 		return
 	}
 	r := a.tbl.valid(p.IP.Dst, now)
 	if r == nil {
-		// Forwarding failure: report back toward the source.
+		// Forwarding failure: report back toward the source. The route
+		// error is built before p is released: it reads p's destination.
 		a.stats.DataNoRoute++
 		a.spans.Record(span.OpNetDrop, span.CauseNoRoute, a.id, p)
 		a.sendRERR([]Unreachable{{Dst: p.IP.Dst, Seq: a.seqOf(p.IP.Dst)}})
+		a.pf.Release(p)
 		return
 	}
 	p.NumForwards++

@@ -24,6 +24,7 @@ type CBR struct {
 	running bool
 	timer   sim.Timer
 	ticks   int
+	tickFn  func() // tick, bound once: a method value per tick allocates
 }
 
 // NewCBR creates a generator producing packetSize bytes every
@@ -32,12 +33,14 @@ func NewCBR(sched *sim.Scheduler, tr ByteSender, packetSize int, rateBps float64
 	if packetSize <= 0 || rateBps <= 0 {
 		panic("app: CBR needs positive packet size and rate")
 	}
-	return &CBR{
+	c := &CBR{
 		sched:      sched,
 		tr:         tr,
 		packetSize: packetSize,
 		interval:   sim.Time(float64(packetSize) * 8 / rateBps),
 	}
+	c.tickFn = c.tick
+	return c
 }
 
 // Interval returns the inter-packet gap.
@@ -74,7 +77,7 @@ func (c *CBR) tick() {
 	}
 	c.ticks++
 	c.tr.SendBytes(c.packetSize)
-	c.timer = c.sched.ScheduleKind(sim.KindApp, c.interval, c.tick)
+	c.timer = c.sched.ScheduleKind(sim.KindApp, c.interval, c.tickFn)
 }
 
 // FTP is a greedy source: it keeps the transport's backlog effectively

@@ -40,8 +40,8 @@ func NewUDPSource(sched *sim.Scheduler, n *netlayer.Net, pf *packet.Factory, src
 func (u *UDPSource) Sent() int { return u.sent }
 
 // Send transmits one datagram of payload bytes with an optional payload
-// body, returning the packet for test inspection.
-func (u *UDPSource) Send(payload int, body packet.Payload) *packet.Packet {
+// body. The network layer owns the packet from here on.
+func (u *UDPSource) Send(payload int, body packet.Payload) {
 	p := u.pf.New(u.ptype, payload+UDPHdrBytes, u.sched.Now())
 	p.IP.Dst = u.dst
 	p.IP.SrcPort = u.srcPort
@@ -50,7 +50,6 @@ func (u *UDPSource) Send(payload int, body packet.Payload) *packet.Packet {
 	p.SentAt = u.sched.Now()
 	u.sent++
 	u.net.SendFrom(p)
-	return p
 }
 
 // SendBytes implements ByteSender so a CBR generator can drive UDP.
@@ -85,7 +84,8 @@ func NewUDPSink(sched *sim.Scheduler, n *netlayer.Net, port int) *UDPSink {
 // SetSpans wires the causal span recorder (may be nil).
 func (k *UDPSink) SetSpans(rec *span.Recorder) { k.spans = rec }
 
-// OnRecv registers an observer called for every datagram.
+// OnRecv registers an observer called for every datagram. p is valid only
+// for the call (see netlayer.PortHandler).
 func (k *UDPSink) OnRecv(fn func(p *packet.Packet, at sim.Time)) { k.onRecv = fn }
 
 // Received returns the number of datagrams delivered.

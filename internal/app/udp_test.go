@@ -33,18 +33,21 @@ func (idleMAC) Poke()             {}
 func udpRig(t *testing.T) (*sim.Scheduler, *netlayer.Net, *loopRouting, *packet.Factory) {
 	t.Helper()
 	s := sim.New()
-	n := netlayer.New(1)
+	pf := &packet.Factory{}
+	n := netlayer.New(1, pf)
 	n.Attach(queue.NewDropTail(8, nil), idleMAC{})
 	r := &loopRouting{n: n}
 	n.SetRouting(r)
-	return s, n, r, &packet.Factory{}
+	return s, n, r, pf
 }
 
 func TestUDPSourceSendsDatagrams(t *testing.T) {
 	s, n, r, pf := udpRig(t)
 	src := NewUDPSource(s, n, pf, 10, 1, 20, packet.TypeEBL)
 	sink := NewUDPSink(s, n, 20)
-	p := src.Send(500, nil)
+	var p packet.Packet
+	sink.OnRecv(func(got *packet.Packet, _ sim.Time) { p = *got })
+	src.Send(500, nil)
 	if p.Size != 500+UDPHdrBytes {
 		t.Fatalf("wire size = %d, want payload + UDP/IP headers", p.Size)
 	}
@@ -74,14 +77,14 @@ func TestUDPSinkObserver(t *testing.T) {
 	s, n, _, pf := udpRig(t)
 	src := NewUDPSource(s, n, pf, 10, 1, 20, packet.TypeCBR)
 	sink := NewUDPSink(s, n, 20)
-	var got []*packet.Packet
+	var got []uint64
 	var at sim.Time
 	sink.OnRecv(func(p *packet.Packet, t sim.Time) {
-		got = append(got, p)
+		got = append(got, p.UID)
 		at = t
 	})
-	sent := src.Send(100, nil)
-	if len(got) != 1 || got[0].UID != sent.UID {
+	src.Send(100, nil)
+	if len(got) != 1 || got[0] != pf.Allocated() {
 		t.Fatal("observer not invoked with the datagram")
 	}
 	if at != s.Now() {

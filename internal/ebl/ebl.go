@@ -101,7 +101,9 @@ type PlatoonComms struct {
 
 // OnDeliver registers an observer called once per first-time segment
 // delivery on any flow. The highway scenario uses it to trigger follower
-// braking on the first brake indication.
+// braking on the first brake indication. p and its payload are valid only
+// for the call: the network layer recycles both once the sink returns, so
+// an observer copies what it keeps.
 func (pc *PlatoonComms) OnDeliver(fn func(f *Flow, p *packet.Packet, at sim.Time)) {
 	pc.onDeliver = fn
 }

@@ -236,13 +236,13 @@ func TestNewPlatoonCommsValidation(t *testing.T) {
 func TestBrakeStatusPayloadOnEveryPacket(t *testing.T) {
 	w, p, comms := rig(t, nil)
 	lead := p.Lead()
-	var statuses []*ebl.BrakeStatus
+	var statuses []ebl.BrakeStatus
 	comms.OnDeliver(func(_ *ebl.Flow, pkt *packet.Packet, _ sim.Time) {
 		st, ok := pkt.Payload.(*ebl.BrakeStatus)
 		if !ok {
 			t.Fatalf("packet %v carries no brake status", pkt)
 		}
-		statuses = append(statuses, st)
+		statuses = append(statuses, *st) // valid only for the call: copy
 	})
 	w.Sched.RunUntil(3)
 	if len(statuses) == 0 {

@@ -42,15 +42,22 @@ func (b *BrakeStatus) ClonePayloadOnto(old packet.Payload) (packet.Payload, bool
 	return nil, false
 }
 
-// statusSampler builds a BrakeStatus provider bound to a vehicle.
-func statusSampler(sched *sim.Scheduler, v *mobility.Vehicle) func() packet.Payload {
-	return func() packet.Payload {
-		return &BrakeStatus{
+// statusSampler builds a BrakeStatus provider bound to a vehicle. It
+// rewrites the status a recycled packet carried, when there is one, rather
+// than allocating a new one.
+func statusSampler(sched *sim.Scheduler, v *mobility.Vehicle) func(reuse packet.Payload) packet.Payload {
+	return func(reuse packet.Payload) packet.Payload {
+		b, ok := reuse.(*BrakeStatus)
+		if !ok {
+			b = new(BrakeStatus)
+		}
+		*b = BrakeStatus{
 			Vehicle:  v.ID(),
 			At:       sched.Now(),
 			Braking:  v.Phase().Communicating(),
 			SpeedMS:  v.Speed(),
 			Position: v.Position(),
 		}
+		return b
 	}
 }

@@ -33,7 +33,8 @@ func (m *recorder) ChannelIdle() {}
 func rig(t *testing.T) (*sim.Scheduler, *phy.Channel, *packet.Factory) {
 	t.Helper()
 	s := sim.New()
-	return s, phy.NewChannel(s, phy.DefaultPropagation()), &packet.Factory{}
+	pf := &packet.Factory{}
+	return s, phy.NewChannel(s, phy.DefaultPropagation(), pf), pf
 }
 
 func victim(s *sim.Scheduler, ch *phy.Channel, id packet.NodeID, x float64) (*phy.Radio, *recorder) {

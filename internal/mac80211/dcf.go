@@ -167,12 +167,21 @@ type MAC struct {
 	ackTimeoutFn     func()
 	ctsTimeoutFn     func()
 	sendAfterCTSFn   func()
+	sendAckFn        func(any) // a *response: the ACK one SIFS after data
+	sendCTSFn        func(any) // a *response: the CTS one SIFS after an RTS
 
 	txBusy     bool // our radio is clocking out a frame
 	pendingAck sim.Timer
+	// ctlFrame is the ACK, CTS or RTS on the air (nil otherwise); the MAC
+	// minted it, so it releases it at its own end of transmission.
+	ctlFrame *packet.Packet
+	respFree []*response
 
-	dedup     map[uint64]bool
-	dedupFIFO []uint64
+	dedup map[uint64]bool
+	// dedupRing holds the last dedupWindow data UIDs received, oldest
+	// first from dedupN % dedupWindow; allocated on the first unicast.
+	dedupRing []uint64
+	dedupN    int
 
 	stats Stats
 
@@ -190,6 +199,17 @@ type MAC struct {
 
 var _ mac.MAC = (*MAC)(nil)
 var _ phy.MAC = (*MAC)(nil)
+
+// response carries a pending SIFS response (ACK or CTS) to its callback.
+// Responses are pooled per MAC; each needs its own record because ACKs can
+// overlap.
+type response struct {
+	to       packet.NodeID
+	navGrant sim.Time // CTS only
+}
+
+// dedupWindow bounds duplicate detection to the most recent data UIDs.
+const dedupWindow = 128
 
 // New creates a DCF MAC for node id and wires it to the radio. The packet
 // factory mints ACK frames; rng drives backoff draws.
@@ -212,13 +232,18 @@ func New(id packet.NodeID, sched *sim.Scheduler, radio *phy.Radio, ifq queue.Que
 		m.navTimer = sim.Timer{}
 		m.startAccess()
 	}
-	m.txEndFn = func() { m.txBusy = false }
+	m.txEndFn = func() {
+		m.txBusy = false
+		m.releaseCtl()
+	}
 	m.broadcastTxEndFn = m.onBroadcastTxEnd
 	m.unicastTxEndFn = m.onUnicastTxEnd
 	m.rtsTxEndFn = m.onRTSTxEnd
 	m.ackTimeoutFn = m.onAckTimeout
 	m.ctsTimeoutFn = m.onCtsTimeout
 	m.sendAfterCTSFn = m.onSendAfterCTS
+	m.sendAckFn = m.onSendAck
+	m.sendCTSFn = m.onSendCTS
 	radio.SetMAC(m)
 	return m
 }
@@ -383,6 +408,7 @@ func (m *MAC) transmitRTS(p *packet.Packet) {
 	dur := m.cfg.RTSTxTime()
 	m.stats.TxRTS++
 	m.txBusy = true
+	m.ctlFrame = rts
 	m.sched.ScheduleKind(sim.KindMAC, dur, m.rtsTxEndFn)
 	if err := m.radio.Transmit(rts, dur); err != nil {
 		m.stats.TxErrors++ // degrade through the CTS timeout
@@ -392,6 +418,7 @@ func (m *MAC) transmitRTS(p *packet.Packet) {
 // onRTSTxEnd starts waiting for the CTS answering our RTS.
 func (m *MAC) onRTSTxEnd() {
 	m.txBusy = false
+	m.releaseCtl()
 	m.waitingCTS = true
 	m.ctsTimer = m.sched.ScheduleKind(sim.KindMAC, m.cfg.CTSTimeout(), m.ctsTimeoutFn)
 }
@@ -517,55 +544,88 @@ func (m *MAC) RecvFromPhy(p *packet.Packet, corrupted bool) {
 	}
 }
 
-// ReleaseDelivered lets the network layer recycle a received frame it has
-// fully consumed (see netlayer's frameReleaser).
-func (m *MAC) ReleaseDelivered(p *packet.Packet) { m.radio.ReleaseFrame(p) }
-
 // scheduleAck sends an ACK one SIFS after the data frame ended. ACKs are
 // sent regardless of medium state — SIFS priority is what makes them win
 // the channel.
 func (m *MAC) scheduleAck(data *packet.Packet) {
-	to := data.Mac.Src
-	m.pendingAck = m.sched.ScheduleKind(sim.KindMAC, m.cfg.SIFS, func() {
-		m.pendingAck = sim.Timer{}
-		if m.txBusy {
-			return // pathological overlap; drop the ACK, sender retries
-		}
-		ack := m.pf.New(packet.TypeMACAck, m.cfg.AckBytes, m.sched.Now())
-		ack.Mac = packet.MacHdr{Src: m.id, Dst: to, Subtype: packet.MacAck}
-		m.stats.TxAck++
-		m.txBusy = true
-		dur := m.cfg.AckTxTime()
-		// As in transmitData: clear txBusy before the radio's same-instant
-		// ChannelIdle so a deferred access can resume.
-		m.sched.ScheduleKind(sim.KindMAC, dur, m.txEndFn)
-		if err := m.radio.Transmit(ack, dur); err != nil {
-			m.stats.TxErrors++ // lost ACK; the data sender retries
-		}
-	})
+	m.pendingAck = m.sched.ScheduleArgKind(sim.KindMAC, m.cfg.SIFS, m.sendAckFn, m.newResponse(data.Mac.Src, 0))
+}
+
+// onSendAck sends the ACK scheduled by scheduleAck.
+func (m *MAC) onSendAck(a any) {
+	to := m.takeResponse(a).to
+	m.pendingAck = sim.Timer{}
+	if m.txBusy {
+		return // pathological overlap; drop the ACK, sender retries
+	}
+	ack := m.pf.New(packet.TypeMACAck, m.cfg.AckBytes, m.sched.Now())
+	ack.Mac = packet.MacHdr{Src: m.id, Dst: to, Subtype: packet.MacAck}
+	m.stats.TxAck++
+	m.transmitCtl(ack, m.cfg.AckTxTime())
 }
 
 // scheduleCTS answers an RTS after SIFS, granting the reservation.
 func (m *MAC) scheduleCTS(rts *packet.Packet) {
-	to := rts.Mac.Src
 	navGrant := rts.Mac.Duration - m.cfg.SIFS - m.cfg.CTSTxTime()
 	if navGrant < 0 {
 		navGrant = 0
 	}
-	m.sched.ScheduleKind(sim.KindMAC, m.cfg.SIFS, func() {
-		if m.txBusy {
-			return // pathological overlap; RTS sender times out and retries
-		}
-		cts := m.pf.New(packet.TypeMACAck, m.cfg.CTSBytes, m.sched.Now())
-		cts.Mac = packet.MacHdr{Src: m.id, Dst: to, Subtype: packet.MacCTS, Duration: navGrant}
-		m.stats.TxCTS++
-		m.txBusy = true
-		dur := m.cfg.CTSTxTime()
-		m.sched.ScheduleKind(sim.KindMAC, dur, m.txEndFn)
-		if err := m.radio.Transmit(cts, dur); err != nil {
-			m.stats.TxErrors++ // lost CTS; the RTS sender times out
-		}
-	})
+	m.sched.ScheduleArgKind(sim.KindMAC, m.cfg.SIFS, m.sendCTSFn, m.newResponse(rts.Mac.Src, navGrant))
+}
+
+// onSendCTS sends the CTS scheduled by scheduleCTS.
+func (m *MAC) onSendCTS(a any) {
+	r := m.takeResponse(a)
+	if m.txBusy {
+		return // pathological overlap; RTS sender times out and retries
+	}
+	cts := m.pf.New(packet.TypeMACAck, m.cfg.CTSBytes, m.sched.Now())
+	cts.Mac = packet.MacHdr{Src: m.id, Dst: r.to, Subtype: packet.MacCTS, Duration: r.navGrant}
+	m.stats.TxCTS++
+	m.transmitCtl(cts, m.cfg.CTSTxTime())
+}
+
+// transmitCtl clocks out an ACK or CTS frame. As in transmitData, txBusy
+// is cleared (and the frame released) before the radio's same-instant
+// ChannelIdle, so a deferred access can resume.
+func (m *MAC) transmitCtl(p *packet.Packet, dur sim.Time) {
+	m.txBusy = true
+	m.ctlFrame = p
+	m.sched.ScheduleKind(sim.KindMAC, dur, m.txEndFn)
+	if err := m.radio.Transmit(p, dur); err != nil {
+		m.stats.TxErrors++ // lost ACK/CTS; the peer times out and retries
+	}
+}
+
+// releaseCtl releases the control frame whose transmission just ended.
+// Receivers only borrowed it until first-bit arrival, strictly before now
+// (a receiver whose first bit would land later got an eager clone).
+func (m *MAC) releaseCtl() {
+	if m.ctlFrame != nil {
+		m.pf.Release(m.ctlFrame)
+		m.ctlFrame = nil
+	}
+}
+
+// newResponse returns a pooled response record.
+func (m *MAC) newResponse(to packet.NodeID, navGrant sim.Time) *response {
+	var r *response
+	if n := len(m.respFree); n > 0 {
+		r = m.respFree[n-1]
+		m.respFree = m.respFree[:n-1]
+	} else {
+		r = new(response)
+	}
+	*r = response{to: to, navGrant: navGrant}
+	return r
+}
+
+// takeResponse returns the record a response callback was scheduled with
+// to the pool and hands back its contents.
+func (m *MAC) takeResponse(a any) response {
+	r := a.(*response)
+	m.respFree = append(m.respFree, r)
+	return *r
 }
 
 // sendDataAfterCTS transmits the reserved data frame one SIFS after the
@@ -585,18 +645,21 @@ func (m *MAC) onSendAfterCTS() {
 }
 
 // isDup records and tests receipt of a data frame UID, bounding memory
-// with FIFO eviction.
+// with FIFO eviction over a fixed ring.
 func (m *MAC) isDup(uid uint64) bool {
 	if m.dedup[uid] {
 		return true
 	}
 	m.dedup[uid] = true
-	m.dedupFIFO = append(m.dedupFIFO, uid)
-	const window = 128
-	if len(m.dedupFIFO) > window {
-		delete(m.dedup, m.dedupFIFO[0])
-		m.dedupFIFO = m.dedupFIFO[1:]
+	if m.dedupRing == nil {
+		m.dedupRing = make([]uint64, dedupWindow)
 	}
+	slot := m.dedupN % dedupWindow
+	if m.dedupN >= dedupWindow {
+		delete(m.dedup, m.dedupRing[slot])
+	}
+	m.dedupRing[slot] = uid
+	m.dedupN++
 	return false
 }
 

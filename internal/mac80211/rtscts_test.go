@@ -23,9 +23,9 @@ func hiddenParams() phy.RadioParams {
 func hiddenRig(t *testing.T, cfg Config) (*sim.Scheduler, []*node, *packet.Factory) {
 	t.Helper()
 	s := sim.New()
-	ch := phy.NewChannel(s, phy.DefaultPropagation())
-	rng := sim.NewRNG(77)
 	pf := &packet.Factory{}
+	ch := phy.NewChannel(s, phy.DefaultPropagation(), pf)
+	rng := sim.NewRNG(77)
 	xs := []float64{0, 200, 400}
 	nodes := make([]*node, len(xs))
 	for i, x := range xs {

@@ -192,6 +192,12 @@ type MAC struct {
 	slotTimer sim.Timer
 	stats     Stats
 
+	// End-of-transmission callbacks, bound once and fed the frame through
+	// the scheduler instead of a capturing closure per frame.
+	slotFn   func()
+	txOKFn   func(any)
+	txFailFn func(any)
+
 	// Telemetry (nil-safe; see internal/obs). waitFrom stamps when the
 	// head-of-line frame began waiting for our slot.
 	obsSlotWait *obs.Histogram
@@ -221,6 +227,9 @@ func New(id packet.NodeID, sched *sim.Scheduler, radio *phy.Radio, ifq queue.Que
 		schedule: schedule,
 		cfg:      cfg,
 	}
+	m.slotFn = m.onSlot
+	m.txOKFn = func(p any) { m.txDone(p.(*packet.Packet), true) }
+	m.txFailFn = func(p any) { m.txDone(p.(*packet.Packet), false) }
 	schedule.Add(id)
 	radio.SetMAC(m)
 	if schedule.Hopping().Enabled() {
@@ -261,7 +270,7 @@ func (m *MAC) Poke() {
 	m.spans.Record(span.OpMacWait, span.CauseNone, m.id, p)
 	m.waitFrom = m.sched.Now()
 	start := m.schedule.NextSlotStart(m.id, m.sched.Now())
-	m.slotTimer = m.sched.AtKind(sim.KindMAC, start, m.onSlot)
+	m.slotTimer = m.sched.AtKind(sim.KindMAC, start, m.slotFn)
 }
 
 // onSlot fires at the start of this node's slot.
@@ -283,19 +292,21 @@ func (m *MAC) onSlot() {
 		// lost, counted, and reported upward as a failed transmission so the
 		// stack keeps flowing instead of crashing the run.
 		m.stats.TxErrors++
-		m.sched.ScheduleKind(sim.KindMAC, dur, func() {
-			m.up.MacTxDone(p, false)
-			m.Poke()
-		})
+		m.sched.ScheduleArgKind(sim.KindMAC, dur, m.txFailFn, p)
 		return
 	}
 	m.stats.TxData++
 	// TDMA has no acknowledgements: the transmission is reported
 	// successful when it leaves the antenna, as in ns-2's Mac/Tdma.
-	m.sched.ScheduleKind(sim.KindMAC, dur, func() {
-		m.up.MacTxDone(p, true)
-		m.Poke()
-	})
+	m.sched.ScheduleArgKind(sim.KindMAC, dur, m.txOKFn, p)
+}
+
+// txDone reports a frame's fate upward at its end of transmission (with
+// ok the network layer releases it: receivers borrowed it only until
+// first-bit arrival) and arms the next slot.
+func (m *MAC) txDone(p *packet.Packet, ok bool) {
+	m.up.MacTxDone(p, ok)
+	m.Poke()
 }
 
 // RecvFromPhy implements phy.MAC.
@@ -319,10 +330,6 @@ func (m *MAC) RecvFromPhy(p *packet.Packet, corrupted bool) {
 	m.stats.RxDelivered++
 	m.up.RecvFromMac(p)
 }
-
-// ReleaseDelivered lets the network layer recycle a received frame it has
-// fully consumed (see netlayer's frameReleaser).
-func (m *MAC) ReleaseDelivered(p *packet.Packet) { m.radio.ReleaseFrame(p) }
 
 // ChannelBusy implements phy.MAC; TDMA does no carrier sensing.
 func (m *MAC) ChannelBusy() {}

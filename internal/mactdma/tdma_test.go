@@ -37,7 +37,7 @@ type node struct {
 }
 
 func newTestChannel(s *sim.Scheduler) *phy.Channel {
-	return phy.NewChannel(s, phy.DefaultPropagation())
+	return phy.NewChannel(s, phy.DefaultPropagation(), &packet.Factory{})
 }
 
 func newTestNode(t *testing.T, s *sim.Scheduler, ch *phy.Channel, schedule *Schedule, cfg Config, id packet.NodeID, x float64) *node {

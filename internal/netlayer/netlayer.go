@@ -18,6 +18,9 @@ const DefaultTTL = 32
 
 // PortHandler is a transport endpoint bound to a local port.
 type PortHandler interface {
+	// RecvFromNet delivers a packet addressed to the port. p is valid only
+	// for the call: the network layer releases it to the packet pool when
+	// the handler returns, so a handler copies what it keeps.
 	RecvFromNet(p *packet.Packet)
 }
 
@@ -33,7 +36,8 @@ type Routing interface {
 	// control, local delivery (via Net.DeliverLocally), or forwarding.
 	HandleIncoming(p *packet.Packet)
 	// MacTxDone relays MAC transmission fate; ok=false signals a broken
-	// link to p.Mac.Dst.
+	// link to p.Mac.Dst, and the agent then owns p (it may salvage it).
+	// With ok=true p is valid only for the call.
 	MacTxDone(p *packet.Packet, ok bool)
 }
 
@@ -47,32 +51,29 @@ type Stats struct {
 
 // Net is one node's network layer. Wire it with Attach and SetRouting
 // before the simulation starts.
+//
+// Net is where most packets end: it releases to the packet pool every
+// packet delivered to a local port, every routing-control packet its agent
+// has digested, every packet the interface queue rejects, and every frame
+// the MAC reports sent (MacTxDone with ok=true).
 type Net struct {
 	id    packet.NodeID
+	pf    *packet.Factory
 	ifq   queue.Queue
 	mac   mac.MAC
 	route Routing
 	ports map[int]PortHandler
 	spans *span.Recorder
-	// release recycles a fully consumed received frame back into the PHY's
-	// clone pool (nil when the MAC below offers no recycling).
-	release func(*packet.Packet)
 
 	stats Stats
 }
 
-// frameReleaser is the optional MAC capability the network layer uses to
-// recycle received frames it has finished with. Both bundled MACs forward
-// it to phy.Radio.ReleaseFrame.
-type frameReleaser interface {
-	ReleaseDelivered(p *packet.Packet)
-}
-
 var _ mac.Upcall = (*Net)(nil)
 
-// New creates a network layer for node id.
-func New(id packet.NodeID) *Net {
-	return &Net{id: id, ports: make(map[int]PortHandler)}
+// New creates a network layer for node id that releases the packets it
+// consumes into pf, the run's packet factory.
+func New(id packet.NodeID, pf *packet.Factory) *Net {
+	return &Net{id: id, pf: pf, ports: make(map[int]PortHandler)}
 }
 
 // ID returns the owning node's ID.
@@ -85,9 +86,6 @@ func (n *Net) Stats() Stats { return n.stats }
 func (n *Net) Attach(ifq queue.Queue, m mac.MAC) {
 	n.ifq = ifq
 	n.mac = m
-	if fr, ok := m.(frameReleaser); ok {
-		n.release = fr.ReleaseDelivered
-	}
 }
 
 // SetRouting installs the routing agent.
@@ -120,46 +118,55 @@ func (n *Net) SendFrom(p *packet.Packet) {
 
 // Send transmits a routed packet (IP.NextHop set) through the interface
 // queue and MAC. Routing agents call this for both forwarded data and
-// their own control packets.
+// their own control packets. The caller gives p up: a packet the queue
+// rejects is released here, after the queue's drop hook has read it.
 func (n *Net) Send(p *packet.Packet) {
 	if p.IP.NextHop == packet.None {
 		panic(fmt.Sprintf("netlayer: node %v sending packet with no next hop: %v", n.id, p))
 	}
 	if !n.ifq.Enqueue(p) {
 		n.stats.IfqDropped++
+		n.pf.Release(p)
 		return
 	}
 	n.mac.Poke()
 }
 
 // DeliverLocally dispatches a packet addressed to this node up to the
-// transport handler bound to its destination port.
+// transport handler bound to its destination port, then releases it: the
+// handler's call is the packet's last use.
 func (n *Net) DeliverLocally(p *packet.Packet) {
 	h, ok := n.ports[p.IP.DstPort]
 	if !ok {
 		n.stats.NoPort++
 		n.spans.Record(span.OpNetDrop, span.CauseNoPort, n.id, p)
+		n.pf.Release(p)
 		return
 	}
 	n.stats.Delivered++
 	n.spans.Record(span.OpDeliver, span.CauseNone, n.id, p)
 	h.RecvFromNet(p)
+	n.pf.Release(p)
 }
 
 // RecvFromMac implements mac.Upcall.
 func (n *Net) RecvFromMac(p *packet.Packet) {
-	n.route.HandleIncoming(p)
 	// Routing-control packets terminate here: the agent's handlers copy
-	// whatever they keep (table entries, forwarded floods are fresh
-	// packets), so the receiver's private clone — and its payload — can go
-	// straight back to the PHY's pool. Data packets cannot: they may be
-	// buffered for discovery, forwarded, or handed to an application.
-	if p.Type.IsControl() && n.release != nil {
-		n.release(p)
+	// whatever they keep (table entries; forwarded floods are fresh
+	// packets), so the receiver's private clone and its payload go straight
+	// back to the pool. Data packets are released where they end: local
+	// delivery, a drop, or the MAC's report that the next hop has them —
+	// possibly inside HandleIncoming, so the type is read before it runs.
+	control := p.Type.IsControl()
+	n.route.HandleIncoming(p)
+	if control {
+		n.pf.Release(p)
 	}
 }
 
-// MacTxDone implements mac.Upcall.
+// MacTxDone implements mac.Upcall. A frame the MAC delivered (ok) has no
+// owner left once routing has seen the report, so it is released; a failed
+// one stays with the routing agent, which may salvage it.
 func (n *Net) MacTxDone(p *packet.Packet, ok bool) {
 	if ok {
 		n.spans.Record(span.OpMacDone, span.CauseNone, n.id, p)
@@ -167,4 +174,7 @@ func (n *Net) MacTxDone(p *packet.Packet, ok bool) {
 		n.spans.Record(span.OpMacDone, span.CauseLinkFail, n.id, p)
 	}
 	n.route.MacTxDone(p, ok)
+	if ok {
+		n.pf.Release(p)
+	}
 }

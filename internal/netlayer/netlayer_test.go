@@ -36,7 +36,7 @@ func (h *fakePort) RecvFromNet(p *packet.Packet) { h.got = append(h.got, p) }
 
 func rig(t *testing.T) (*Net, *fakeMAC, *fakeRouting, queue.Queue) {
 	t.Helper()
-	n := New(7)
+	n := New(7, &packet.Factory{})
 	m := &fakeMAC{id: 7}
 	q := queue.NewDropTail(2, nil)
 	r := &fakeRouting{}
@@ -163,7 +163,7 @@ func TestMacUpcallsForwardToRouting(t *testing.T) {
 }
 
 func TestID(t *testing.T) {
-	if New(3).ID() != 3 {
+	if New(3, &packet.Factory{}).ID() != 3 {
 		t.Fatal("ID wrong")
 	}
 }

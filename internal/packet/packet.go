@@ -147,6 +147,9 @@ type Packet struct {
 
 	Mac MacHdr
 	IP  IPHdr
+	// TCP is the transport header, nil for non-TCP packets. SetTCP and the
+	// clone methods point it at the packet's own storage, so a segment
+	// costs no allocation beyond the packet.
 	TCP *TCPHdr
 
 	// Payload carries protocol-specific content for AODV and EBL packets.
@@ -154,50 +157,62 @@ type Packet struct {
 
 	// NumForwards counts network-layer hops taken so far.
 	NumForwards int
+
+	// tcp backs TCP when the header is set through SetTCP or a clone.
+	tcp TCPHdr
+	// spare is the payload this struct carried before the factory
+	// recycled it, kept only so that a same-typed payload can be rewritten
+	// in place (see ReusablePayload and ReusePayload). It is never content.
+	spare Payload
 }
 
-// Clone returns a deep copy of the packet. Header structs are copied by
-// value; TCP header and payload are duplicated so a forwarder or broadcast
-// receiver can mutate its copy freely.
-func (p *Packet) Clone() *Packet {
-	q := *p
-	if p.TCP != nil {
-		tcp := *p.TCP
-		q.TCP = &tcp
-	}
-	if p.Payload != nil {
-		q.Payload = p.Payload.ClonePayload()
-	}
-	return &q
+// SetTCP sets the transport header, stored inside the packet.
+func (p *Packet) SetTCP(h TCPHdr) {
+	p.tcp = h
+	p.TCP = &p.tcp
 }
 
-// CloneInto deep-copies p into dst, reusing dst's allocation (and its TCP
-// header allocation, when both packets carry one). It is Clone for pooled
-// destinations: the PHY channel recycles released broadcast clones through
-// a free list, and this is how a recycled struct is repopulated. When the
-// recycled packet still carries a payload of the same concrete type, the
-// payload allocation is reused too (see ReusablePayload) — the release
-// contract guarantees nothing upstack retained it. Returns dst.
+// ReusePayload hands over the payload object a recycled packet carried in
+// its previous use (nil if none) and forgets it. The caller owns it and may
+// overwrite it in place when it has the concrete type the caller needs;
+// the releaser of the previous use asserted that nothing still reads it.
+func (p *Packet) ReusePayload() Payload {
+	old := p.spare
+	p.spare = nil
+	return old
+}
+
+// Clone returns a deep copy of the packet in a new allocation. Header
+// structs are copied by value; TCP header and payload are duplicated so a
+// forwarder or broadcast receiver can mutate its copy freely.
+func (p *Packet) Clone() *Packet { return p.CloneInto(new(Packet)) }
+
+// CloneInto deep-copies p into dst, reusing dst's allocation and, when dst
+// still carries a payload (or a spare one) of the same concrete type as
+// p's, the payload allocation too (see ReusablePayload). Factory.Clone uses
+// it to repopulate a recycled packet. Returns dst.
 func (p *Packet) CloneInto(dst *Packet) *Packet {
-	tcp := dst.TCP
 	old := dst.Payload
+	if old == nil {
+		old = dst.spare
+	}
 	*dst = *p
+	dst.spare = nil
 	if p.TCP != nil {
-		if tcp == nil {
-			tcp = new(TCPHdr)
-		}
-		*tcp = *p.TCP
-		dst.TCP = tcp
+		dst.tcp = *p.TCP
+		dst.TCP = &dst.tcp
 	}
-	if p.Payload != nil {
-		if r, ok := p.Payload.(ReusablePayload); ok && old != nil {
-			if q, ok := r.ClonePayloadOnto(old); ok {
-				dst.Payload = q
-				return dst
-			}
-		}
-		dst.Payload = p.Payload.ClonePayload()
+	if p.Payload == nil {
+		dst.spare = old
+		return dst
 	}
+	if r, ok := p.Payload.(ReusablePayload); ok && old != nil {
+		if q, ok := r.ClonePayloadOnto(old); ok {
+			dst.Payload = q
+			return dst
+		}
+	}
+	dst.Payload = p.Payload.ClonePayload()
 	return dst
 }
 
@@ -206,26 +221,61 @@ func (p *Packet) String() string {
 	return fmt.Sprintf("pkt{uid=%d %s %dB %v->%v}", p.UID, p.Type, p.Size, p.IP.Src, p.IP.Dst)
 }
 
-// Factory allocates packet UIDs for one scenario. It is a struct rather
-// than a package-level counter so that concurrently running scenarios (and
-// tests) never share state.
+// Factory allocates packet UIDs for one scenario and owns its packet pool.
+// It is a struct rather than package-level state so that concurrently
+// running scenarios (and tests) never share anything.
+//
+// Every packet of a run comes from New or Clone and goes back through
+// Release at the one seam where its last owner lets go of it; the next New
+// or Clone reuses it. A packet that is never released is simply collected,
+// so a missed release costs an allocation, never a wrong result. Releasing
+// a packet something still reads is a bug: the checkall build poisons
+// released packets instead of recycling them, so every golden digest
+// catches it.
 type Factory struct {
 	next uint64
+	free []*Packet
 }
 
 // New returns a fresh packet of the given type and size with a unique UID
-// and the creation timestamp filled in.
+// and the creation timestamp filled in. A recycled packet is reset in full;
+// only its old payload object survives, out of sight, for ReusePayload.
 func (f *Factory) New(t Type, size int, at sim.Time) *Packet {
+	p := f.get()
 	f.next++
-	return &Packet{
-		UID:       f.next,
-		Type:      t,
-		Size:      size,
-		CreatedAt: at,
-		IP:        IPHdr{Src: None, Dst: None, NextHop: None},
-		Mac:       MacHdr{Src: None, Dst: None},
-	}
+	p.UID = f.next
+	p.Type = t
+	p.Size = size
+	p.CreatedAt = at
+	p.IP = IPHdr{Src: None, Dst: None, NextHop: None}
+	p.Mac = MacHdr{Src: None, Dst: None}
+	return p
 }
+
+// Clone returns a deep copy of p (same UID) in a pooled packet: the PHY
+// uses it to give a receiver its private copy of a frame.
+func (f *Factory) Clone(p *Packet) *Packet { return p.CloneInto(f.get()) }
+
+// get pops a recycled packet, reset to the zero value except for its spare
+// payload, or allocates one.
+func (f *Factory) get() *Packet {
+	n := len(f.free)
+	if n == 0 {
+		return new(Packet)
+	}
+	p := f.free[n-1]
+	f.free[n-1] = nil
+	f.free = f.free[:n-1]
+	spare := p.Payload
+	if spare == nil {
+		spare = p.spare
+	}
+	*p = Packet{spare: spare}
+	return p
+}
+
+// Pooled returns how many released packets wait for reuse.
+func (f *Factory) Pooled() int { return len(f.free) }
 
 // Allocated returns how many packets this factory has created.
 func (f *Factory) Allocated() uint64 { return f.next }

@@ -62,16 +62,17 @@ type Channel struct {
 
 	arriveFn func(any)
 	arrFree  []*arrival
-	// pktFree recycles broadcast clones whose arrival was frequency-
-	// filtered: such a clone never escaped the channel, so its allocation
-	// can back the next broadcast's clone instead of becoming garbage.
-	pktFree []*packet.Packet
-	stats   ChannelStats
+	// pf is the run's packet factory: receivers' private clones come from
+	// its pool and go back to it (Radio.ReleaseFrame).
+	pf    *packet.Factory
+	stats ChannelStats
 }
 
-// NewChannel creates a channel using the given propagation model.
-func NewChannel(sched *sim.Scheduler, prop Propagation) *Channel {
-	c := &Channel{sched: sched, prop: prop}
+// NewChannel creates a channel using the given propagation model. Its
+// receivers clone frames out of, and release them back into, pf — the
+// packet factory of the run.
+func NewChannel(sched *sim.Scheduler, prop Propagation, pf *packet.Factory) *Channel {
+	c := &Channel{sched: sched, prop: prop, pf: pf}
 	c.propDist, _ = prop.(DistPropagation)
 	c.arriveFn = func(a any) {
 		ar := a.(*arrival)
@@ -82,7 +83,7 @@ func NewChannel(sched *sim.Scheduler, prop Propagation) *Channel {
 		if dst.Freq() != freq {
 			c.stats.FilteredFreq++
 			if owned {
-				c.releaseClone(p) // tuned elsewhere: no energy seen, clone unused
+				c.pf.Release(p) // tuned elsewhere: no energy seen, clone unused
 			}
 			return
 		}
@@ -199,35 +200,15 @@ func (c *Channel) offer(src, dst *Radio, srcPos geom.Vec2, p *packet.Packet, dur
 		ar = &arrival{}
 	}
 	ap, owned := p, false
-	if delay >= duration {
+	if now := c.sched.Now(); now+delay >= now+duration {
 		// Pathological geometry: the first bit would arrive at or after the
-		// sender's end of transmission, when the MAC is free to mutate the
-		// frame again. Fall back to the eager per-receiver clone.
-		ap, owned = c.clonePacket(p), true
+		// sender's end of transmission, when the MAC is free to mutate or
+		// release the frame. Fall back to the eager per-receiver clone.
+		ap, owned = c.pf.Clone(p), true
 	}
 	*ar = arrival{dst: dst, p: ap, power: pr, duration: duration, freq: txFreq, owned: owned}
 	c.stats.Offered++
 	c.sched.ScheduleArgKind(sim.KindPHY, delay, c.arriveFn, ar)
-}
-
-// clonePacket deep-copies p for one receiver, reusing a recycled
-// frequency-filtered clone when one is available.
-func (c *Channel) clonePacket(p *packet.Packet) *packet.Packet {
-	if n := len(c.pktFree); n > 0 {
-		q := c.pktFree[n-1]
-		c.pktFree = c.pktFree[:n-1]
-		return p.CloneInto(q)
-	}
-	return p.Clone()
-}
-
-// releaseClone returns a released clone to the free list. The payload is
-// deliberately kept: the releaser asserts nothing upstack retained it, so
-// the next clonePacket of a same-typed payload can reuse its allocation
-// in place (packet, TCP header, and payload then all recycle). The pool's
-// footprint stays bounded by the peak number of in-flight clones.
-func (c *Channel) releaseClone(p *packet.Packet) {
-	c.pktFree = append(c.pktFree, p)
 }
 
 // Stats returns the channel's arrival counters.

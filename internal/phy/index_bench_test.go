@@ -29,7 +29,7 @@ func (nullMAC) ChannelIdle()                     {}
 // cost is flat in n, scan cost is linear.
 func benchBroadcast(b *testing.B, n int, cull bool) {
 	s := sim.New()
-	ch := NewChannel(s, DefaultPropagation())
+	ch := NewChannel(s, DefaultPropagation(), &packet.Factory{})
 	if cull {
 		ch.EnableCulling()
 	}
@@ -80,7 +80,7 @@ func BenchmarkBroadcastCulled(b *testing.B) {
 func BenchmarkBroadcastCulledMoving(b *testing.B) {
 	const n = 1000
 	s := sim.New()
-	ch := NewChannel(s, DefaultPropagation())
+	ch := NewChannel(s, DefaultPropagation(), &packet.Factory{})
 	ch.EnableCulling()
 	offChannel := func() int { return 1 }
 	for i := 0; i < n; i++ {

@@ -35,7 +35,7 @@ func fixedPos(x, y float64) PositionFn {
 func rig(t *testing.T, xs ...float64) (*sim.Scheduler, []*Radio, []*recorder) {
 	t.Helper()
 	s := sim.New()
-	ch := NewChannel(s, DefaultPropagation())
+	ch := NewChannel(s, DefaultPropagation(), &packet.Factory{})
 	radios := make([]*Radio, len(xs))
 	macs := make([]*recorder, len(xs))
 	for i, x := range xs {
@@ -381,7 +381,7 @@ func TestMovingReceiverAttenuates(t *testing.T) {
 	// A receiver that drifts out of range between two transmissions stops
 	// hearing the sender: positions must be sampled per transmission.
 	s := sim.New()
-	ch := NewChannel(s, DefaultPropagation())
+	ch := NewChannel(s, DefaultPropagation(), &packet.Factory{})
 	var f packet.Factory
 	tx := NewRadio(0, s, fixedPos(0, 0), DefaultRadioParams())
 	txm := &recorder{}
@@ -436,7 +436,7 @@ func TestFrequencyDefaultChannelZero(t *testing.T) {
 
 func BenchmarkChannelBroadcast(b *testing.B) {
 	s := sim.New()
-	ch := NewChannel(s, DefaultPropagation())
+	ch := NewChannel(s, DefaultPropagation(), &packet.Factory{})
 	for i := 0; i < 12; i++ {
 		r := NewRadio(packet.NodeID(i), s, fixedPos(float64(i)*40, 0), DefaultRadioParams())
 		r.SetMAC(&recorder{})

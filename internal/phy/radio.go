@@ -249,19 +249,13 @@ func (r *Radio) releaseReception(rec *reception) {
 	r.recFree = append(r.recFree, rec)
 }
 
-// ReleaseFrame returns a delivered frame to the channel's clone pool.
-// Every delivered frame is the receiver's private clone, so whichever
-// layer finally consumes it may release it — the MAC for frames it
-// discards in RecvFromPhy (overheard unicasts, control frames,
-// duplicates, corrupted frames), the network layer for routing-control
-// packets its agent has fully digested. The releaser asserts that no
-// reference to the packet, its TCP header, or its payload escaped: all
-// three allocations are recycled into future clones.
-func (r *Radio) ReleaseFrame(p *packet.Packet) {
-	if r.ch != nil {
-		r.ch.releaseClone(p)
-	}
-}
+// ReleaseFrame returns a delivered frame to the run's packet pool. Every
+// delivered frame is the receiver's private clone, so the MAC may release
+// the frames it discards in RecvFromPhy (overheard unicasts, control
+// frames, duplicates, corrupted frames); frames it passes up are released
+// by the network layer. p is valid only until this call: the packet, its
+// TCP header and its payload are all reused by later clones.
+func (r *Radio) ReleaseFrame(p *packet.Packet) { r.ch.pf.Release(p) }
 
 // CarrierBusy reports whether the medium appears busy to this radio: it is
 // transmitting, locked onto a frame, or sensing energy above the
@@ -359,7 +353,7 @@ func (r *Radio) frameArrives(p *packet.Packet, power float64, duration sim.Time,
 		// borrowed packet is cloned here — the one moment the radio keeps a
 		// reference past the arrival event.
 		if !owned {
-			p = r.ch.clonePacket(p)
+			p = r.ch.pf.Clone(p)
 		}
 		rec := r.newReception(p, power, end)
 		r.rx = rec
@@ -387,7 +381,7 @@ func (r *Radio) frameArrives(p *packet.Packet, power float64, duration sim.Time,
 func (r *Radio) arriveSINR(p *packet.Packet, power float64, duration sim.Time, end sim.Time, owned bool) {
 	if r.state != Transmitting && r.rx == nil && power >= r.Params.RxThreshW {
 		if !owned {
-			p = r.ch.clonePacket(p)
+			p = r.ch.pf.Clone(p)
 		}
 		rec := r.newReception(p, power, end)
 		rec.maxInterfW = r.interfW
@@ -434,7 +428,9 @@ func (r *Radio) addInterference(power float64, duration sim.Time) {
 func (r *Radio) finishReception(rec *reception) {
 	if r.rx != rec {
 		// Reception was aborted (e.g. we transmitted over it); this event
-		// held the last reference, so the struct can be recycled now.
+		// held the last reference to the struct and to its private clone,
+		// so both can be recycled now.
+		r.ch.pf.Release(rec.p)
 		r.releaseReception(rec)
 		return
 	}

@@ -11,7 +11,7 @@ import (
 func sinrRig(t *testing.T, xs ...float64) (*sim.Scheduler, []*Radio, []*recorder) {
 	t.Helper()
 	s := sim.New()
-	ch := NewChannel(s, DefaultPropagation())
+	ch := NewChannel(s, DefaultPropagation(), &packet.Factory{})
 	params := DefaultRadioParams()
 	params.SINRMode = true
 	radios := make([]*Radio, len(xs))
@@ -59,7 +59,7 @@ func TestSINRAggregationCatchesWhatCaptureMisses(t *testing.T) {
 	// give 28/5 ≈ 5.6 < 10 -> corrupted under SINR, captured pairwise.
 	run := func(sinr bool) bool {
 		s := sim.New()
-		ch := NewChannel(s, DefaultPropagation())
+		ch := NewChannel(s, DefaultPropagation(), &packet.Factory{})
 		params := DefaultRadioParams()
 		params.SINRMode = sinr
 		mk := func(id packet.NodeID, x, y float64) *Radio {
@@ -98,7 +98,7 @@ func TestSINRInterferencePresentAtLockTime(t *testing.T) {
 	// An undecodable arrival already on the air when the desired frame
 	// begins must count against it.
 	s := sim.New()
-	ch := NewChannel(s, DefaultPropagation())
+	ch := NewChannel(s, DefaultPropagation(), &packet.Factory{})
 	params := DefaultRadioParams()
 	params.SINRMode = true
 	rxm := &recorder{}
@@ -132,7 +132,7 @@ func TestSINRInterferenceDecays(t *testing.T) {
 	// The same marginal geometry, but the noise ends before the signal
 	// starts: delivery must succeed (interference bookkeeping decays).
 	s := sim.New()
-	ch := NewChannel(s, DefaultPropagation())
+	ch := NewChannel(s, DefaultPropagation(), &packet.Factory{})
 	params := DefaultRadioParams()
 	params.SINRMode = true
 	rxm := &recorder{}

@@ -43,11 +43,63 @@ type Queue interface {
 	Drops() int
 }
 
+// ring is a fixed-capacity FIFO of packets. Its backing array is made on
+// the first push and reused for the queue's lifetime, so steady-state
+// queueing allocates nothing however often the queue fills and drains.
+type ring struct {
+	buf  []*packet.Packet
+	cap  int
+	head int // index of the oldest packet
+	n    int
+}
+
+func newRing(capacity int) ring { return ring{cap: capacity} }
+
+// push appends p at the tail; the caller has checked there is room.
+func (r *ring) push(p *packet.Packet) {
+	if r.buf == nil {
+		r.buf = make([]*packet.Packet, r.cap)
+	}
+	r.buf[(r.head+r.n)%r.cap] = p
+	r.n++
+}
+
+// pop removes and returns the oldest packet, or nil.
+func (r *ring) pop() *packet.Packet {
+	if r.n == 0 {
+		return nil
+	}
+	p := r.buf[r.head]
+	r.buf[r.head] = nil
+	r.head = (r.head + 1) % r.cap
+	r.n--
+	return p
+}
+
+// popNewest removes and returns the most recently pushed packet, or nil.
+func (r *ring) popNewest() *packet.Packet {
+	if r.n == 0 {
+		return nil
+	}
+	r.n--
+	i := (r.head + r.n) % r.cap
+	p := r.buf[i]
+	r.buf[i] = nil
+	return p
+}
+
+// peek returns the oldest packet without removing it, or nil.
+func (r *ring) peek() *packet.Packet {
+	if r.n == 0 {
+		return nil
+	}
+	return r.buf[r.head]
+}
+
 // DropTail is a FIFO queue that drops the arriving packet when full,
 // matching ns-2's Queue/DropTail.
 type DropTail struct {
-	items  []*packet.Packet
-	cap    int
+	items  ring
 	drops  int
 	onDrop DropFn
 }
@@ -60,47 +112,30 @@ func NewDropTail(capacity int, onDrop DropFn) *DropTail {
 	if capacity <= 0 {
 		panic("queue: capacity must be positive")
 	}
-	return &DropTail{items: make([]*packet.Packet, 0, capacity), cap: capacity, onDrop: onDrop}
+	return &DropTail{items: newRing(capacity), onDrop: onDrop}
 }
 
 // Enqueue implements Queue.
 func (q *DropTail) Enqueue(p *packet.Packet) bool {
-	if len(q.items) >= q.cap {
+	if q.items.n >= q.items.cap {
 		q.drop(p, DropFull)
 		return false
 	}
-	q.items = append(q.items, p)
+	q.items.push(p)
 	return true
 }
 
 // Dequeue implements Queue.
-func (q *DropTail) Dequeue() *packet.Packet {
-	if len(q.items) == 0 {
-		return nil
-	}
-	p := q.items[0]
-	q.items[0] = nil
-	q.items = q.items[1:]
-	if len(q.items) == 0 {
-		// Reset the backing array so the slice doesn't crawl through memory.
-		q.items = make([]*packet.Packet, 0, q.cap)
-	}
-	return p
-}
+func (q *DropTail) Dequeue() *packet.Packet { return q.items.pop() }
 
 // Peek implements Queue.
-func (q *DropTail) Peek() *packet.Packet {
-	if len(q.items) == 0 {
-		return nil
-	}
-	return q.items[0]
-}
+func (q *DropTail) Peek() *packet.Packet { return q.items.peek() }
 
 // Len implements Queue.
-func (q *DropTail) Len() int { return len(q.items) }
+func (q *DropTail) Len() int { return q.items.n }
 
 // Cap implements Queue.
-func (q *DropTail) Cap() int { return q.cap }
+func (q *DropTail) Cap() int { return q.items.cap }
 
 // Drops implements Queue.
 func (q *DropTail) Drops() int { return q.drops }
@@ -116,10 +151,11 @@ func (q *DropTail) drop(p *packet.Packet, r DropReason) {
 // packets ahead of data, matching ns-2's Queue/DropTail/PriQueue (the
 // "-ifqtype" the paper's Tcl snippet configures). When a control packet
 // arrives at a full queue it evicts the most recently queued data packet;
-// a data packet arriving at a full queue is dropped.
+// a data packet arriving at a full queue is dropped. Each class has its own
+// ring of the full capacity, since either may hold every slot.
 type PriQueue struct {
-	control []*packet.Packet
-	data    []*packet.Packet
+	control ring
+	data    ring
 	cap     int
 	drops   int
 	onDrop  DropFn
@@ -133,63 +169,48 @@ func NewPriQueue(capacity int, onDrop DropFn) *PriQueue {
 	if capacity <= 0 {
 		panic("queue: capacity must be positive")
 	}
-	return &PriQueue{cap: capacity, onDrop: onDrop}
+	return &PriQueue{control: newRing(capacity), data: newRing(capacity), cap: capacity, onDrop: onDrop}
 }
 
 // Enqueue implements Queue.
 func (q *PriQueue) Enqueue(p *packet.Packet) bool {
 	if p.Type.IsControl() {
 		if q.Len() >= q.cap {
-			if len(q.data) == 0 {
+			if q.data.n == 0 {
 				q.drop(p, DropFull)
 				return false
 			}
-			last := q.data[len(q.data)-1]
-			q.data[len(q.data)-1] = nil
-			q.data = q.data[:len(q.data)-1]
-			q.drop(last, DropEvicted)
+			q.drop(q.data.popNewest(), DropEvicted)
 		}
-		q.control = append(q.control, p)
+		q.control.push(p)
 		return true
 	}
 	if q.Len() >= q.cap {
 		q.drop(p, DropFull)
 		return false
 	}
-	q.data = append(q.data, p)
+	q.data.push(p)
 	return true
 }
 
 // Dequeue implements Queue.
 func (q *PriQueue) Dequeue() *packet.Packet {
-	if len(q.control) > 0 {
-		p := q.control[0]
-		q.control[0] = nil
-		q.control = q.control[1:]
-		return p
+	if q.control.n > 0 {
+		return q.control.pop()
 	}
-	if len(q.data) > 0 {
-		p := q.data[0]
-		q.data[0] = nil
-		q.data = q.data[1:]
-		return p
-	}
-	return nil
+	return q.data.pop()
 }
 
 // Peek implements Queue.
 func (q *PriQueue) Peek() *packet.Packet {
-	if len(q.control) > 0 {
-		return q.control[0]
+	if q.control.n > 0 {
+		return q.control.peek()
 	}
-	if len(q.data) > 0 {
-		return q.data[0]
-	}
-	return nil
+	return q.data.peek()
 }
 
 // Len implements Queue.
-func (q *PriQueue) Len() int { return len(q.control) + len(q.data) }
+func (q *PriQueue) Len() int { return q.control.n + q.data.n }
 
 // Cap implements Queue.
 func (q *PriQueue) Cap() int { return q.cap }

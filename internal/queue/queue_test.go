@@ -5,6 +5,7 @@ import (
 	"testing/quick"
 
 	"vanetsim/internal/packet"
+	"vanetsim/internal/sim"
 )
 
 func mkData(f *packet.Factory) *packet.Packet { return f.New(packet.TypeTCP, 1000, 0) }
@@ -257,5 +258,146 @@ func BenchmarkPriQueueMixed(b *testing.B) {
 		q.Enqueue(c)
 		q.Dequeue()
 		q.Dequeue()
+	}
+}
+
+// sliceModel is the reference interface queue: the plain-slice drop-tail
+// and priority queues the rings replaced, written for clarity.
+type sliceModel struct {
+	pri           bool
+	cap           int
+	control, data []*packet.Packet
+	drops         []dropEvent
+}
+
+type dropEvent struct {
+	uid    uint64
+	reason DropReason
+}
+
+func (m *sliceModel) enqueue(p *packet.Packet) bool {
+	if !m.pri || !p.Type.IsControl() {
+		if len(m.control)+len(m.data) >= m.cap {
+			m.drops = append(m.drops, dropEvent{p.UID, DropFull})
+			return false
+		}
+		m.data = append(m.data, p)
+		return true
+	}
+	if len(m.control)+len(m.data) >= m.cap {
+		if len(m.data) == 0 {
+			m.drops = append(m.drops, dropEvent{p.UID, DropFull})
+			return false
+		}
+		last := m.data[len(m.data)-1]
+		m.data = m.data[:len(m.data)-1]
+		m.drops = append(m.drops, dropEvent{last.UID, DropEvicted})
+	}
+	m.control = append(m.control, p)
+	return true
+}
+
+func (m *sliceModel) dequeue() *packet.Packet {
+	if len(m.control) > 0 {
+		p := m.control[0]
+		m.control = m.control[1:]
+		return p
+	}
+	if len(m.data) > 0 {
+		p := m.data[0]
+		m.data = m.data[1:]
+		return p
+	}
+	return nil
+}
+
+func (m *sliceModel) peek() *packet.Packet {
+	if len(m.control) > 0 {
+		return m.control[0]
+	}
+	if len(m.data) > 0 {
+		return m.data[0]
+	}
+	return nil
+}
+
+// TestQueuesMatchSliceModel drives the ring-backed DropTail, PriQueue and
+// RED (with early drop out of reach) through random mixes of data and
+// control enqueues, dequeues and peeks, at small capacities so the rings
+// wrap and fill constantly, and checks every result — packet identity,
+// acceptance, length and each drop with its reason — against the slice
+// model.
+func TestQueuesMatchSliceModel(t *testing.T) {
+	check := func(kind uint8, capacity uint8, ops []uint8) bool {
+		capN := int(capacity%6) + 1
+		m := &sliceModel{pri: kind%3 == 1, cap: capN}
+		var drops []dropEvent
+		onDrop := func(p *packet.Packet, r DropReason) { drops = append(drops, dropEvent{p.UID, r}) }
+		var q Queue
+		switch kind % 3 {
+		case 0:
+			q = NewDropTail(capN, onDrop)
+		case 1:
+			q = NewPriQueue(capN, onDrop)
+		default:
+			// Thresholds above any reachable average: RED degenerates to
+			// drop-tail, and the ring is what is under test.
+			cfg := REDConfig{MinThresh: 100, MaxThresh: 200, Weight: 0.5, MaxP: 0.1}
+			q = NewRED(capN, cfg, sim.NewRNG(1), onDrop)
+		}
+		var f packet.Factory
+		for i, op := range ops {
+			switch op % 4 {
+			case 0, 1: // enqueue data (twice as likely, so queues fill)
+				p := mkData(&f)
+				if got, want := q.Enqueue(p), m.enqueue(p); got != want {
+					t.Logf("op %d: data Enqueue = %v, model %v", i, got, want)
+					return false
+				}
+			case 2: // enqueue control
+				p := mkCtrl(&f)
+				if got, want := q.Enqueue(p), m.enqueue(p); got != want {
+					t.Logf("op %d: control Enqueue = %v, model %v", i, got, want)
+					return false
+				}
+			case 3:
+				if q.Peek() != m.peek() {
+					t.Logf("op %d: Peek differs from model", i)
+					return false
+				}
+				if got, want := q.Dequeue(), m.dequeue(); got != want {
+					t.Logf("op %d: Dequeue differs from model", i)
+					return false
+				}
+			}
+			if q.Len() != len(m.control)+len(m.data) || q.Drops() != len(m.drops) {
+				t.Logf("op %d: Len %d Drops %d, model %d %d", i, q.Len(), q.Drops(), len(m.control)+len(m.data), len(m.drops))
+				return false
+			}
+		}
+		if len(drops) != len(m.drops) {
+			t.Logf("drop hook saw %d drops, model %d", len(drops), len(m.drops))
+			return false
+		}
+		for i := range drops {
+			if drops[i] != m.drops[i] {
+				t.Logf("drop %d: %+v, model %+v", i, drops[i], m.drops[i])
+				return false
+			}
+		}
+		// Drain: the remaining order must match too.
+		for {
+			got, want := q.Dequeue(), m.dequeue()
+			if got != want {
+				t.Logf("drain: Dequeue differs from model")
+				return false
+			}
+			if got == nil {
+				return q.Len() == 0
+			}
+		}
+	}
+	if err := quick.Check(check, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Fatal(err)
 	}
 }

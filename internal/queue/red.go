@@ -36,8 +36,7 @@ func DefaultREDConfig() REDConfig {
 // the hard capacity.
 type RED struct {
 	cfg    REDConfig
-	items  []*packet.Packet
-	cap    int
+	items  ring
 	rng    *sim.RNG
 	onDrop DropFn
 
@@ -59,7 +58,7 @@ func NewRED(capacity int, cfg REDConfig, rng *sim.RNG, onDrop DropFn) *RED {
 	if rng == nil {
 		panic("queue: RED needs a random source")
 	}
-	return &RED{cfg: cfg, cap: capacity, rng: rng, count: -1}
+	return &RED{cfg: cfg, items: newRing(capacity), rng: rng, onDrop: onDrop, count: -1}
 }
 
 // AvgQueue returns the current EWMA queue-length estimate.
@@ -67,8 +66,8 @@ func (q *RED) AvgQueue() float64 { return q.avg }
 
 // Enqueue implements Queue.
 func (q *RED) Enqueue(p *packet.Packet) bool {
-	q.avg = (1-q.cfg.Weight)*q.avg + q.cfg.Weight*float64(len(q.items))
-	if len(q.items) >= q.cap {
+	q.avg = (1-q.cfg.Weight)*q.avg + q.cfg.Weight*float64(q.items.n)
+	if q.items.n >= q.items.cap {
 		q.drop(p, DropFull)
 		return false
 	}
@@ -76,7 +75,7 @@ func (q *RED) Enqueue(p *packet.Packet) bool {
 		q.drop(p, DropEarly)
 		return false
 	}
-	q.items = append(q.items, p)
+	q.items.push(p)
 	if q.count >= 0 {
 		q.count++
 	}
@@ -108,29 +107,16 @@ func (q *RED) earlyDrop() bool {
 }
 
 // Dequeue implements Queue.
-func (q *RED) Dequeue() *packet.Packet {
-	if len(q.items) == 0 {
-		return nil
-	}
-	p := q.items[0]
-	q.items[0] = nil
-	q.items = q.items[1:]
-	return p
-}
+func (q *RED) Dequeue() *packet.Packet { return q.items.pop() }
 
 // Peek implements Queue.
-func (q *RED) Peek() *packet.Packet {
-	if len(q.items) == 0 {
-		return nil
-	}
-	return q.items[0]
-}
+func (q *RED) Peek() *packet.Packet { return q.items.peek() }
 
 // Len implements Queue.
-func (q *RED) Len() int { return len(q.items) }
+func (q *RED) Len() int { return q.items.n }
 
 // Cap implements Queue.
-func (q *RED) Cap() int { return q.cap }
+func (q *RED) Cap() int { return q.items.cap }
 
 // Drops implements Queue.
 func (q *RED) Drops() int { return q.drops }

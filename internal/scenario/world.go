@@ -166,10 +166,13 @@ func NewWorld(cfg StackConfig, seed uint64) *World {
 		shadow = phy.NewShadowing(prop, cfg.Faults.ShadowSigmaDB, rng.Fork("fault/shadow"))
 		prop = shadow
 	}
+	// One packet factory per run: it numbers every packet and owns the
+	// pool that every layer releases consumed packets into.
+	pf := &packet.Factory{}
 	w := &World{
 		Sched:   s,
-		Channel: phy.NewChannel(s, prop),
-		PF:      &packet.Factory{},
+		Channel: phy.NewChannel(s, prop, pf),
+		PF:      pf,
 		RNG:     rng,
 		Obs:     cfg.Obs,
 		cfg:     cfg,
@@ -238,7 +241,7 @@ func (w *World) AddNode(id packet.NodeID, pos phy.PositionFn) *Node {
 		n.Radio.SetImpairment(w.fault)
 	}
 	w.scheduleOutages(n.Radio)
-	n.Net = netlayer.New(id)
+	n.Net = netlayer.New(id, w.PF)
 	// IfqDropFn is nil when spans are disarmed, preserving the queues'
 	// silent-discard fast path.
 	onDrop := w.spans.IfqDropFn(id)

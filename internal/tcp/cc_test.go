@@ -30,8 +30,8 @@ type idleMAC struct{}
 func (idleMAC) ID() packet.NodeID { return 1 }
 func (idleMAC) Poke()             {}
 
-func newScriptNet(s *sim.Scheduler, delay sim.Time) *scriptNet {
-	n := netlayer.New(1)
+func newScriptNet(s *sim.Scheduler, pf *packet.Factory, delay sim.Time) *scriptNet {
+	n := netlayer.New(1, pf)
 	n.Attach(queue.NewDropTail(64, nil), idleMAC{})
 	sn := &scriptNet{
 		s:           s,
@@ -63,8 +63,8 @@ func (sn *scriptNet) MacTxDone(*packet.Packet, bool)  {}
 func ccRig(t *testing.T, cfg tcp.Config, delay sim.Time) (*sim.Scheduler, *scriptNet, *tcp.Sender, *tcp.Sink) {
 	t.Helper()
 	s := sim.New()
-	sn := newScriptNet(s, delay)
 	pf := &packet.Factory{}
+	sn := newScriptNet(s, pf, delay)
 	snd := tcp.NewSender(s, sn.net, pf, 100, 1, 200, cfg)
 	snk := tcp.NewSink(s, sn.net, pf, 200, cfg)
 	return s, sn, snd, snk

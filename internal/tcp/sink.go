@@ -8,7 +8,9 @@ import (
 
 // RecvFn observes every data segment arriving at a sink (before duplicate
 // filtering of the in-order stream — trace semantics: one event per
-// received packet). Metrics collectors subscribe here.
+// received packet). Metrics collectors subscribe here. p is valid only for
+// the call: the network layer releases it when the sink returns, so an
+// observer copies the fields it keeps.
 type RecvFn func(p *packet.Packet, at sim.Time)
 
 // SinkStats counts receiver-side events.
@@ -104,7 +106,7 @@ func (k *Sink) sendAck(data *packet.Packet) {
 	a.IP.Dst = data.IP.Src
 	a.IP.SrcPort = k.port
 	a.IP.DstPort = data.IP.SrcPort
-	a.TCP = &packet.TCPHdr{Seq: k.expected - 1, Echo: data.TCP.Echo}
+	a.SetTCP(packet.TCPHdr{Seq: k.expected - 1, Echo: data.TCP.Echo})
 	a.SentAt = k.sched.Now()
 	k.net.SendFrom(a)
 }

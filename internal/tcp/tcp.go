@@ -106,9 +106,10 @@ type Sender struct {
 	firstSent     map[int]sim.Time
 	retransmitted map[int]bool
 	rtxTimer      sim.Timer
+	onTimeoutFn   func() // onTimeout, bound once for the rtx timer
 
 	onSend    func(p *packet.Packet)
-	payloadFn func() packet.Payload
+	payloadFn func(reuse packet.Payload) packet.Payload
 
 	stats  Stats
 	obsRTT *obs.Histogram // nil-safe RTT sample telemetry
@@ -119,13 +120,16 @@ type Sender struct {
 func (s *Sender) SetObs(rtt *obs.Histogram) { s.obsRTT = rtt }
 
 // OnSend registers an observer called for every transmitted segment,
-// including retransmissions — the trace collector's "s ... AGT" hook.
+// including retransmissions — the trace collector's "s ... AGT" hook. p is
+// valid only for the call.
 func (s *Sender) OnSend(fn func(p *packet.Packet)) { s.onSend = fn }
 
 // SetPayloadFn attaches application content to every outgoing segment:
 // fn is sampled at transmission time (the EBL application uses it to
-// stamp live brake status onto each packet).
-func (s *Sender) SetPayloadFn(fn func() packet.Payload) { s.payloadFn = fn }
+// stamp live brake status onto each packet). reuse is the payload object
+// the recycled packet carried before (nil if none); fn may overwrite and
+// return it when it has the type fn needs, instead of allocating.
+func (s *Sender) SetPayloadFn(fn func(reuse packet.Payload) packet.Payload) { s.payloadFn = fn }
 
 // NewSender creates a TCP source on net bound to srcPort, addressing
 // (dst, dstPort). It registers itself for ACK delivery.
@@ -148,6 +152,7 @@ func NewSender(sched *sim.Scheduler, n *netlayer.Net, pf *packet.Factory, srcPor
 		firstSent:     make(map[int]sim.Time),
 		retransmitted: make(map[int]bool),
 	}
+	s.onTimeoutFn = s.onTimeout
 	n.BindPort(srcPort, s)
 	return s
 }
@@ -203,9 +208,9 @@ func (s *Sender) transmit(seq int, rtx bool) {
 	p.IP.Dst = s.dst
 	p.IP.SrcPort = s.srcPort
 	p.IP.DstPort = s.dstPort
-	p.TCP = &packet.TCPHdr{Seq: seq, Retransmit: rtx}
+	p.SetTCP(packet.TCPHdr{Seq: seq, Retransmit: rtx})
 	if s.payloadFn != nil {
-		p.Payload = s.payloadFn()
+		p.Payload = s.payloadFn(p.ReusePayload())
 	}
 	// Retransmissions carry the original send time so the sink's one-way
 	// delay includes loss-recovery waiting, as a trace-based analysis
@@ -216,13 +221,15 @@ func (s *Sender) transmit(seq int, rtx bool) {
 		p.SentAt = s.sched.Now()
 	}
 	p.TCP.Echo = s.sched.Now()
-	s.net.SendFrom(p)
-	// Observe after SendFrom so the packet carries its full address (the
-	// network layer stamps IP.Src); delivery is never same-instant, so the
-	// send record still precedes any receive record.
+	// Observe before SendFrom, which gives the packet away (a full
+	// interface queue releases it on the spot). The source address the
+	// network layer would stamp is stamped here so the observer sees the
+	// full address.
 	if s.onSend != nil {
+		p.IP.Src = s.net.ID()
 		s.onSend(p)
 	}
+	s.net.SendFrom(p)
 	s.armRtx()
 }
 
@@ -360,12 +367,12 @@ func (s *Sender) armRtx() {
 	if s.rtxTimer.Active() {
 		return
 	}
-	s.rtxTimer = s.sched.ScheduleKind(sim.KindTransport, s.rto(), s.onTimeout)
+	s.rtxTimer = s.sched.ScheduleKind(sim.KindTransport, s.rto(), s.onTimeoutFn)
 }
 
 func (s *Sender) restartRtx() {
 	s.cancelRtx()
-	s.rtxTimer = s.sched.ScheduleKind(sim.KindTransport, s.rto(), s.onTimeout)
+	s.rtxTimer = s.sched.ScheduleKind(sim.KindTransport, s.rto(), s.onTimeoutFn)
 }
 
 func (s *Sender) cancelRtx() {

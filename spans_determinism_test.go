@@ -14,6 +14,7 @@ package vanetsim_test
 import (
 	"bytes"
 	"encoding/json"
+	"strings"
 	"testing"
 
 	"vanetsim"
@@ -78,6 +79,16 @@ func TestSpanDeterminismParallel(t *testing.T) {
 		}
 		if !bytes.Equal(ca.Bytes(), cb.Bytes()) {
 			t.Errorf("%s: chrome trace differs between -j1 and -j8", name)
+		}
+		// Every event must describe a live packet of this run. Layers hand
+		// packets back to a pool, and the checkall build poisons what they
+		// release, so an event recorded from a released packet carries an
+		// impossible UID, size or type and fails here.
+		allocated := seq[i].World.PF.Allocated()
+		for _, e := range seq[i].Spans {
+			if e.UID == 0 || e.UID > allocated || e.Size <= 0 || strings.HasPrefix(e.Type.String(), "type(") {
+				t.Fatalf("%s: span event %+v names no packet of the run (%d allocated)", name, e, allocated)
+			}
 		}
 		// Every delivered packet must decompose: the analyzer's component
 		// sums may never exceed the measured total.
