@@ -184,7 +184,10 @@ func degradationReport(out io.Writer, jobs int, csvPath string, check bool) erro
 		cfg := vanetsim.DefaultDegradation(mac)
 		cfg.Jobs = jobs
 		cfg.Base.Check = check
-		pts := vanetsim.RunDegradation(cfg)
+		pts, err := vanetsim.RunDegradation(cfg)
+		if err != nil {
+			return err
+		}
 		for _, p := range pts {
 			if p.Violations > 0 {
 				return fmt.Errorf("%v loss=%g: %d invariant violation(s)", mac, p.LossProb, p.Violations)

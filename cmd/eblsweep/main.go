@@ -34,6 +34,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -143,74 +144,61 @@ type point struct {
 	cfg   vanetsim.TrialConfig
 }
 
-// runOut is one finished run plus its rendered side-channel output,
-// buffered so the reducer can flush it in submission order.
-type runOut struct {
-	result   *vanetsim.TrialResult
-	progress string       // one progress line, without trailing newline
-	ndjson   bytes.Buffer // run-header + telemetry NDJSON block
-}
-
-// runPoint executes one sweep point and renders its progress line and
-// NDJSON block into buffers. It performs no I/O, so any number of
-// points can run concurrently.
-func runPoint(p point, opts sweepOpts) (*runOut, error) {
-	cfg := p.cfg
-	// OR, don't overwrite: sweeps that need telemetry for their own
-	// reduction (the degradation sweep reads fault counters) keep it even
-	// when no -stats/-stats-json sink asked for it.
-	cfg.Telemetry = cfg.Telemetry || opts.telemetry()
-	cfg.Check = cfg.Check || opts.check
-	o := &runOut{result: vanetsim.RunTrial(cfg)}
-	if opts.check {
-		if n := len(o.result.Violations); n > 0 {
-			return nil, fmt.Errorf("%s mac=%v size=%d: %d invariant violation(s), first: %v",
-				p.sweep, cfg.MAC, cfg.PacketSize, n, o.result.Violations[0].Error())
+// emit checks a finished run against -check, then writes its progress
+// line and NDJSON block. Every sweep calls it from a pool's ordered
+// reducer, so both streams are byte-identical at every -j.
+func emit(sweep string, r *vanetsim.TrialResult, opts sweepOpts) error {
+	cfg := r.Config
+	if n := len(r.Violations); opts.check && n > 0 {
+		return fmt.Errorf("%s mac=%v size=%d: %d invariant violation(s), first: %v",
+			sweep, cfg.MAC, cfg.PacketSize, n, r.Violations[0].Error())
+	}
+	line := fmt.Sprintf("eblsweep: %s mac=%v size=%d done (%.0f s sim)",
+		sweep, cfg.MAC, cfg.PacketSize, float64(cfg.Duration))
+	t := r.Telemetry
+	if t != nil && opts.stats {
+		events, _ := t.Counter("sched/events_executed")
+		drops, _ := t.Counter("ifq/dropped_total")
+		rtx, _ := t.Counter("tcp/retransmits")
+		line += fmt.Sprintf(" — %d events, %d ifq drops, %d rtx, %.2fs wall",
+			events, drops, rtx, r.WallSeconds)
+	}
+	if opts.progress != nil {
+		if _, err := fmt.Fprintln(opts.progress, line); err != nil {
+			return err
 		}
 	}
-	o.progress = fmt.Sprintf("eblsweep: %s mac=%v size=%d done (%.0f s sim)",
-		p.sweep, cfg.MAC, cfg.PacketSize, float64(cfg.Duration))
-	if t := o.result.Telemetry; t != nil {
-		if opts.stats {
-			events, _ := t.Counter("sched/events_executed")
-			drops, _ := t.Counter("ifq/dropped_total")
-			rtx, _ := t.Counter("tcp/retransmits")
-			o.progress += fmt.Sprintf(" — %d events, %d ifq drops, %d rtx, %.2fs wall",
-				events, drops, rtx, o.result.WallSeconds)
-		}
-		if opts.jsonW != nil {
-			// A run-header line keys the metric lines that follow to this
-			// sweep point.
-			fmt.Fprintf(&o.ndjson, "{\"kind\":\"run\",\"sweep\":%q,\"mac\":%q,\"packet\":%d}\n",
-				p.sweep, cfg.MAC.String(), cfg.PacketSize)
-			if err := t.NDJSON(&o.ndjson); err != nil {
-				return nil, err
-			}
-		}
+	if t == nil || opts.jsonW == nil {
+		return nil
 	}
-	return o, nil
+	// A run-header line keys the metric lines that follow to this sweep
+	// point; the block goes out in one write.
+	var nd bytes.Buffer
+	fmt.Fprintf(&nd, "{\"kind\":\"run\",\"sweep\":%q,\"mac\":%q,\"packet\":%d}\n",
+		sweep, cfg.MAC.String(), cfg.PacketSize)
+	if err := t.NDJSON(&nd); err != nil {
+		return err
+	}
+	_, err := opts.jsonW.Write(nd.Bytes())
+	return err
 }
 
 // sweepAll fans points across the worker pool and reduces in submission
-// order: each run's progress line and NDJSON block are flushed, then
-// collect sees the result — exactly the byte stream a sequential loop
-// produced before the pool existed.
+// order: each run is emitted, then collect sees the result — exactly the
+// byte stream a sequential loop produced before the pool existed.
 func sweepAll(points []point, opts sweepOpts, collect func(i int, r *vanetsim.TrialResult) error) error {
-	pool := runner.Pool{Workers: opts.jobs}
-	return runner.Each(pool, len(points),
-		func(i int) (*runOut, error) { return runPoint(points[i], opts) },
-		func(i int, o *runOut) error {
-			if opts.progress != nil {
-				if _, err := fmt.Fprintln(opts.progress, o.progress); err != nil {
-					return err
-				}
+	return runner.Each(runner.Pool{Workers: opts.jobs}, len(points),
+		func(i int) (*vanetsim.TrialResult, error) {
+			cfg := points[i].cfg
+			cfg.Telemetry = opts.telemetry()
+			cfg.Check = opts.check
+			return vanetsim.RunTrial(cfg), nil
+		},
+		func(i int, r *vanetsim.TrialResult) error {
+			if err := emit(points[i].sweep, r, opts); err != nil {
+				return err
 			}
-			if opts.jsonW != nil {
-				if _, err := opts.jsonW.Write(o.ndjson.Bytes()); err != nil {
-					return err
-				}
-			}
-			return collect(i, o.result)
+			return collect(i, r)
 		})
 }
 
@@ -292,6 +280,13 @@ func parseDegradeAxes(loss, burst, outage, mac string) (degradeAxes, error) {
 	if len(a.losses) == 0 || len(a.bursts) == 0 {
 		return a, fmt.Errorf("-degrade-loss and -degrade-burst need at least one value")
 	}
+	// Each burst value is its own RunDegradation (which checks the loss
+	// grid), so a bad one must be caught before the first prints rows.
+	for _, b := range a.bursts {
+		if !(b >= 0 && b < math.Inf(1)) {
+			return a, fmt.Errorf("-degrade-burst: %v is not a finite non-negative burst length", b)
+		}
+	}
 	if outage != "" {
 		if a.outage, err = vanetsim.ParseFaultOutage(outage); err != nil {
 			return a, err
@@ -326,7 +321,8 @@ func parseFloats(s string) ([]float64, error) {
 
 // degradeSweep drives the fault layer across loss × burst-length (with an
 // optional fixed outage) and reports how delay, throughput, and the
-// braking-safety margin degrade.
+// braking-safety margin degrade. Each burst length is one RunDegradation
+// over the loss grid.
 func degradeSweep(out io.Writer, duration float64, axes degradeAxes, opts sweepOpts) error {
 	fmt.Fprintf(out, "Degradation sweep: %v MAC, loss x burst length", axes.mac)
 	if axes.outage.Duration > 0 {
@@ -337,41 +333,28 @@ func degradeSweep(out io.Writer, duration float64, axes degradeAxes, opts sweepO
 	fmt.Fprintf(out, "%6s %8s %10s %10s %10s %8s %9s %10s %5s\n",
 		"burst", "loss", "avg_dly_s", "first_s", "mbps", "rtx", "injected", "margin_m", "safe")
 
-	base := vanetsim.Trial1()
-	base.MAC = axes.mac
-	if axes.mac == vanetsim.MAC80211 {
-		base = vanetsim.Trial3()
-	}
-	base.Duration = vanetsim.Seconds(duration)
-	base.Telemetry = true // the reducer reads fault counters
-
-	type axis struct{ burst, loss float64 }
-	var grid []axis
-	var points []point
-	for _, b := range axes.bursts {
-		for _, l := range axes.losses {
-			cfg := base
-			plan := vanetsim.FaultPlan{}
-			if b > 1 {
-				plan.Burst = vanetsim.BurstFault(l, b)
-			} else {
-				plan.Bernoulli = vanetsim.FaultBernoulli{LossProb: l}
+	cfg := vanetsim.DefaultDegradation(axes.mac)
+	cfg.Base.Duration = vanetsim.Seconds(duration)
+	cfg.Base.Check = opts.check
+	cfg.LossProbs = axes.losses
+	cfg.Outage = axes.outage
+	cfg.Jobs = opts.jobs
+	for _, burst := range axes.bursts {
+		cfg.BurstLen = burst
+		cfg.OnPoint = func(_ int, p vanetsim.DegradationPoint, r *vanetsim.TrialResult) error {
+			if err := emit("degrade", r, opts); err != nil {
+				return err
 			}
-			if axes.outage.Duration > 0 {
-				plan.Outages = []vanetsim.FaultOutage{axes.outage}
-			}
-			cfg.Faults = plan
-			grid = append(grid, axis{b, l})
-			points = append(points, point{sweep: "degrade", cfg: cfg})
+			_, err := fmt.Fprintf(out, "%6.0f %8.3f %10.4f %10.4f %10.4f %8d %9d %10.2f %5v\n",
+				burst, p.LossProb, p.MeanDelayS, p.FirstDelayS,
+				p.ThroughputMbps, p.Retransmits, p.Injected, p.SafetyMarginM, p.Safe)
+			return err
+		}
+		if _, err := vanetsim.RunDegradation(cfg); err != nil {
+			return err
 		}
 	}
-	return sweepAll(points, opts, func(i int, r *vanetsim.TrialResult) error {
-		p := vanetsim.DegradationPointFrom(base, grid[i].loss, r)
-		fmt.Fprintf(out, "%6.0f %8.3f %10.4f %10.4f %10.4f %8d %9d %10.2f %5v\n",
-			grid[i].burst, p.LossProb, p.MeanDelayS, p.FirstDelayS,
-			p.ThroughputMbps, p.Retransmits, p.Injected, p.SafetyMarginM, p.Safe)
-		return nil
-	})
+	return nil
 }
 
 // perfSweep runs the MAC × packet-size grid and prints a CSV-ish table.

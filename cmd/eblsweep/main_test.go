@@ -180,9 +180,26 @@ func TestDegradeAxisErrors(t *testing.T) {
 		{"-degrade", "-degrade-burst", ""},
 		{"-degrade", "-degrade-outage", "1:2"},
 		{"-degrade", "-degrade-mac", "csma"},
+		// Out-of-range loss rates once panicked in the fault layer (or,
+		// in burst mode, printed a total-loss or clean row labelled with
+		// the bad rate); a bad burst length silently fell back to
+		// independent losses.
+		{"-degrade", "-duration", "30", "-degrade-loss", "5", "-degrade-burst", "1"},
+		{"-degrade", "-duration", "30", "-degrade-loss", "5", "-degrade-burst", "4"},
+		{"-degrade", "-duration", "30", "-degrade-loss", "NaN", "-degrade-burst", "1"},
+		{"-degrade", "-duration", "30", "-degrade-loss", "NaN", "-degrade-burst", "4"},
+		{"-degrade", "-duration", "30", "-degrade-loss", "-1", "-degrade-burst", "1"},
+		{"-degrade", "-duration", "30", "-degrade-loss", "-1", "-degrade-burst", "4"},
+		{"-degrade", "-duration", "30", "-degrade-loss", "0.1", "-degrade-burst", "1,NaN"},
 	} {
-		if err := runWith(args, io.Discard, io.Discard); err == nil {
+		var out bytes.Buffer
+		err := runWith(args, &out, io.Discard)
+		if err == nil {
 			t.Errorf("args %v accepted", args)
+		}
+		// Only the title and column lines may precede the error.
+		if rows := strings.Count(out.String(), "\n"); rows > 2 {
+			t.Errorf("args %v printed %d data row(s):\n%s", args, rows-2, out.String())
 		}
 	}
 }

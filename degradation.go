@@ -67,6 +67,10 @@ type DegradationConfig struct {
 	// Jobs bounds concurrent runs (<= 0 = one per CPU). Results are
 	// reduced in sweep order, so output is identical at every width.
 	Jobs int
+	// OnPoint, if non-nil, receives each point with its finished run, in
+	// sweep order and never concurrently. An error stops the sweep and
+	// is returned by RunDegradation.
+	OnPoint func(i int, pt DegradationPoint, r *TrialResult) error
 }
 
 // DefaultDegradation sweeps the paper's base trial on the given MAC from a
@@ -87,10 +91,11 @@ func DefaultDegradation(mac MACType) DegradationConfig {
 // plan builds one sweep point's impairment recipe.
 func (c DegradationConfig) plan(lossProb float64) FaultPlan {
 	p := FaultPlan{ShadowSigmaDB: c.ShadowSigmaDB}
-	if c.BurstLen > 1 {
-		p.Burst = fault.Burst(lossProb, c.BurstLen)
-	} else {
+	if c.BurstLen <= 1 {
 		p.Bernoulli = fault.Bernoulli{LossProb: lossProb}
+	} else {
+		// A NaN burst length lands here and fails FaultPlan.Validate.
+		p.Burst = fault.Burst(lossProb, c.BurstLen)
 	}
 	if c.Outage.Duration > 0 {
 		p.Outages = []FaultOutage{c.Outage}
@@ -124,32 +129,43 @@ type DegradationPoint struct {
 }
 
 // RunDegradation executes the sweep and returns one point per loss rate,
-// in order.
-func RunDegradation(cfg DegradationConfig) []DegradationPoint {
-	if len(cfg.LossProbs) == 0 {
-		return nil
+// in order. The whole grid is validated before anything runs: every loss
+// rate must lie in [0, 1] and every point's plan must pass
+// FaultPlan.Validate.
+func RunDegradation(cfg DegradationConfig) ([]DegradationPoint, error) {
+	plans := make([]FaultPlan, len(cfg.LossProbs))
+	for i, p := range cfg.LossProbs {
+		if !(p >= 0 && p <= 1) {
+			return nil, fmt.Errorf("vanetsim: degradation loss rate %v outside [0, 1]", p)
+		}
+		plans[i] = cfg.plan(p)
+		if err := plans[i].Validate(); err != nil {
+			return nil, fmt.Errorf("vanetsim: degradation point %d (loss %v): %w", i, p, err)
+		}
+	}
+	if len(plans) == 0 {
+		return nil, nil
 	}
 	model := DefaultBrakingModel()
-	points := make([]DegradationPoint, len(cfg.LossProbs))
-	runner.Each(runner.Pool{Workers: cfg.Jobs}, len(cfg.LossProbs),
+	points := make([]DegradationPoint, len(plans))
+	err := runner.Each(runner.Pool{Workers: cfg.Jobs}, len(plans),
 		func(i int) (*TrialResult, error) {
 			tc := cfg.Base
 			tc.Telemetry = true
-			tc.Faults = cfg.plan(cfg.LossProbs[i])
+			tc.Faults = plans[i]
 			return RunTrial(tc), nil
 		},
 		func(i int, r *TrialResult) error {
 			points[i] = degradationPoint(cfg.Base, cfg.LossProbs[i], model, r)
+			if cfg.OnPoint != nil {
+				return cfg.OnPoint(i, points[i], r)
+			}
 			return nil
 		})
-	return points
-}
-
-// DegradationPointFrom computes one degradation row from a completed
-// faulted trial (run with Telemetry on). base supplies the geometry the
-// safety verdict is judged against.
-func DegradationPointFrom(base TrialConfig, lossProb float64, r *TrialResult) DegradationPoint {
-	return degradationPoint(base, lossProb, DefaultBrakingModel(), r)
+	if err != nil {
+		return nil, err
+	}
+	return points, nil
 }
 
 func degradationPoint(base TrialConfig, lossProb float64, model BrakingModel, r *TrialResult) DegradationPoint {

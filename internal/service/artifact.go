@@ -19,7 +19,6 @@ import (
 	"strings"
 
 	"vanetsim"
-	"vanetsim/internal/runner"
 	"vanetsim/internal/service/canon"
 )
 
@@ -179,19 +178,23 @@ func replicationArtifact(b *strings.Builder, c *canon.Canonical, reps RepStore, 
 // degradation table plus its CSV form.
 func degradationArtifact(b *strings.Builder, c *canon.Canonical, progress func(string)) error {
 	spec := c.Deg
-	points := make([]vanetsim.DegradationPoint, len(spec.LossProbs))
-	err := runner.Each(runner.Pool{}, len(spec.LossProbs),
-		func(i int) (*vanetsim.TrialResult, error) {
-			cfg := spec.Base
-			cfg.Faults = spec.Plan(spec.LossProbs[i])
-			return vanetsim.RunTrial(cfg), nil
-		},
-		func(i int, r *vanetsim.TrialResult) error {
-			points[i] = vanetsim.DegradationPointFrom(spec.Base, spec.LossProbs[i], r)
+	cfg := vanetsim.DegradationConfig{
+		Base:          spec.Base,
+		LossProbs:     spec.LossProbs,
+		BurstLen:      spec.BurstLen,
+		ShadowSigmaDB: spec.ShadowDB,
+		OnPoint: func(i int, p vanetsim.DegradationPoint, _ *vanetsim.TrialResult) error {
 			progress(fmt.Sprintf("degradation point %d/%d: loss=%.3f margin=%.2fm safe=%v",
-				i+1, len(spec.LossProbs), points[i].LossProb, points[i].SafetyMarginM, points[i].Safe))
+				i+1, len(spec.LossProbs), p.LossProb, p.SafetyMarginM, p.Safe))
 			return nil
-		})
+		},
+	}
+	if len(spec.Outages) > 0 {
+		// Canonicalisation admits at most one outage, always with a
+		// positive duration.
+		cfg.Outage = spec.Outages[0]
+	}
+	points, err := vanetsim.RunDegradation(cfg)
 	if err != nil {
 		return err
 	}

@@ -187,20 +187,6 @@ type DegradationSpec struct {
 	Outages   []fault.Outage       `canon:"deg.outage"` // at most one
 }
 
-// Plan builds one sweep point's impairment recipe, mirroring the
-// DegradationConfig.plan rules of the root package: BurstLen > 1
-// selects Gilbert–Elliott bursts, otherwise independent Bernoulli
-// losses; the outage (if any) applies verbatim at every point.
-func (s DegradationSpec) Plan(lossProb float64) fault.Plan {
-	p := fault.Plan{ShadowSigmaDB: s.ShadowDB, Outages: s.Outages}
-	if s.BurstLen > 1 {
-		p.Burst = fault.Burst(lossProb, s.BurstLen)
-	} else {
-		p.Bernoulli = fault.Bernoulli{LossProb: lossProb}
-	}
-	return p
-}
-
 // Canonical is a fully resolved request: defaults applied, fields
 // validated, execution-only knobs zeroed. Exactly one of Trial, Dense,
 // Deg is meaningful, selected by Kind.
@@ -514,7 +500,9 @@ func canonDegradation(gr DegradationRequest) (*Canonical, error) {
 		return nil, fmt.Errorf("canon: degradation.shadow_db = %v is negative", gr.ShadowDB)
 	}
 	if len(gr.LossProbs) == 0 {
-		// The paper grid, as in DefaultDegradation.
+		// The paper grid, as in DefaultDegradation: a copy, so hashing
+		// does not import the facade; internal/service's
+		// TestDegradationDefaultsMatchLibrary keeps the two equal.
 		spec.LossProbs = []float64{0, 0.01, 0.02, 0.05, 0.1, 0.2, 0.3}
 	} else {
 		for i, p := range gr.LossProbs {

@@ -2,9 +2,11 @@ package service
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 
+	"vanetsim"
 	"vanetsim/internal/service/canon"
 )
 
@@ -137,6 +139,42 @@ func TestDegradationArtifact(t *testing.T) {
 	for _, want := range []string{"loss_prob,avg_delay_s", "margin_m", "invariant check: clean"} {
 		if !strings.Contains(string(data), want) {
 			t.Errorf("degradation artifact missing %q", want)
+		}
+	}
+}
+
+// TestDegradationDefaultsMatchLibrary: canon keeps its own copy of the
+// degradation defaults so the hashing layer does not import the facade.
+// An empty request must still resolve to exactly DefaultDegradation's
+// base trial, loss grid and 80 s duration on each MAC; the one permitted
+// difference is Telemetry, which RunDegradation forces on per run.
+func TestDegradationDefaultsMatchLibrary(t *testing.T) {
+	for name, mac := range map[string]vanetsim.MACType{"tdma": vanetsim.MACTDMA, "802.11": vanetsim.MAC80211} {
+		req, err := canon.Decode(strings.NewReader(`{"kind":"degradation","degradation":{"mac":"` + name + `"}}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := canon.Canonicalize(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := vanetsim.DefaultDegradation(mac)
+		got := c.Deg
+		if got.Base.Duration != 80 || want.Base.Duration != 80 {
+			t.Errorf("%s: duration canon %v, library %v, want 80 s", name, got.Base.Duration, want.Base.Duration)
+		}
+		if !got.Base.Telemetry {
+			t.Errorf("%s: canon base has telemetry off", name)
+		}
+		got.Base.Telemetry = want.Base.Telemetry
+		if !reflect.DeepEqual(got.Base, want.Base) {
+			t.Errorf("%s: base trial differs:\ncanon   %+v\nlibrary %+v", name, got.Base, want.Base)
+		}
+		if !reflect.DeepEqual(got.LossProbs, want.LossProbs) {
+			t.Errorf("%s: loss grid canon %v, library %v", name, got.LossProbs, want.LossProbs)
+		}
+		if got.BurstLen != want.BurstLen || got.ShadowDB != want.ShadowSigmaDB || len(got.Outages) != 0 || want.Outage.Duration != 0 {
+			t.Errorf("%s: impairments differ: canon %+v, library %+v", name, got, want)
 		}
 	}
 }

@@ -142,6 +142,14 @@ func Run(cfg Config, rep func(i int) ([]float64, error)) (*Result, error) {
 	if progress == nil {
 		progress = func(string) {}
 	}
+	allMet := func(ms []MetricResult) bool {
+		for _, m := range ms {
+			if !m.CI.Met(cfg.Tolerance) {
+				return false
+			}
+		}
+		return true
+	}
 
 	samples := make([][]float64, 0, maxReps)
 	executed := 0
@@ -171,8 +179,7 @@ func Run(cfg Config, rep func(i int) ([]float64, error)) (*Result, error) {
 		// the EARLIEST qualifying k, independent of where this batch's
 		// boundary happened to land.
 		for k := scanFrom; k <= executed; k++ {
-			ms, met := evaluate(cfg.Metrics, samples[:k], level, cfg.Tolerance)
-			if met {
+			if ms := Evaluate(cfg.Metrics, samples[:k], level); allMet(ms) {
 				return &Result{N: k, Executed: executed, Met: true, Metrics: ms, Samples: samples[:k]}, nil
 			}
 		}
@@ -182,21 +189,21 @@ func Run(cfg Config, rep func(i int) ([]float64, error)) (*Result, error) {
 			scanFrom = executed + 1
 		}
 		if executed < maxReps {
-			ms, _ := evaluate(cfg.Metrics, samples, level, cfg.Tolerance)
+			ms := Evaluate(cfg.Metrics, samples, level)
 			progress(fmt.Sprintf("replications %d/%d: tolerance ±%g%% not met yet (worst: %s)",
 				executed, maxReps, 100*cfg.Tolerance, worst(ms)))
 		}
 	}
 	// Budget exhausted: report the achieved bound over the full budget.
-	ms, met := evaluate(cfg.Metrics, samples, level, cfg.Tolerance)
-	return &Result{N: executed, Executed: executed, Met: met, Metrics: ms, Samples: samples}, nil
+	ms := Evaluate(cfg.Metrics, samples, level)
+	return &Result{N: executed, Executed: executed, Met: allMet(ms), Metrics: ms, Samples: samples}, nil
 }
 
-// evaluate computes each metric's observed-sample CI over the given
-// replication prefix and whether all of them meet tol.
-func evaluate(names []string, samples [][]float64, level, tol float64) ([]MetricResult, bool) {
+// Evaluate computes each named metric's CI over the observed (non-NaN)
+// samples of its column — the one confidence-interval path shared by
+// sequential-stopping and fixed-seed studies.
+func Evaluate(names []string, samples [][]float64, level float64) []MetricResult {
 	out := make([]MetricResult, len(names))
-	met := true
 	col := make([]float64, len(samples))
 	for j, name := range names {
 		for i, s := range samples {
@@ -204,11 +211,8 @@ func evaluate(names []string, samples [][]float64, level, tol float64) ([]Metric
 		}
 		ci, missing := stats.MeanCIObserved(col, level)
 		out[j] = MetricResult{Name: name, CI: ci, Missing: missing}
-		if !ci.Met(tol) {
-			met = false
-		}
 	}
-	return out, met
+	return out
 }
 
 // worst renders the least-converged metric for progress lines. Non-finite

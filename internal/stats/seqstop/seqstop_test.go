@@ -287,3 +287,17 @@ func TestSeedsDeterministicPrefixNonZeroUnique(t *testing.T) {
 		t.Fatal("different base seeds produced the same stream")
 	}
 }
+
+// Evaluate is the shared CI path for fixed-seed studies too: on a full
+// column it equals stats.MeanCI, and NaN samples are counted missing
+// rather than poisoning the interval.
+func TestEvaluateColumns(t *testing.T) {
+	rows := [][]float64{{1, 4}, {2, math.NaN()}, {4, 8}}
+	ms := Evaluate([]string{"full", "gappy"}, rows, 0.95)
+	if ms[0].Name != "full" || ms[0].Missing != 0 || ms[0].CI != stats.MeanCI([]float64{1, 2, 4}, 0.95) {
+		t.Errorf("full column = %+v", ms[0])
+	}
+	if ms[1].Name != "gappy" || ms[1].Missing != 1 || ms[1].CI != stats.MeanCI([]float64{4, 8}, 0.95) {
+		t.Errorf("gappy column = %+v", ms[1])
+	}
+}

@@ -116,23 +116,17 @@ type ReplicationStudy struct {
 	FirstMissing int
 }
 
-// aggregate recomputes the study's confidence intervals from Runs.
+// aggregate recomputes the study's confidence intervals from Runs,
+// through the same evaluator sequential-stopping studies use.
 func (s *ReplicationStudy) aggregate() {
-	delays := make([]float64, len(s.Runs))
-	steadies := make([]float64, len(s.Runs))
-	firsts := make([]float64, len(s.Runs))
-	tputs := make([]float64, len(s.Runs))
+	metrics := allMetrics()
+	rows := make([][]float64, len(s.Runs))
 	for i, rep := range s.Runs {
-		delays[i] = rep.AvgDelayS
-		steadies[i] = rep.SteadyS
-		firsts[i] = rep.FirstS
-		tputs[i] = rep.AvgTputMbps
+		rows[i] = sampleVector(metrics, rep)
 	}
-	const level = 0.95
-	s.DelayCI = stats.MeanCI(delays, level)
-	s.SteadyCI = stats.MeanCI(steadies, level)
-	s.FirstCI, s.FirstMissing = stats.MeanCIObserved(firsts, level)
-	s.TputCI = stats.MeanCI(tputs, level)
+	ms := seqstop.Evaluate(metrics, rows, seqstop.DefaultLevel)
+	s.DelayCI, s.SteadyCI, s.FirstCI, s.TputCI = ms[0].CI, ms[1].CI, ms[2].CI, ms[3].CI
+	s.FirstMissing = ms[2].Missing
 }
 
 // RunReplications executes cfg once per seed — fanning the independent
