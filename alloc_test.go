@@ -63,9 +63,9 @@ func TestTrial3MarginalAllocs(t *testing.T) {
 	}
 }
 
-// BenchmarkTrial3 is the end-to-end trial-3 row of `make bench-hot`: 20 s
-// of 802.11 with TCP brake-status streams per op. Its allocs/op in
-// BENCH_PR3.json pins the pooled frame path; a per-frame allocation coming
+// BenchmarkTrial3 is BENCH.json's end-to-end trial-3 row (`make
+// bench-guard`): 20 s of 802.11 with TCP brake-status streams per op. Its
+// allocs/op pins the pooled frame path; a per-frame allocation coming
 // back shows up as thousands more.
 func BenchmarkTrial3(b *testing.B) {
 	cfg := vanetsim.Trial3()

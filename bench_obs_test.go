@@ -42,7 +42,7 @@ func BenchmarkTrial1Instrumented(b *testing.B) { benchTrial1(b, true) }
 // BenchmarkTrial1Checked is the invariant checker's cost counterpart:
 // the same trial with TrialConfig.Check armed. Compare against
 // BenchmarkTrial1Baseline for the README's measured overhead number. It
-// is deliberately NOT in the bench-guard baseline — the guard pins the
+// is deliberately NOT in BENCH.json — `make bench-guard` pins the
 // checks-off hot path.
 func BenchmarkTrial1Checked(b *testing.B) {
 	cfg := vanetsim.Trial1()

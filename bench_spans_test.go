@@ -6,10 +6,10 @@
 //
 // Disarmed, every instrumented seam pays exactly one nil comparison, so
 // the disarmed run must match BenchmarkTrial1Baseline to the allocation —
-// BenchmarkTrial1SpansDisarmed is in the bench-guard baseline
-// (BENCH_PR3.json) precisely to pin that. The armed run appends one Event
-// per lifecycle step per packet and is deliberately NOT guarded: its cost
-// scales with traffic, not with hot-path discipline.
+// BenchmarkTrial1SpansDisarmed is a BENCH.json row (`make bench-guard`)
+// precisely to pin that. The armed run appends one Event per lifecycle
+// step per packet and is deliberately NOT guarded: its cost scales with
+// traffic, not with hot-path discipline.
 package vanetsim_test
 
 import (

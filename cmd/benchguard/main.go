@@ -1,18 +1,22 @@
 // Command benchguard is the benchmark-regression gate: it parses `go test
 // -bench` output (ns/op, B/op, allocs/op), compares every tracked
-// benchmark against the committed baseline (BENCH_PR3.json "after"
-// values), and exits non-zero if allocations regress at all or ns/op
-// regresses beyond the tolerance.
+// benchmark against the committed baseline (BENCH.json "after" values),
+// and exits non-zero if allocations regress at all or ns/op regresses
+// beyond the tolerance. `make bench-guard` runs every BENCH.json row's
+// benchmark into one transcript and judges it with one call.
 //
-//	make bench-hot | benchguard -baseline BENCH_PR3.json
-//	benchguard -baseline BENCH_PR3.json -input bench.txt
-//	benchguard -baseline BENCH_PR3.json -max-ns-regression 0.5
+//	make bench-guard
+//	benchguard -input bench.txt
+//	go test -bench . -benchmem ./internal/sim | benchguard -allow-missing
+//	benchguard -input bench.txt -max-ns-regression 0.5
 //
 // Rules, per baseline benchmark:
 //
 //   - allocs/op must not exceed the baseline. The hot-path benchmarks are
 //     pinned at 0 allocs/op, so any allocation on those paths fails the
-//     gate outright.
+//     gate outright. A benchmark whose baseline sets allocs_per_op must
+//     report allocs/op (run with -benchmem); an input without that column
+//     fails rather than passing the alloc gate unjudged.
 //   - ns/op may not regress more than -max-ns-regression (default 20%).
 //     With -count > 1 the best (minimum) sample is judged, so scheduler
 //     noise cannot fail a healthy build; allocs use the worst (maximum)
@@ -42,17 +46,22 @@ func main() {
 	}
 }
 
-// baselineFile mirrors BENCH_PR3.json.
+// baselineFile mirrors BENCH.json.
 type baselineFile struct {
-	Benchmarks map[string]struct {
-		After measurement `json:"after"`
-	} `json:"benchmarks"`
+	Benchmarks map[string]baselineRow `json:"benchmarks"`
+}
+
+type baselineRow struct {
+	Package string      `json:"package"`
+	Tag     string      `json:"tag"`
+	After   measurement `json:"after"`
 }
 
 type measurement struct {
-	NsPerOp     float64 `json:"ns_per_op"`
-	BytesPerOp  float64 `json:"bytes_per_op"`
-	AllocsPerOp float64 `json:"allocs_per_op"`
+	NsPerOp    float64 `json:"ns_per_op"`
+	BytesPerOp float64 `json:"bytes_per_op"`
+	// AllocsPerOp is nil when the baseline does not pin allocations.
+	AllocsPerOp *float64 `json:"allocs_per_op"`
 }
 
 // sample is one parsed benchmark result line.
@@ -66,7 +75,7 @@ type sample struct {
 func run(args []string, stdin io.Reader, out io.Writer) error {
 	fs := flag.NewFlagSet("benchguard", flag.ContinueOnError)
 	var (
-		baselinePath = fs.String("baseline", "BENCH_PR3.json", "baseline JSON with per-benchmark after.{ns_per_op,allocs_per_op}")
+		baselinePath = fs.String("baseline", "BENCH.json", "baseline JSON with per-benchmark after.{ns_per_op,allocs_per_op}")
 		inputPath    = fs.String("input", "", "bench output to judge (default: stdin)")
 		maxNsReg     = fs.Float64("max-ns-regression", 0.20, "maximum tolerated fractional ns/op regression")
 		allowMissing = fs.Bool("allow-missing", false, "do not fail when a baseline benchmark is absent from the input")
@@ -112,11 +121,15 @@ func run(args []string, stdin io.Reader, out io.Writer) error {
 		"benchmark", "base ns/op", "got ns/op", "Δns", "base allocs", "got allocs", "ok")
 	for _, name := range names {
 		want := base.Benchmarks[name].After
+		baseAllocs := "-"
+		if want.AllocsPerOp != nil {
+			baseAllocs = fmt.Sprintf("%.0f", *want.AllocsPerOp)
+		}
 		got, ok := samples[name]
 		if !ok {
 			if *allowMissing {
-				fmt.Fprintf(out, "%-34s %12.1f %12s %8s %10.0f %10s %6s\n",
-					name, want.NsPerOp, "-", "-", want.AllocsPerOp, "-", "skip")
+				fmt.Fprintf(out, "%-34s %12.1f %12s %8s %10s %10s %6s\n",
+					name, want.NsPerOp, "-", "-", baseAllocs, "-", "skip")
 				continue
 			}
 			failures = append(failures, fmt.Sprintf("%s: missing from bench output", name))
@@ -124,18 +137,27 @@ func run(args []string, stdin io.Reader, out io.Writer) error {
 		}
 		nsReg := got.ns/want.NsPerOp - 1
 		verdict := "yes"
-		if got.hasAll && got.allocs > want.AllocsPerOp {
+		gotAllocs := "-"
+		if got.hasAll {
+			gotAllocs = fmt.Sprintf("%.0f", got.allocs)
+		}
+		switch {
+		case want.AllocsPerOp == nil:
+		case !got.hasAll:
+			verdict = "NO"
+			failures = append(failures, fmt.Sprintf("%s: allocs/op missing (run with -benchmem)", name))
+		case got.allocs > *want.AllocsPerOp:
 			verdict = "NO"
 			failures = append(failures, fmt.Sprintf("%s: allocs/op %g exceeds baseline %g",
-				name, got.allocs, want.AllocsPerOp))
+				name, got.allocs, *want.AllocsPerOp))
 		}
 		if got.hasNs && want.NsPerOp > 0 && nsReg > *maxNsReg {
 			verdict = "NO"
 			failures = append(failures, fmt.Sprintf("%s: ns/op %.1f regresses %.1f%% over baseline %.1f (max %.0f%%)",
 				name, got.ns, nsReg*100, want.NsPerOp, *maxNsReg*100))
 		}
-		fmt.Fprintf(out, "%-34s %12.1f %12.1f %+7.1f%% %10.0f %10.0f %6s\n",
-			name, want.NsPerOp, got.ns, nsReg*100, want.AllocsPerOp, got.allocs, verdict)
+		fmt.Fprintf(out, "%-34s %12.1f %12.1f %+7.1f%% %10s %10s %6s\n",
+			name, want.NsPerOp, got.ns, nsReg*100, baseAllocs, gotAllocs, verdict)
 	}
 	if len(failures) > 0 {
 		return fmt.Errorf("%d benchmark regression(s):\n  %s",

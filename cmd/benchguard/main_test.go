@@ -52,14 +52,35 @@ func TestHealthyRunPasses(t *testing.T) {
 }
 
 func TestAllocRegressionFails(t *testing.T) {
-	bench := strings.Replace(healthy, "0 allocs/op", "1 allocs/op", 1)
-	out, err := guard(t, bench)
-	if err == nil {
-		t.Fatalf("1 alloc/op on a zero-alloc benchmark passed:\n%s", out)
+	for _, tc := range []struct{ name, bench, want string }{
+		{"one alloc on a zero-alloc path",
+			strings.Replace(healthy, "0 allocs/op", "1 allocs/op", 1),
+			"allocs/op 1 exceeds baseline 0"},
+		// Without -benchmem there is no allocs/op column: the alloc gate
+		// must fail rather than pass unjudged.
+		{"no -benchmem columns",
+			"BenchmarkSchedulerHotPath-16 100 127.9 ns/op\nBenchmarkTrial1Baseline-16 5 4900000 ns/op\n",
+			"BenchmarkSchedulerHotPath: allocs/op missing (run with -benchmem)"},
+	} {
+		out, err := guard(t, tc.bench)
+		if err == nil {
+			t.Fatalf("%s: passed:\n%s", tc.name, out)
+		}
+		if !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("%s: wrong failure: %v", tc.name, err)
+		}
 	}
-	if !strings.Contains(err.Error(), "allocs/op 1 exceeds baseline 0") {
-		t.Fatalf("wrong failure: %v", err)
+	// The missing column prints as "-", never as a measured 0.
+	out, _ := guard(t, "BenchmarkSchedulerHotPath-16 100 127.9 ns/op\nBenchmarkTrial1Baseline-16 5 4900000 ns/op 0 B/op 35767 allocs/op\n")
+	for _, line := range strings.Split(out, "\n") {
+		if f := strings.Fields(line); len(f) > 0 && f[0] == "BenchmarkSchedulerHotPath" {
+			if got := f[len(f)-2]; got != "-" {
+				t.Fatalf("got allocs column %q, want \"-\": %s", got, line)
+			}
+			return
+		}
 	}
+	t.Fatalf("no table row for BenchmarkSchedulerHotPath:\n%s", out)
 }
 
 func TestNsRegressionFails(t *testing.T) {

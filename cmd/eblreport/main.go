@@ -41,11 +41,11 @@ func main() {
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("eblreport", flag.ContinueOnError)
 	var (
-		jobs     = fs.Int("j", 0, "concurrent simulation runs (0 = one per CPU); output is identical at every -j")
-		stats    = fs.Bool("stats", false, "append per-trial telemetry summaries to the report")
-		statsJSN = fs.String("stats-json", "", "write all trials' telemetry as NDJSON to this path")
-		degrade  = fs.Bool("degrade", false, "print only the fault-injection degradation report")
-		degCSV   = fs.String("degrade-csv", "", "also write the degradation points as CSV to this path")
+		jobs      = fs.Int("j", 0, "concurrent simulation runs (0 = one per CPU); output is identical at every -j")
+		stats     = fs.Bool("stats", false, "append per-trial telemetry summaries to the report")
+		statsJSN  = fs.String("stats-json", "", "write all trials' telemetry as NDJSON to this path")
+		degrade   = fs.Bool("degrade", false, "print only the fault-injection degradation report")
+		degCSV    = fs.String("degrade-csv", "", "also write the degradation points as CSV to this path")
 		checkInv  = fs.Bool("check", false, "arm the runtime invariant checker on every run; non-zero exit on any violation")
 		latency   = fs.Bool("latency-breakdown", false, "print only the span-derived latency decomposition (TDMA vs 802.11)")
 		tolerance = fs.Float64("tolerance", 0, "print only the adaptive-precision report: replicate until every 95% CI is within this relative half-width (e.g. 0.05 = ±5%)")

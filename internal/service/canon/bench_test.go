@@ -11,7 +11,7 @@ var sinkHash Hash
 
 // BenchmarkCanonicalHash pins the cache-key hot path: encoding a
 // resolved trial config into a reused buffer and hashing it must not
-// allocate (BENCH_SERVICE.json holds it at 0 allocs/op). Every request
+// allocate (BENCH.json holds it at 0 allocs/op). Every request
 // the daemon serves — hit or miss — pays exactly this cost before the
 // cache is consulted.
 func BenchmarkCanonicalHash(b *testing.B) {
