@@ -55,7 +55,7 @@ MAX_NS_REGRESSION ?= 0.20
 bench-guard:
 	$(GO) build -o $(BIN)/benchguard ./cmd/benchguard
 	: > $(BIN)/bench.txt
-	$(GO) test -bench='BenchmarkScheduler(HotPath|CancelReschedule)$$' -benchmem -benchtime=2s -run='^$$' ./internal/sim | tee -a $(BIN)/bench.txt
+	$(GO) test -bench='BenchmarkScheduler(HotPath|CancelReschedule|Fanout)$$' -benchmem -benchtime=2s -run='^$$' ./internal/sim | tee -a $(BIN)/bench.txt
 	$(GO) test -bench='BenchmarkTrace(Encode|Decode)$$' -benchmem -benchtime=2s -run='^$$' ./internal/trace | tee -a $(BIN)/bench.txt
 	$(GO) test -bench='BenchmarkTruncationIndexTrial3Size$$' -benchmem -benchtime=2s -run='^$$' ./internal/metrics | tee -a $(BIN)/bench.txt
 	$(GO) test -bench='BenchmarkTrial1(Baseline|SpansDisarmed)$$' -benchmem -benchtime=5x -run='^$$' . | tee -a $(BIN)/bench.txt

@@ -93,6 +93,11 @@ func runWith(args []string, out, progress io.Writer) (err error) {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	// 0 stays accepted: it runs nothing, and the safety matrix then
+	// reports the missing indication delay itself.
+	if d := *duration; math.IsNaN(d) || math.IsInf(d, 0) || d < 0 {
+		return fmt.Errorf("invalid -duration %v: want finite seconds >= 0", d)
+	}
 	stopProf, err := prof.Start(*cpuProf, *memProf)
 	if err != nil {
 		return err

@@ -191,6 +191,13 @@ func TestDegradeAxisErrors(t *testing.T) {
 		{"-degrade", "-duration", "30", "-degrade-loss", "-1", "-degrade-burst", "1"},
 		{"-degrade", "-duration", "30", "-degrade-loss", "-1", "-degrade-burst", "4"},
 		{"-degrade", "-duration", "30", "-degrade-loss", "0.1", "-degrade-burst", "1,NaN"},
+		// A non-finite run length once hung the sweep in RunUntil.
+		{"-safety", "-duration", "NaN"},
+		{"-safety", "-duration", "inf"},
+		{"-perf", "-duration", "inf"},
+		{"-perf", "-duration", "-5"},
+		{"-degrade", "-duration", "NaN"},
+		{"-degrade", "-duration", "+Inf"},
 	} {
 		var out bytes.Buffer
 		err := runWith(args, &out, io.Discard)

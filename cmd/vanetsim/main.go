@@ -27,6 +27,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"strings"
 
@@ -78,6 +79,9 @@ func run(args []string, out io.Writer) (err error) {
 	fs.Var(&outages, "outage", "radio outage as node:start:duration seconds (repeatable)")
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	if d := *duration; math.IsNaN(d) || math.IsInf(d, 0) || d < 0 {
+		return fmt.Errorf("invalid -duration %v: want finite seconds >= 0 (0 = paper default)", d)
 	}
 	stopProf, err := prof.Start(*cpuProf, *memProf)
 	if err != nil {

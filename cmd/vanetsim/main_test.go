@@ -91,6 +91,12 @@ func TestRunErrors(t *testing.T) {
 		{"-trial", "0", "-mac", "zigbee"},
 		{"-trial", "1", "-duration", "40", "-csv", "Fig99"},
 		{"-trial", "1", "-duration", "40", "-ascii", "nope"},
+		// A non-finite run length once hung RunUntil (inf) or silently
+		// fell back to the paper default (NaN, negative).
+		{"-trial", "1", "-duration", "inf"},
+		{"-trial", "1", "-duration", "NaN"},
+		{"-trial", "1", "-duration", "-5"},
+		{"-dense", "120", "-mac", "802.11", "-duration", "inf"},
 	}
 	for _, args := range cases {
 		var sb strings.Builder

@@ -11,12 +11,12 @@
 //
 // The scheduler is also the simulator's hottest loop: every frame, timer,
 // and mobility manoeuvre passes through it several times. It therefore
-// avoids container/heap's interface boxing with an inlined concrete
-// min-heap, and recycles event nodes through a per-scheduler free list so
-// steady-state scheduling performs no heap allocation at all. Timer
-// handles are generation-checked values: a handle kept past its event's
-// firing (or cancellation) goes permanently inert, even after the
-// underlying node has been recycled for a new event.
+// keeps its pending events in one inlined binary min-heap on (at, seq),
+// avoiding container/heap's interface boxing, and recycles event nodes
+// through a per-scheduler free list so steady-state scheduling performs no
+// heap allocation at all. Timer handles are generation-checked values: a
+// handle kept past its event's firing (or cancellation) goes permanently
+// inert, even after the underlying node has been recycled for a new event.
 package sim
 
 import (
@@ -124,7 +124,7 @@ func (t Timer) Cancel() {
 // the replacement handle with ok true. It consumes a fresh sequence
 // number, so the firing order is exactly what Cancel followed by
 // re-scheduling the same callback at the new time would produce — but the
-// node is repositioned inside its heap instead of being removed and
+// node's key grows in place and it sifts down, instead of being removed and
 // re-inserted, which is markedly cheaper for the extend-busy pattern where
 // a deadline is pushed back many times per firing. Unlike the
 // cancel-and-reschedule it replaces, outstanding copies of the old handle
@@ -142,60 +142,9 @@ func (t Timer) Postpone(at Time) (Timer, bool) {
 	n.at = at
 	n.seq = s.seq
 	s.seq++
-	e := heapEntry{at: at, seq: n.seq, n: n}
-	switch {
-	case n.index&farBit != 0:
-		// Already in the far heap; the key only grew, so sift down.
-		i := n.index &^ farBit
-		s.far[i] = e
-		tierSiftDown(s.far, farBit, i)
-	case n.index&soonBit != 0:
-		// In the soon heap: sift down in place, or move outward when the
-		// new deadline crossed the soon horizon.
-		i := n.index &^ soonBit
-		if at <= s.soonHorizon {
-			s.soon[i] = e
-			tierSiftDown(s.soon, soonBit, i)
-		} else {
-			tierRemoveAt(&s.soon, soonBit, i)
-			j := len(s.far)
-			n.index = farBit | j
-			s.far = append(s.far, e)
-			tierSiftUp(s.far, farBit, j)
-		}
-	case at <= s.horizon:
-		// Stays in the near heap; the key only grew, so sift down.
-		i := n.index
-		s.heap[i] = e
-		s.siftDown(i)
-	default:
-		// Crossed the horizon: detach from near, insert into soon or far.
-		i := n.index
-		h := s.heap
-		last := len(h) - 1
-		moved := h[last]
-		h[last] = heapEntry{}
-		s.heap = h[:last]
-		if i != last {
-			s.heap[i] = moved
-			moved.n.index = i
-			s.siftDown(i)
-			if moved.n.index == i {
-				s.siftUp(i)
-			}
-		}
-		if at <= s.soonHorizon {
-			j := len(s.soon)
-			n.index = soonBit | j
-			s.soon = append(s.soon, e)
-			tierSiftUp(s.soon, soonBit, j)
-		} else {
-			j := len(s.far)
-			n.index = farBit | j
-			s.far = append(s.far, e)
-			tierSiftUp(s.far, farBit, j)
-		}
-	}
+	// The key only grew, so the entry can only move toward the leaves.
+	s.heap[n.index] = heapEntry{at: at, seq: n.seq, n: n}
+	s.siftDown(n.index)
 	return Timer{n: n, gen: n.gen, at: at}, true
 }
 
@@ -211,15 +160,11 @@ func (t Timer) When() Time { return t.at }
 // the pending-event queue. The zero value is a ready-to-use scheduler at
 // time 0.
 type Scheduler struct {
-	now         Time
-	seq         uint64
-	heap        []heapEntry  // near heap: pending events with at <= horizon
-	soon        []heapEntry  // soon heap: horizon < at <= soonHorizon
-	far         []heapEntry  // far heap: pending events with at > soonHorizon
-	horizon     Time         // near/soon split point, monotone
-	soonHorizon Time         // soon/far split point, monotone, >= horizon
-	free        []*timerNode // recycled nodes, LIFO
-	stopped     bool
+	now     Time
+	seq     uint64
+	heap    []heapEntry  // pending events, a binary min-heap on (at, seq)
+	free    []*timerNode // recycled nodes, LIFO
+	stopped bool
 
 	executed   uint64           // number of events fired, for instrumentation
 	byKind     [numKinds]uint64 // events fired, split by EventKind
@@ -230,17 +175,6 @@ type Scheduler struct {
 	// the runtime invariant checker; the disabled state costs Step one nil
 	// comparison.
 	stepHook func(from, to Time)
-
-	// mig is prime's reusable migration scratch.
-	mig migScratch
-}
-
-// migScratch holds drainTier's reusable state so steady-state horizon
-// migration allocates nothing.
-type migScratch struct {
-	ents   []heapEntry // the migrating batch, in BFS collection order
-	holes  []int       // BFS queue, then: vacated source positions
-	filled []int       // hole indices that received a tail entry
 }
 
 // SetStepHook installs an observer called on every Step with the clock's
@@ -266,7 +200,7 @@ func (s *Scheduler) ExecutedByKind() []uint64 {
 }
 
 // Pending returns the number of events currently scheduled.
-func (s *Scheduler) Pending() int { return len(s.heap) + len(s.soon) + len(s.far) }
+func (s *Scheduler) Pending() int { return len(s.heap) }
 
 // MaxPending returns the pending-heap high-water mark: the largest number
 // of simultaneously scheduled events seen so far.
@@ -332,7 +266,7 @@ func (s *Scheduler) insert(kind EventKind, t Time, fn func(), fnArg func(any), a
 	n.at, n.seq, n.fn, n.fnArg, n.arg, n.kind = t, s.seq, fn, fnArg, arg, kind
 	s.seq++
 	s.push(n)
-	if p := len(s.heap) + len(s.soon) + len(s.far); p > s.maxPending {
+	if p := len(s.heap); p > s.maxPending {
 		s.maxPending = p
 	}
 	return Timer{n: n, gen: n.gen, at: t}
@@ -346,15 +280,9 @@ func (s *Scheduler) release(n *timerNode) {
 	n.fn = nil
 	n.fnArg = nil
 	n.arg = nil
-	n.index = indexFree
+	n.index = -1
 	s.free = append(s.free, n)
 }
-
-// Node index sentinels while a node is outside every heap.
-const (
-	indexFree      = -1 // on the free list (set by release)
-	indexMigrating = -2 // mid-flight inside drainTier, reassigned before it returns
-)
 
 // fireNode advances the clock to n and invokes its callback. It captures
 // the callback and recycles the node before invoking it, so a callback
@@ -382,10 +310,7 @@ func (s *Scheduler) Step() bool {
 		return false
 	}
 	if len(s.heap) == 0 {
-		s.prime()
-		if len(s.heap) == 0 {
-			return false
-		}
+		return false
 	}
 	s.fireNode(s.popMin())
 	return true
@@ -399,14 +324,15 @@ func (s *Scheduler) Run() {
 
 // RunUntil fires events with timestamps <= deadline, then advances the
 // clock to the deadline (if the run wasn't stopped early). Events scheduled
-// after the deadline remain pending.
+// after the deadline remain pending. It panics on a NaN deadline, which
+// no event compares later than, so the run would never stop.
 func (s *Scheduler) RunUntil(deadline Time) {
+	if math.IsNaN(float64(deadline)) {
+		panic(fmt.Sprintf("sim: RunUntil with NaN deadline at t=%v", s.now))
+	}
 	for {
 		if s.stopped {
 			return
-		}
-		if len(s.heap) == 0 {
-			s.prime()
 		}
 		if len(s.heap) == 0 || s.heap[0].at > deadline {
 			break
@@ -425,58 +351,17 @@ func (s *Scheduler) Stop() { s.stopped = true }
 // Stopped reports whether Stop has been called.
 func (s *Scheduler) Stopped() bool { return s.stopped }
 
-// The pending queue is a trio of hand-inlined binary min-heaps on
-// (at, seq): the earliest deadline wins, equal deadlines fire in
-// scheduling order. Heap entries carry the (at, seq) key inline next to
-// the node pointer, so the sift loops compare keys without dereferencing
-// nodes — on a heap of many thousands of pending events every such
-// dereference is a likely cache miss, and the sift comparison is the
-// scheduler's single hottest load. (A 4-ary layout was tried here and
-// lost: the bottom-up pop below costs one comparison per level, so halving
-// the levels while tripling the per-level comparisons is a net slowdown
-// once keys are inline.) The sift loops move a hole instead of swapping,
-// and node.index is maintained throughout so Cancel can remove from the
-// middle in O(log n).
-//
-// The heaps split the queue at two moving horizons. Wireless workloads
-// are sharply trimodal: the bulk of events are first-bit arrivals due
-// within a couple of microseconds (propagation delay), MAC timers and
-// frame-end events sit tens of microseconds to a millisecond out, and
-// application/routing timers sit tens of milliseconds or seconds out. One
-// combined heap forces every arrival to sift through thousands of
-// far-future timers. The near heap holds events with at <= horizon and
-// serves every pop; the soon heap holds (horizon, soonHorizon]; the far
-// heap holds the rest. When the near heap drains, prime advances the
-// horizon just past the soon heap's minimum (capped at soonHorizon) and
-// migrates what now falls inside; when the soon heap drains too,
-// primeSoon first refills it the same way from the far heap. The middle
-// tier is what keeps migration cheap: the per-event churn of MAC-scale
-// timers sifts through a heap holding only the next soonWindow of work —
-// small enough to stay cache-resident — while the thousands of pending
-// application timers are disturbed only once per soonWindow. Every pop
-// still returns the global (at, seq) minimum — soon and far entries are
-// strictly later than the horizon and so than every near entry — and
-// equal keys never straddle a split, so the fired order is
-// byte-identical to the single heap's.
-
-// nearWindow is how far past the soon heap's minimum the horizon jumps
-// on each prime: wide enough to keep a batch of in-flight arrivals near,
-// narrow enough that the near heap stays small.
-const nearWindow = 8 * Microsecond
-
-// soonWindow is how far past the far heap's minimum the soon horizon
-// jumps when the soon heap refills: wide enough to absorb the MAC/frame
-// timer churn between refills, narrow enough that the soon heap stays a
-// small fraction of the pending set.
-const soonWindow = 8 * Millisecond
-
-// farBit and soonBit mark node.index values that point into the far and
-// soon heaps. Positions within any heap stay well below either bit, and
-// the sentinel values (indexFree, indexMigrating) stay negative.
-const (
-	farBit  = 1 << 30
-	soonBit = 1 << 29
-)
+// The pending queue is a hand-inlined binary min-heap on (at, seq): the
+// earliest deadline wins, equal deadlines fire in scheduling order. Heap
+// entries carry the (at, seq) key inline next to the node pointer, so the
+// sift loops compare keys without dereferencing nodes — on a heap of many
+// thousands of pending events every such dereference is a likely cache
+// miss, and the sift comparison is the scheduler's single hottest load. (A
+// 4-ary layout was tried here and lost: the bottom-up pop below costs one
+// comparison per level, so halving the levels while tripling the per-level
+// comparisons is a net slowdown once keys are inline.) The sift loops move
+// a hole instead of swapping, and node.index is maintained throughout so
+// Cancel can remove from the middle in O(log n).
 
 // heapEntry is one pending-queue slot: the ordering key, duplicated from
 // the node, plus the node itself.
@@ -494,142 +379,11 @@ func lessEntry(a, b heapEntry) bool {
 	return a.seq < b.seq
 }
 
-// push routes n into the near, soon, or far heap by its deadline.
+// push inserts n into the heap.
 func (s *Scheduler) push(n *timerNode) {
-	e := heapEntry{at: n.at, seq: n.seq, n: n}
-	switch {
-	case n.at <= s.horizon:
-		n.index = len(s.heap)
-		s.heap = append(s.heap, e)
-		s.siftUp(n.index)
-	case n.at <= s.soonHorizon:
-		i := len(s.soon)
-		n.index = soonBit | i
-		s.soon = append(s.soon, e)
-		tierSiftUp(s.soon, soonBit, i)
-	default:
-		i := len(s.far)
-		n.index = farBit | i
-		s.far = append(s.far, e)
-		tierSiftUp(s.far, farBit, i)
-	}
-}
-
-// prime refills an empty near heap from the soon heap: the horizon
-// advances to just past the soon minimum (never backwards, so the outer
-// heaps' at > horizon invariant is preserved; never past soonHorizon, so
-// the far heap's at > horizon invariant is preserved too) and every soon
-// entry now at or below it migrates. When the soon heap is empty it is
-// first refilled from the far heap. A no-op while the near heap has
-// events.
-func (s *Scheduler) prime() {
-	if len(s.heap) != 0 {
-		return
-	}
-	if len(s.soon) == 0 {
-		s.primeSoon()
-		if len(s.soon) == 0 {
-			return
-		}
-	}
-	h := s.soon[0].at + nearWindow
-	if h > s.soonHorizon {
-		h = s.soonHorizon
-	}
-	if h > s.horizon {
-		s.horizon = h
-	}
-	// The near heap is empty here, so the migrated batch builds it with
-	// one Floyd pass instead of a siftUp per entry.
-	s.drainTier(&s.soon, soonBit, s.horizon)
-	for _, e := range s.mig.ents {
-		e.n.index = len(s.heap)
-		s.heap = append(s.heap, e)
-	}
-	for i := len(s.heap)/2 - 1; i >= 0; i-- {
-		s.siftDown(i)
-	}
-}
-
-// primeSoon refills an empty soon heap from the far heap, advancing the
-// soon horizon to just past the far minimum.
-func (s *Scheduler) primeSoon() {
-	if len(s.far) == 0 {
-		return
-	}
-	if h := s.far[0].at + soonWindow; h > s.soonHorizon {
-		s.soonHorizon = h
-	}
-	s.drainTier(&s.far, farBit, s.soonHorizon)
-	for _, e := range s.mig.ents {
-		e.n.index = soonBit | len(s.soon)
-		s.soon = append(s.soon, e)
-	}
-	for i := len(s.soon)/2 - 1; i >= 0; i-- {
-		tierSiftDown(s.soon, soonBit, i)
-	}
-}
-
-// drainTier lifts every entry of the tier heap *hp with at <= limit into
-// s.mig.ents (overwriting the previous batch) and repairs the heap with
-// one structural pass. The lifted set is up-closed — a lifted entry's
-// parent is no later, so it is lifted too — so it is a subtree hanging
-// from the root, and collecting it is a bounded BFS. The repair refills
-// the vacated subtree from the tail, then Floyd-sifts the refilled
-// positions deepest-first. Lifting k entries this way costs O(k)
-// collection plus the repair, where popping them one by one would cost a
-// full root-to-leaf sift through the whole tier each.
-func (s *Scheduler) drainTier(hp *[]heapEntry, tag int, limit Time) {
-	m := &s.mig
-	m.ents = m.ents[:0]
-	h := *hp
-	if len(h) == 0 || h[0].at > limit {
-		return
-	}
-	m.holes = m.holes[:0]
-	m.holes = append(m.holes, 0)
-	for qi := 0; qi < len(m.holes); qi++ {
-		i := m.holes[qi]
-		m.ents = append(m.ents, h[i])
-		h[i].n.index = indexMigrating
-		if l := 2*i + 1; l < len(h) && h[l].at <= limit {
-			m.holes = append(m.holes, l)
-		}
-		if r := 2*i + 2; r < len(h) && h[r].at <= limit {
-			m.holes = append(m.holes, r)
-		}
-	}
-	// Refill the vacated subtree from the tail. BFS of a heap subtree emits
-	// indices in ascending order, so the holes are filled lowest first and,
-	// when the tail runs out, every hole at or past the shrunken end simply
-	// falls off. A slot is dead — lifted, or the source of an earlier move —
-	// exactly when its node's index disagrees with its position, so no
-	// nil-marking pass (and none of its GC write-barrier traffic) is
-	// needed. Each refilled entry's in-range ancestors are themselves
-	// refilled holes (the lifted set is up-closed), so sifting them in
-	// descending index order re-establishes the invariant exactly as
-	// build-heap would.
-	last := len(h) - 1
-	m.filled = m.filled[:0]
-	for _, i := range m.holes {
-		for last >= 0 && h[last].n.index != tag|last {
-			last--
-		}
-		if i >= last {
-			break
-		}
-		h[i] = h[last]
-		h[i].n.index = tag | i
-		last--
-		m.filled = append(m.filled, i)
-	}
-	for last >= 0 && h[last].n.index != tag|last {
-		last--
-	}
-	*hp = h[:last+1]
-	for j := len(m.filled) - 1; j >= 0; j-- {
-		tierSiftDown(h[:last+1], tag, m.filled[j])
-	}
+	n.index = len(s.heap)
+	s.heap = append(s.heap, heapEntry{at: n.at, seq: n.seq, n: n})
+	s.siftUp(n.index)
 }
 
 // popMin removes and returns the earliest node, repairing bottom-up
@@ -673,16 +427,6 @@ func (s *Scheduler) popMin() *timerNode {
 
 // remove deletes n from an arbitrary heap position and releases it.
 func (s *Scheduler) remove(n *timerNode) {
-	if n.index&farBit != 0 {
-		tierRemoveAt(&s.far, farBit, n.index&^farBit)
-		s.release(n)
-		return
-	}
-	if n.index&soonBit != 0 {
-		tierRemoveAt(&s.soon, soonBit, n.index&^soonBit)
-		s.release(n)
-		return
-	}
 	i := n.index
 	h := s.heap
 	last := len(h) - 1
@@ -716,73 +460,6 @@ func (s *Scheduler) siftUp(j int) {
 	}
 	h[j] = e
 	e.n.index = j
-}
-
-// The outer heaps' operations mirror the near heap's with tag-marked
-// indices (soonBit or farBit). They see only inserts, cancels, and the
-// prime migrations — never the per-event pop traffic — so a plain
-// top-down pop suffices.
-
-// tierRemoveAt deletes the entry at position i of the tier heap *hp.
-func tierRemoveAt(hp *[]heapEntry, tag, i int) {
-	h := *hp
-	last := len(h) - 1
-	moved := h[last]
-	h[last] = heapEntry{}
-	*hp = h[:last]
-	if i != last {
-		h = h[:last]
-		h[i] = moved
-		moved.n.index = tag | i
-		tierSiftDown(h, tag, i)
-		if moved.n.index == tag|i {
-			tierSiftUp(h, tag, i)
-		}
-	}
-}
-
-// tierSiftUp moves the tier entry at j toward the root until its parent
-// is earlier.
-func tierSiftUp(h []heapEntry, tag, j int) {
-	e := h[j]
-	for j > 0 {
-		i := (j - 1) / 2
-		p := h[i]
-		if !lessEntry(e, p) {
-			break
-		}
-		h[j] = p
-		p.n.index = tag | j
-		j = i
-	}
-	h[j] = e
-	e.n.index = tag | j
-}
-
-// tierSiftDown moves the tier entry at i toward the leaves until both
-// children are later.
-func tierSiftDown(h []heapEntry, tag, i int) {
-	e := h[i]
-	size := len(h)
-	for {
-		l := 2*i + 1
-		if l >= size {
-			break
-		}
-		j := l
-		if r := l + 1; r < size && lessEntry(h[r], h[l]) {
-			j = r
-		}
-		c := h[j]
-		if !lessEntry(c, e) {
-			break
-		}
-		h[i] = c
-		c.n.index = tag | i
-		i = j
-	}
-	h[i] = e
-	e.n.index = tag | i
 }
 
 // siftDown moves the entry at i toward the leaves until both children are

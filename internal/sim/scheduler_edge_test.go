@@ -263,10 +263,10 @@ func refCohortProgram(ops []cohortOp, deadline Time) (mid, end cohortTrace) {
 // TestSchedulerMatchesReferenceHeap is the migration property test: for
 // arbitrary interleavings of schedule and cancel operations, the inlined
 // heap pops events in exactly the order the container/heap implementation
-// it replaced would have. The second half runs fat same-timestamp cohorts
-// across the tier horizons, with callbacks that chain zero- and
-// short-delay reschedules and cancel earlier timers, and checks the clock
-// and profile too, both at a mid-program RunUntil deadline and after Run.
+// it replaced would have. The second half runs fat same-timestamp cohorts,
+// with callbacks that chain zero- and short-delay reschedules and cancel
+// earlier timers, and checks the clock and profile too, both at a
+// mid-program RunUntil deadline and after Run.
 func TestSchedulerMatchesReferenceHeap(t *testing.T) {
 	type op struct {
 		Delay    uint16

@@ -176,13 +176,34 @@ func TestSchedulerPanicsOnNegativeDelay(t *testing.T) {
 }
 
 func TestSchedulerPanicsOnNaN(t *testing.T) {
-	s := New()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("NaN delay did not panic")
-		}
-	}()
-	s.Schedule(Time(math.NaN()), func() {})
+	nan := Time(math.NaN())
+	for name, call := range map[string]func(s *Scheduler){
+		"Schedule": func(s *Scheduler) { s.Schedule(nan, func() {}) },
+		"At":       func(s *Scheduler) { s.At(nan, func() {}) },
+		// A NaN deadline compares later than no event, so an unchecked
+		// RunUntil would never stop while a periodic timer is pending
+		// (here it stops after 1000 ticks, so the test fails, not hangs).
+		"RunUntil": func(s *Scheduler) {
+			var tick func()
+			tick = func() {
+				if s.Now() >= 1000 {
+					s.Stop()
+				}
+				s.Schedule(1, tick)
+			}
+			s.Schedule(1, tick)
+			s.RunUntil(nan)
+		},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("%s with NaN did not panic", name)
+				}
+			}()
+			call(New())
+		}()
+	}
 }
 
 func TestSchedulerPendingAndExecuted(t *testing.T) {
