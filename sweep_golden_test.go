@@ -20,12 +20,12 @@ import (
 const sweepGoldenPath = "testdata/sweep_golden.json"
 
 // checkDigests compares each named output's SHA-256 against the pinned
-// digests in sweepGoldenPath, or — under -update-golden — merges them
-// into the file, leaving keys owned by other tests untouched.
-func checkDigests(t *testing.T, got map[string]string) {
+// digests in the golden file at path, or — under -update-golden — merges
+// them into the file, leaving keys owned by other tests untouched.
+func checkDigests(t *testing.T, path string, got map[string]string) {
 	t.Helper()
 	want := map[string]string{}
-	raw, err := os.ReadFile(sweepGoldenPath)
+	raw, err := os.ReadFile(path)
 	if err == nil {
 		err = json.Unmarshal(raw, &want)
 	}
@@ -40,10 +40,10 @@ func checkDigests(t *testing.T, got map[string]string) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(sweepGoldenPath, append(b, '\n'), 0o644); err != nil {
+		if err := os.WriteFile(path, append(b, '\n'), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		t.Logf("rewrote %s (%d digests)", sweepGoldenPath, len(want))
+		t.Logf("rewrote %s (%d digests)", path, len(want))
 		return
 	}
 	if err != nil {
@@ -84,7 +84,7 @@ func TestDegradationGolden(t *testing.T) {
 		got[name+"/table"] = sha([]byte(vanetsim.FormatDegradationTable(pts)))
 		got[name+"/csv"] = sha([]byte(vanetsim.DegradationCSV(pts)))
 	}
-	checkDigests(t, got)
+	checkDigests(t, sweepGoldenPath, got)
 }
 
 // TestReplicationGolden pins the fixed-seed study report for trial 3
@@ -107,5 +107,5 @@ func TestReplicationGolden(t *testing.T) {
 		}
 		got[name] = sha([]byte(st.String()))
 	}
-	checkDigests(t, got)
+	checkDigests(t, sweepGoldenPath, got)
 }
