@@ -34,7 +34,7 @@ check:
 	$(BIN)/vanetsim-check -check -trial 2 > /dev/null
 	$(BIN)/vanetsim-check -check -trial 3 > /dev/null
 	$(BIN)/vanetsim-check -check -trial 0 -mac 802.11 -packet 500 > /dev/null
-	$(BIN)/vanetsim-check -check -dense 240 -mac 802.11 -duration 8 > /dev/null
+	$(BIN)/vanetsim-check -check -dense 240 -mac 802.11 -duration 8 -spans $(BIN)/dense-spans.ndjson > /dev/null
 	$(GO) build -o $(BIN)/eblreport-check ./cmd/eblreport
 	$(BIN)/eblreport-check -check -degrade > /dev/null
 

@@ -1,6 +1,6 @@
 // Golden output gate for the degradation sweep: stdout, the stderr
-// progress stream and the -stats-json NDJSON (minus its host-clock
-// gauges) are pinned as SHA-256 digests, so the sweep engine beneath
+// progress stream and the -stats-json NDJSON are pinned as SHA-256
+// digests, so the sweep engine beneath
 // them may be restructured without moving a byte.
 //
 // Regenerate (only when an intentional behaviour change lands) with:
@@ -43,7 +43,7 @@ func TestDegradeSweepGolden(t *testing.T) {
 		}
 		got[name+"/stdout"] = digest(out.Bytes())
 		got[name+"/stderr"] = digest(prog.Bytes())
-		got[name+"/ndjson"] = digest(stripWallGauges(nd))
+		got[name+"/ndjson"] = digest(nd)
 	}
 
 	if *updateGolden {

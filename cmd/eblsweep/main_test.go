@@ -42,25 +42,9 @@ func TestPerfSweepOnly(t *testing.T) {
 	}
 }
 
-// stripWallGauges removes the two host-clock NDJSON lines
-// (run/wall_seconds, run/wall_per_sim_s) — the only metrics that vary
-// between invocations even sequentially (see the determinism note in
-// README).
-func stripWallGauges(ndjson []byte) []byte {
-	var out [][]byte
-	for _, line := range bytes.Split(ndjson, []byte{'\n'}) {
-		if bytes.Contains(line, []byte(`"run/wall_`)) {
-			continue
-		}
-		out = append(out, line)
-	}
-	return bytes.Join(out, []byte{'\n'})
-}
-
 // TestParallelDeterminism is the tentpole's golden test: the full sweep
 // at -j 8 must produce byte-identical stdout, progress, and NDJSON to
-// -j 1 (NDJSON modulo the two wall-clock gauges, which differ between
-// ANY two invocations). CI runs this under -race with -count=2.
+// -j 1. CI runs this under -race with -count=2.
 func TestParallelDeterminism(t *testing.T) {
 	dir := t.TempDir()
 	invoke := func(j string) (stdout, progress, ndjson []byte) {
@@ -85,8 +69,8 @@ func TestParallelDeterminism(t *testing.T) {
 	if !bytes.Equal(seqProg, parProg) {
 		t.Errorf("progress stream differs between -j 1 and -j 8:\n--- j=1\n%s\n--- j=8\n%s", seqProg, parProg)
 	}
-	if a, b := stripWallGauges(seqND), stripWallGauges(parND); !bytes.Equal(a, b) {
-		t.Errorf("NDJSON differs between -j 1 and -j 8 (%d vs %d bytes)", len(a), len(b))
+	if !bytes.Equal(seqND, parND) {
+		t.Errorf("NDJSON differs between -j 1 and -j 8 (%d vs %d bytes)", len(seqND), len(parND))
 	}
 	if len(seqND) == 0 || !bytes.Contains(seqND, []byte(`"kind":"run"`)) {
 		t.Error("NDJSON stream missing run headers")

@@ -13,6 +13,7 @@
 //	vanetsim -trial 1 -stats-json m.ndjson  # machine-readable run report
 //	vanetsim -trial 1 -spans s.ndjson # causal per-packet span events
 //	vanetsim -trial 3 -spans-chrome s.json  # the same, for chrome://tracing
+//	vanetsim -dense 240 -mac 802.11 -check -spans s.ndjson  # dense highway, same outputs
 //
 // Fault injection (deterministic, seedable; see README "Fault injection"):
 //
@@ -33,6 +34,7 @@ import (
 
 	"vanetsim"
 	"vanetsim/internal/prof"
+	"vanetsim/internal/trace"
 )
 
 func main() {
@@ -48,20 +50,13 @@ func run(args []string, out io.Writer) (err error) {
 		cpuProf  = fs.String("cpuprofile", "", "write a CPU profile to this path")
 		memProf  = fs.String("memprofile", "", "write an allocation profile to this path")
 		trial    = fs.Int("trial", 1, "paper trial to run (1, 2 or 3); 0 to build from -mac/-packet")
-		macName  = fs.String("mac", "tdma", "MAC type for -trial 0: tdma or 802.11")
+		macName  = fs.String("mac", "tdma", "MAC type for -trial 0 and -dense: tdma or 802.11")
 		pktSize  = fs.Int("packet", 1000, "packet size in bytes for -trial 0")
 		duration = fs.Float64("duration", 0, "override simulated seconds (0 = paper default)")
 		seed     = fs.Uint64("seed", 0, "override RNG seed (0 = default)")
 		csvFig   = fs.String("csv", "", "print one figure as CSV (Fig5..Fig15)")
 		asciiFig = fs.String("ascii", "", "print one figure as an ASCII plot (Fig5..Fig15)")
-		traceOut = fs.String("trace", "", "write an agent-level trace file to this path")
 		animate  = fs.Bool("anim", false, "play an ASCII animation of vehicle motion (nam's role)")
-		stats    = fs.Bool("stats", false, "print the cross-layer telemetry summary after the run")
-		checkInv = fs.Bool("check", false, "arm the runtime invariant checker; non-zero exit on any violation")
-		spansOut = fs.String("spans", "", "write causal per-packet span events as NDJSON to this path")
-		spansChr = fs.String("spans-chrome", "", "write span events as Chrome trace-event JSON to this path")
-		statsJSN = fs.String("stats-json", "", "write run telemetry as NDJSON to this path")
-		statsPrm = fs.String("stats-prom", "", "write run telemetry in Prometheus text format to this path")
 		dense    = fs.Int("dense", 0, "run the dense multi-lane highway with this many vehicles (200–2000 typical) instead of a paper trial")
 		lanes    = fs.Int("lanes", 4, "lane count for -dense")
 		platoon  = fs.Int("platoon-len", 10, "vehicles per platoon for -dense")
@@ -75,13 +70,32 @@ func run(args []string, out io.Writer) (err error) {
 		burstLen = fs.Float64("burst-len", 4, "mean burst length in frames for -burst-loss")
 		shadow   = fs.Float64("shadow", 0, "log-normal shadowing standard deviation in dB")
 		outages  outageList
+		o        outputs
 	)
 	fs.Var(&outages, "outage", "radio outage as node:start:duration seconds (repeatable)")
+	fs.StringVar(&o.trace, "trace", "", "write an agent-level trace file to this path")
+	fs.BoolVar(&o.stats, "stats", false, "print the cross-layer telemetry summary after the run")
+	fs.BoolVar(&o.check, "check", false, "arm the runtime invariant checker; non-zero exit on any violation")
+	fs.StringVar(&o.spans, "spans", "", "write causal per-packet span events as NDJSON to this path")
+	fs.StringVar(&o.spansChrome, "spans-chrome", "", "write span events as Chrome trace-event JSON to this path")
+	fs.StringVar(&o.statsJSON, "stats-json", "", "write run telemetry as NDJSON to this path")
+	fs.StringVar(&o.statsProm, "stats-prom", "", "write run telemetry in Prometheus text format to this path")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	if d := *duration; math.IsNaN(d) || math.IsInf(d, 0) || d < 0 {
 		return fmt.Errorf("invalid -duration %v: want finite seconds >= 0 (0 = paper default)", d)
+	}
+	if *dense > 0 {
+		var trialOnly []string
+		fs.Visit(func(f *flag.Flag) {
+			if denseRejects[f.Name] {
+				trialOnly = append(trialOnly, "-"+f.Name)
+			}
+		})
+		if len(trialOnly) > 0 {
+			return fmt.Errorf("-dense does not take %s", strings.Join(trialOnly, ", "))
+		}
 	}
 	stopProf, err := prof.Start(*cpuProf, *memProf)
 	if err != nil {
@@ -94,13 +108,9 @@ func run(args []string, out io.Writer) (err error) {
 	}()
 
 	if *dense > 0 {
-		mac := vanetsim.MACTDMA
-		switch strings.ToLower(*macName) {
-		case "tdma":
-		case "802.11", "dcf", "80211":
-			mac = vanetsim.MAC80211
-		default:
-			return fmt.Errorf("unknown MAC %q", *macName)
+		mac, err := parseMAC(*macName)
+		if err != nil {
+			return err
 		}
 		dcfg := vanetsim.DefaultDenseHighway(mac, *dense)
 		dcfg.Lanes = *lanes
@@ -109,15 +119,16 @@ func run(args []string, out io.Writer) (err error) {
 		dcfg.BeaconJitter = *beaconJt
 		dcfg.SafetyDepth = *safDepth
 		dcfg.DisableCulling = *noCull
-		dcfg.Telemetry = *stats || *statsJSN != "" || *statsPrm != ""
-		dcfg.Check = *checkInv
+		dcfg.Telemetry = o.telemetry()
+		dcfg.Check = o.check
+		dcfg.Spans = o.spanned()
 		if *duration > 0 {
 			dcfg.Duration = vanetsim.Seconds(*duration)
 		}
 		if *seed != 0 {
 			dcfg.Seed = *seed
 		}
-		return runDense(dcfg, *stats, *statsJSN, *statsPrm, out)
+		return runDense(dcfg, o, out)
 	}
 
 	var cfg vanetsim.TrialConfig
@@ -132,13 +143,8 @@ func run(args []string, out io.Writer) (err error) {
 		cfg = vanetsim.Trial1()
 		cfg.Name = "custom"
 		cfg.PacketSize = *pktSize
-		switch strings.ToLower(*macName) {
-		case "tdma":
-			cfg.MAC = vanetsim.MACTDMA
-		case "802.11", "dcf", "80211":
-			cfg.MAC = vanetsim.MAC80211
-		default:
-			return fmt.Errorf("unknown MAC %q", *macName)
+		if cfg.MAC, err = parseMAC(*macName); err != nil {
+			return err
 		}
 	default:
 		return fmt.Errorf("unknown trial %d", *trial)
@@ -149,10 +155,10 @@ func run(args []string, out io.Writer) (err error) {
 	if *seed != 0 {
 		cfg.Seed = *seed
 	}
-	cfg.CollectTrace = *traceOut != ""
-	cfg.Telemetry = *stats || *statsJSN != "" || *statsPrm != ""
-	cfg.Check = *checkInv
-	cfg.Spans = *spansOut != "" || *spansChr != ""
+	cfg.CollectTrace = o.trace != ""
+	cfg.Telemetry = o.telemetry()
+	cfg.Check = o.check
+	cfg.Spans = o.spanned()
 	if *burstP < 0 || *burstP > 1 {
 		return fmt.Errorf("-burst-loss %v outside [0, 1]", *burstP)
 	}
@@ -170,9 +176,104 @@ func run(args []string, out io.Writer) (err error) {
 	}
 
 	r := vanetsim.RunTrial(cfg)
-	if *checkInv {
-		if n := len(r.Violations); n > 0 {
-			for i, v := range r.Violations {
+	return o.emit(&r.Observations, cfg.Name, out, func() error {
+		if *csvFig != "" {
+			f, err := figureByName(r, *csvFig)
+			if err != nil {
+				return err
+			}
+			fmt.Fprint(out, f.CSV())
+			return nil
+		}
+		if *asciiFig != "" {
+			f, err := figureByName(r, *asciiFig)
+			if err != nil {
+				return err
+			}
+			fmt.Fprint(out, f.ASCII(70, 16))
+			return nil
+		}
+		if *animate && r.Anim != nil {
+			vp := r.Anim.AutoViewport(30)
+			if err := r.Anim.Play(out, vp, 72, 18, 2); err != nil {
+				return err
+			}
+			fmt.Fprint(out, r.Anim.Legend())
+			return nil
+		}
+		fmt.Fprintf(out, "%v — %s MAC, %d-byte packets, %.0f s simulated\n\n",
+			cfg.Name, cfg.MAC, cfg.PacketSize, float64(cfg.Duration))
+		fmt.Fprintln(out, "One-way delay (per receiving vehicle):")
+		fmt.Fprint(out, vanetsim.FormatDelayTable(vanetsim.DelayTable(r)))
+		fmt.Fprintln(out, "\nThroughput (per platoon, 95% batch-means CI):")
+		fmt.Fprint(out, vanetsim.FormatThroughputTable(vanetsim.ThroughputTable(r)))
+		fmt.Fprintln(out, "\nStopping-distance analysis (initial packet, platoon 1):")
+		fmt.Fprint(out, vanetsim.FormatStoppingTable(vanetsim.StoppingTable(r)))
+		return nil
+	})
+}
+
+// denseRejects names the flags that configure a paper trial only; -dense
+// refuses them rather than silently ignoring them.
+var denseRejects = map[string]bool{
+	"trial": true, "packet": true, "trace": true, "anim": true, "csv": true,
+	"ascii": true, "loss": true, "ber": true, "burst-loss": true,
+	"burst-len": true, "shadow": true, "outage": true,
+}
+
+// parseMAC resolves a -mac value.
+func parseMAC(name string) (vanetsim.MACType, error) {
+	switch strings.ToLower(name) {
+	case "tdma":
+		return vanetsim.MACTDMA, nil
+	case "802.11", "dcf", "80211":
+		return vanetsim.MAC80211, nil
+	}
+	return 0, fmt.Errorf("unknown MAC %q", name)
+}
+
+// runDense executes and summarises the dense multi-lane scaling scenario.
+func runDense(cfg vanetsim.DenseHighwayConfig, o outputs, out io.Writer) error {
+	r, err := vanetsim.RunDenseHighway(cfg)
+	if err != nil {
+		return err
+	}
+	return o.emit(&r.Observations, "dense highway", out, func() error {
+		culling := "culled"
+		if cfg.DisableCulling {
+			culling = "full scan"
+		}
+		fmt.Fprintf(out, "dense highway — %v MAC, %d vehicles, %d lanes, %d platoons (%s), %.0f s simulated in %.2f s wall\n\n",
+			cfg.MAC, cfg.Vehicles, cfg.Lanes, r.Platoons, culling, float64(cfg.Duration), r.WallSeconds)
+		fmt.Fprint(out, vanetsim.FormatDenseSummary(r))
+		return nil
+	})
+}
+
+// outputs are the observation flags. Both paths honour them, except that
+// -dense rejects -trace.
+type outputs struct {
+	check                     bool
+	stats                     bool
+	statsJSON, statsProm      string
+	trace, spans, spansChrome string
+}
+
+// telemetry reports whether any telemetry output was requested.
+func (o outputs) telemetry() bool { return o.stats || o.statsJSON != "" || o.statsProm != "" }
+
+// spanned reports whether any span output was requested.
+func (o outputs) spanned() bool { return o.spans != "" || o.spansChrome != "" }
+
+// emit is the one output path for a run's observations. A checked run
+// with violations prints them (with their span trails, the first ten)
+// to stderr and fails; a clean one says so. Then the trace and span
+// files are written, body prints the run's own report, and the telemetry
+// exports and text summary close it out.
+func (o outputs) emit(obs *vanetsim.Observations, label string, out io.Writer, body func() error) error {
+	if o.check {
+		if n := len(obs.Violations); n > 0 {
+			for i, v := range obs.Violations {
 				fmt.Fprintln(os.Stderr, "vanetsim:", v.Error())
 				for _, line := range v.Trail {
 					fmt.Fprintln(os.Stderr, "vanetsim:   trail:", line)
@@ -184,125 +285,45 @@ func run(args []string, out io.Writer) (err error) {
 			}
 			return fmt.Errorf("%d invariant violation(s)", n)
 		}
-		fmt.Fprintf(out, "invariant check: clean (%s)\n", cfg.Name)
+		fmt.Fprintf(out, "invariant check: clean (%s)\n", label)
 	}
-
-	// emitStats closes out every output mode: exporter files always, the
-	// text summary only on -stats.
-	emitStats := func() error {
-		if r.Telemetry == nil {
-			return nil
-		}
-		if *statsJSN != "" {
-			if err := writeSnapshot(*statsJSN, r.Telemetry.NDJSON); err != nil {
-				return err
-			}
-		}
-		if *statsPrm != "" {
-			if err := writeSnapshot(*statsPrm, r.Telemetry.Prometheus); err != nil {
-				return err
-			}
-		}
-		if *stats {
-			fmt.Fprintln(out, "\nTelemetry:")
-			fmt.Fprint(out, r.Telemetry.FormatText())
-		}
-		return nil
-	}
-
-	if *traceOut != "" {
-		if err := vanetsim.WriteTrace(*traceOut, r); err != nil {
+	if o.trace != "" {
+		if err := writeFile(o.trace, func(w io.Writer) error { return trace.WriteAll(w, obs.Trace) }); err != nil {
 			return err
 		}
-		fmt.Fprintf(out, "wrote %d trace records to %s\n", len(r.Trace), *traceOut)
+		fmt.Fprintf(out, "wrote %d trace records to %s\n", len(obs.Trace), o.trace)
 	}
-	if *spansOut != "" {
-		if err := vanetsim.WriteSpans(*spansOut, r.Spans); err != nil {
+	if o.spans != "" {
+		if err := vanetsim.WriteSpans(o.spans, obs.Spans); err != nil {
 			return err
 		}
-		fmt.Fprintf(out, "wrote %d span events to %s\n", len(r.Spans), *spansOut)
+		fmt.Fprintf(out, "wrote %d span events to %s\n", len(obs.Spans), o.spans)
 	}
-	if *spansChr != "" {
-		if err := vanetsim.WriteSpansChrome(*spansChr, r.Spans); err != nil {
+	if o.spansChrome != "" {
+		if err := vanetsim.WriteSpansChrome(o.spansChrome, obs.Spans); err != nil {
 			return err
 		}
-		fmt.Fprintf(out, "wrote %d span events (chrome trace) to %s\n", len(r.Spans), *spansChr)
+		fmt.Fprintf(out, "wrote %d span events (chrome trace) to %s\n", len(obs.Spans), o.spansChrome)
 	}
-
-	if *csvFig != "" {
-		f, err := figureByName(r, *csvFig)
-		if err != nil {
-			return err
-		}
-		fmt.Fprint(out, f.CSV())
-		return emitStats()
-	}
-	if *asciiFig != "" {
-		f, err := figureByName(r, *asciiFig)
-		if err != nil {
-			return err
-		}
-		fmt.Fprint(out, f.ASCII(70, 16))
-		return emitStats()
-	}
-
-	if *animate && r.Anim != nil {
-		vp := r.Anim.AutoViewport(30)
-		if err := r.Anim.Play(out, vp, 72, 18, 2); err != nil {
-			return err
-		}
-		fmt.Fprint(out, r.Anim.Legend())
-		return emitStats()
-	}
-
-	fmt.Fprintf(out, "%v — %s MAC, %d-byte packets, %.0f s simulated\n\n",
-		cfg.Name, cfg.MAC, cfg.PacketSize, float64(cfg.Duration))
-	fmt.Fprintln(out, "One-way delay (per receiving vehicle):")
-	fmt.Fprint(out, vanetsim.FormatDelayTable(vanetsim.DelayTable(r)))
-	fmt.Fprintln(out, "\nThroughput (per platoon, 95% batch-means CI):")
-	fmt.Fprint(out, vanetsim.FormatThroughputTable(vanetsim.ThroughputTable(r)))
-	fmt.Fprintln(out, "\nStopping-distance analysis (initial packet, platoon 1):")
-	fmt.Fprint(out, vanetsim.FormatStoppingTable(vanetsim.StoppingTable(r)))
-	return emitStats()
-}
-
-// runDense executes and summarises the dense multi-lane scaling scenario.
-func runDense(cfg vanetsim.DenseHighwayConfig, stats bool, statsJSON, statsProm string, out io.Writer) error {
-	r, err := vanetsim.RunDenseHighway(cfg)
-	if err != nil {
+	if err := body(); err != nil {
 		return err
 	}
-	if cfg.Check {
-		if n := len(r.Violations); n > 0 {
-			for _, v := range r.Violations {
-				fmt.Fprintln(os.Stderr, "vanetsim:", v.Error())
-			}
-			return fmt.Errorf("%d invariant violation(s)", n)
-		}
-		fmt.Fprintln(out, "invariant check: clean (dense highway)")
+	if obs.Telemetry == nil {
+		return nil
 	}
-	culling := "culled"
-	if cfg.DisableCulling {
-		culling = "full scan"
+	if o.statsJSON != "" {
+		if err := writeFile(o.statsJSON, obs.Telemetry.NDJSON); err != nil {
+			return err
+		}
 	}
-	fmt.Fprintf(out, "dense highway — %v MAC, %d vehicles, %d lanes, %d platoons (%s), %.0f s simulated in %.2f s wall\n\n",
-		cfg.MAC, cfg.Vehicles, cfg.Lanes, r.Platoons, culling, float64(cfg.Duration), r.WallSeconds)
-	fmt.Fprint(out, vanetsim.FormatDenseSummary(r))
-	if r.Telemetry != nil {
-		if statsJSON != "" {
-			if err := writeSnapshot(statsJSON, r.Telemetry.NDJSON); err != nil {
-				return err
-			}
+	if o.statsProm != "" {
+		if err := writeFile(o.statsProm, obs.Telemetry.Prometheus); err != nil {
+			return err
 		}
-		if statsProm != "" {
-			if err := writeSnapshot(statsProm, r.Telemetry.Prometheus); err != nil {
-				return err
-			}
-		}
-		if stats {
-			fmt.Fprintln(out, "\nTelemetry:")
-			fmt.Fprint(out, r.Telemetry.FormatText())
-		}
+	}
+	if o.stats {
+		fmt.Fprintln(out, "\nTelemetry:")
+		fmt.Fprint(out, obs.Telemetry.FormatText())
 	}
 	return nil
 }
@@ -327,8 +348,8 @@ func (l *outageList) Set(s string) error {
 	return nil
 }
 
-// writeSnapshot streams one telemetry export format to path.
-func writeSnapshot(path string, export func(io.Writer) error) error {
+// writeFile streams one export to path.
+func writeFile(path string, export func(io.Writer) error) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err

@@ -97,6 +97,21 @@ func TestRunErrors(t *testing.T) {
 		{"-trial", "1", "-duration", "NaN"},
 		{"-trial", "1", "-duration", "-5"},
 		{"-dense", "120", "-mac", "802.11", "-duration", "inf"},
+		{"-dense", "40", "-mac", "zigbee"},
+		// Trial-only flags once ran a plain dense run and wrote nothing.
+		{"-dense", "40", "-duration", "2", "-loss", "0.5", "-trace", "x", "-csv", "Fig5", "-trial", "7"},
+		{"-dense", "40", "-trial", "1"},
+		{"-dense", "40", "-packet", "500"},
+		{"-dense", "40", "-trace", "x.tr"},
+		{"-dense", "40", "-anim"},
+		{"-dense", "40", "-csv", "Fig5"},
+		{"-dense", "40", "-ascii", "Fig5"},
+		{"-dense", "40", "-loss", "0.1"},
+		{"-dense", "40", "-ber", "1e-6"},
+		{"-dense", "40", "-burst-loss", "0.1"},
+		{"-dense", "40", "-burst-len", "4"},
+		{"-dense", "40", "-shadow", "4"},
+		{"-dense", "40", "-outage", "1:2:3"},
 	}
 	for _, args := range cases {
 		var sb strings.Builder
@@ -168,5 +183,23 @@ func TestRunDense(t *testing.T) {
 	_, scanBody, _ := strings.Cut(scan.String(), "\n")
 	if culledBody != scanBody {
 		t.Fatalf("culled and full-scan summaries differ:\n%s\n---\n%s", culledBody, scanBody)
+	}
+
+	// -spans rides the shared output path: the file is written first, and
+	// arming spans leaves the summary untouched.
+	path := filepath.Join(t.TempDir(), "dense-spans.ndjson")
+	var spanned strings.Builder
+	if err := run([]string{"-dense", "48", "-duration", "6", "-spans", path}, &spanned); err != nil {
+		t.Fatal(err)
+	}
+	wrote, rest, _ := strings.Cut(spanned.String(), "\n")
+	if !strings.HasPrefix(wrote, "wrote ") || !strings.HasSuffix(wrote, " span events to "+path) {
+		t.Fatalf("dense -spans confirmation wrong: %q", wrote)
+	}
+	if _, spannedBody, _ := strings.Cut(rest, "\n"); spannedBody != culledBody {
+		t.Fatalf("arming spans changed the dense summary:\n%s\n---\n%s", spannedBody, culledBody)
+	}
+	if data, err := os.ReadFile(path); err != nil || len(data) == 0 {
+		t.Fatalf("dense span file empty or unreadable (err %v)", err)
 	}
 }

@@ -61,7 +61,7 @@ func TestFaultDeterminism(t *testing.T) {
 			if err := trace.WriteAll(&tr, r.Trace); err != nil {
 				t.Fatal(err)
 			}
-			out = append(out, sha(tr.Bytes())+"/"+sha(filteredNDJSON(t, r.Telemetry)))
+			out = append(out, sha(tr.Bytes())+"/"+sha(telemetryNDJSON(t, r.Telemetry)))
 		}
 		return out
 	}

@@ -1,7 +1,7 @@
 // Golden determinism gate for hot-path optimisation work: the discrete-event
 // core, the PHY, and the trace codec may get faster, but they may not change
 // a single output byte. The golden file pins SHA-256 digests of the trace,
-// a figure CSV, the delay table, and the (host-clock-filtered) telemetry
+// a figure CSV, the delay table, and the telemetry
 // NDJSON for one TDMA and one 802.11 run; it was generated before the PR 3
 // optimisations and must keep matching after them.
 //
@@ -11,7 +11,6 @@
 package vanetsim_test
 
 import (
-	"bufio"
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
@@ -19,7 +18,6 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 
 	"vanetsim"
@@ -43,29 +41,14 @@ func sha(b []byte) string {
 	return hex.EncodeToString(h[:])
 }
 
-// filteredNDJSON renders the telemetry snapshot with the host-clock
-// gauges (run/wall_*) removed: they are legitimately non-deterministic,
-// and simulation behaviour never reads them.
-func filteredNDJSON(t *testing.T, snap *vanetsim.Telemetry) []byte {
+// telemetryNDJSON renders the telemetry snapshot as NDJSON.
+func telemetryNDJSON(t *testing.T, snap *vanetsim.Telemetry) []byte {
 	t.Helper()
-	var raw bytes.Buffer
-	if err := snap.NDJSON(&raw); err != nil {
+	var buf bytes.Buffer
+	if err := snap.NDJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
-	var out bytes.Buffer
-	sc := bufio.NewScanner(&raw)
-	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
-	for sc.Scan() {
-		if strings.Contains(sc.Text(), `"run/wall`) {
-			continue
-		}
-		out.Write(sc.Bytes())
-		out.WriteByte('\n')
-	}
-	if err := sc.Err(); err != nil {
-		t.Fatal(err)
-	}
-	return out.Bytes()
+	return buf.Bytes()
 }
 
 func runGoldenCase(t *testing.T, cfg vanetsim.TrialConfig, fig func(*vanetsim.TrialResult) vanetsim.Figure) goldenDigests {
@@ -92,7 +75,7 @@ func runGoldenCase(t *testing.T, cfg vanetsim.TrialConfig, fig func(*vanetsim.Tr
 		Trace:      sha(tr.Bytes()),
 		FigureCSV:  sha([]byte(fig(r).CSV())),
 		DelayTable: sha([]byte(vanetsim.FormatDelayTable(vanetsim.DelayTable(r)))),
-		Telemetry:  sha(filteredNDJSON(t, r.Telemetry)),
+		Telemetry:  sha(telemetryNDJSON(t, r.Telemetry)),
 	}
 }
 

@@ -8,7 +8,6 @@ import (
 	vanetsim "vanetsim"
 
 	"vanetsim/internal/app"
-	"vanetsim/internal/check"
 	"vanetsim/internal/fault"
 	"vanetsim/internal/geom"
 	"vanetsim/internal/packet"
@@ -26,7 +25,7 @@ import (
 func deliveredAtScale(t *testing.T, mac scenario.MACType, scale float64) map[uint64]bool {
 	t.Helper()
 	cfg := scenario.DefaultStackConfig(mac)
-	cfg.Check = check.New()
+	cfg.Check = true
 	w := scenario.NewWorld(cfg, 1)
 	const n = 4
 	for i := 0; i < n; i++ {
@@ -39,7 +38,7 @@ func deliveredAtScale(t *testing.T, mac scenario.MACType, scale float64) map[uin
 	sink.OnRecv(func(p *packet.Packet, _ sim.Time) { seen[p.UID] = true })
 	app.NewCBR(w.Sched, src, 400, 5e4).Start()
 	w.Sched.RunUntil(10)
-	for _, v := range w.AuditInvariants() {
+	for _, v := range w.Finish().Violations {
 		t.Errorf("mac=%v scale=%v: %v", mac, scale, v.Error())
 	}
 	if len(seen) == 0 {

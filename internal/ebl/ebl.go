@@ -48,6 +48,9 @@ type CommsConfig struct {
 	// Spans, when non-nil, records application-level consumption events
 	// for the causal tracer.
 	Spans *span.Recorder
+	// Trace, when non-nil, records agent-level send/receive events: the
+	// ns-2-style trace the paper parsed offline for its delays.
+	Trace *trace.Collector
 }
 
 // RTTBuckets are the histogram bounds (seconds) for TCP round-trip
@@ -109,11 +112,10 @@ func (pc *PlatoonComms) OnDeliver(fn func(f *Flow, p *packet.Packet, at sim.Time
 }
 
 // NewPlatoonComms wires the EBL flows for a platoon. nets must align with
-// platoon.Vehicles() (nets[i] is vehicle i's network layer). tracer may be
-// nil; when set, agent-level send/receive events are recorded for offline
-// analysis. Communication starts/stops automatically with the lead
-// vehicle's phase; the initial phase is honoured too.
-func NewPlatoonComms(sched *sim.Scheduler, platoon *mobility.Platoon, nets []*netlayer.Net, pf *packet.Factory, cfg CommsConfig, tracer *trace.Collector) *PlatoonComms {
+// platoon.Vehicles() (nets[i] is vehicle i's network layer).
+// Communication starts/stops automatically with the lead vehicle's phase;
+// the initial phase is honoured too.
+func NewPlatoonComms(sched *sim.Scheduler, platoon *mobility.Platoon, nets []*netlayer.Net, pf *packet.Factory, cfg CommsConfig) *PlatoonComms {
 	if len(nets) != platoon.Len() {
 		panic(fmt.Sprintf("ebl: %d nets for %d vehicles", len(nets), platoon.Len()))
 	}
@@ -126,7 +128,7 @@ func NewPlatoonComms(sched *sim.Scheduler, platoon *mobility.Platoon, nets []*ne
 		sched:      sched,
 		platoon:    platoon,
 		throughput: metrics.NewThroughput(cfg.ThroughputBin),
-		tracer:     tracer,
+		tracer:     cfg.Trace,
 		check:      cfg.Check,
 		spans:      cfg.Spans,
 	}

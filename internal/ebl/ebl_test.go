@@ -26,7 +26,8 @@ func rig(t *testing.T, tracer *trace.Collector) (*scenario.World, *mobility.Plat
 	}
 	cfg := ebl.DefaultCommsConfig()
 	cfg.RateBps = 400_000
-	comms := ebl.NewPlatoonComms(w.Sched, p, nets, w.PF, cfg, tracer)
+	cfg.Trace = tracer
+	comms := ebl.NewPlatoonComms(w.Sched, p, nets, w.PF, cfg)
 	return w, p, comms
 }
 
@@ -105,7 +106,7 @@ func TestBrakeEventLatencyMeasured(t *testing.T) {
 	p.SetDest(geom.V(0, 10000), 22.4)
 	cfg := ebl.DefaultCommsConfig()
 	cfg.RateBps = 400_000
-	comms := ebl.NewPlatoonComms(w.Sched, p, nets, w.PF, cfg, nil)
+	comms := ebl.NewPlatoonComms(w.Sched, p, nets, w.PF, cfg)
 	w.Sched.RunUntil(5)
 	if comms.Flows()[0].Delays.Len() != 0 {
 		t.Fatal("traffic while cruising")
@@ -122,7 +123,7 @@ func TestBrakeEventLatencyMeasured(t *testing.T) {
 }
 
 func TestTraceRecordsAgentEvents(t *testing.T) {
-	tracer := trace.NewCollector(nil)
+	tracer := &trace.Collector{}
 	w, _, _ := rig(t, tracer)
 	w.Sched.RunUntil(2)
 	recs := tracer.Records()
@@ -148,7 +149,7 @@ func TestTraceRecordsAgentEvents(t *testing.T) {
 }
 
 func TestOnlineAndTraceDelaysAgree(t *testing.T) {
-	tracer := trace.NewCollector(nil)
+	tracer := &trace.Collector{}
 	w, p, comms := rig(t, tracer)
 	w.Sched.RunUntil(5)
 	byFlow := trace.OneWayDelays(tracer.Records())
@@ -230,7 +231,7 @@ func TestNewPlatoonCommsValidation(t *testing.T) {
 			t.Fatal("mismatched nets did not panic")
 		}
 	}()
-	ebl.NewPlatoonComms(w.Sched, p, nil, w.PF, ebl.DefaultCommsConfig(), nil)
+	ebl.NewPlatoonComms(w.Sched, p, nil, w.PF, ebl.DefaultCommsConfig())
 }
 
 func TestBrakeStatusPayloadOnEveryPacket(t *testing.T) {

@@ -4,18 +4,16 @@ import (
 	"fmt"
 
 	"vanetsim/internal/check"
-	"vanetsim/internal/ebl"
 )
 
-// AuditInvariants runs the end-of-run conservation audits against the
-// world's invariant registry and returns every violation recorded during
-// the run (seam-time checks included). It is a no-op returning nil when
-// checking is disabled. comms are the EBL applications whose transport
-// counters should be audited.
+// audit runs the end-of-run conservation audits against the world's
+// invariant registry and returns every violation recorded during the run
+// (seam-time checks included). It is a no-op returning nil when checking
+// is disarmed. The registered comms' transport counters are audited too.
 //
 // The audits are pure observations of counters the simulation maintains
 // anyway, so calling (or not calling) this never changes a run's outputs.
-func (w *World) AuditInvariants(comms ...*ebl.PlatoonComms) []check.Violation {
+func (w *World) audit() []check.Violation {
 	if w.check == nil {
 		return nil
 	}
@@ -69,10 +67,7 @@ func (w *World) AuditInvariants(comms ...*ebl.PlatoonComms) []check.Violation {
 	// TCP accounting. Equalities on transmit counts are unsound here —
 	// AODV salvage legally duplicates MAC-level deliveries — so only the
 	// direction-safe inequalities are audited.
-	for _, pc := range comms {
-		if pc == nil {
-			continue
-		}
+	for _, pc := range w.comms {
 		for _, f := range pc.Flows() {
 			snd, snk := f.Sender.Stats(), f.Sink.Stats()
 			unique := snk.SegmentsReceived - snk.Duplicates

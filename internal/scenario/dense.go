@@ -2,19 +2,14 @@ package scenario
 
 import (
 	"fmt"
-	"time"
 
 	"vanetsim/internal/app"
-	"vanetsim/internal/check"
 	"vanetsim/internal/ebl"
 	"vanetsim/internal/geom"
 	"vanetsim/internal/mobility"
-	"vanetsim/internal/netlayer"
-	"vanetsim/internal/obs"
 	"vanetsim/internal/packet"
 	"vanetsim/internal/phy"
 	"vanetsim/internal/sim"
-	"vanetsim/internal/span"
 )
 
 // DenseHighwayConfig describes the scaling scenario: a multi-lane highway
@@ -126,16 +121,7 @@ type DenseHighwayResult struct {
 	RxCollided int
 	Channel    phy.ChannelStats
 
-	// Telemetry is the metrics snapshot (nil unless Config.Telemetry).
-	Telemetry *obs.Snapshot
-	// Violations are the invariant violations of a checked run (nil unless
-	// checking was armed; empty means clean).
-	Violations []check.Violation
-	// Spans is the causal per-packet event stream (nil unless Config.Spans).
-	Spans []span.Event
-	// WallSeconds is the host wall-clock cost of the run (host-dependent,
-	// never feeds simulation output).
-	WallSeconds float64
+	Observations
 }
 
 // densePlatoon is one platoon's wiring during a dense run.
@@ -191,18 +177,9 @@ func RunDenseHighway(cfg DenseHighwayConfig) (*DenseHighwayResult, error) {
 			stack.AODV.BcastIDSave = t
 		}
 	}
-	if cfg.Telemetry {
-		stack.Obs = obs.NewRegistry()
-	}
-	if cfg.Check || check.ForceAll {
-		stack.Check = check.New()
-	}
-	if cfg.Spans {
-		stack.Spans = span.NewRecorder()
-	}
+	stack.Telemetry, stack.Check, stack.Spans = cfg.Telemetry, cfg.Check, cfg.Spans
 	w := NewWorld(stack, cfg.Seed)
 	s := w.Sched
-	wallStart := time.Now()
 
 	// Lay the fleet out lane by lane, each lane a chain of platoons along
 	// +x with the lead of the first platoon at the front. A remainder of
@@ -275,16 +252,7 @@ func RunDenseHighway(cfg DenseHighwayConfig) (*DenseHighwayResult, error) {
 		c := ebl.DefaultCommsConfig()
 		c.PacketSize = cfg.PacketSize
 		c.RateBps = cfg.RateBps
-		c.Obs = stack.Obs
-		c.Spans = stack.Spans
-		if stack.Check != nil {
-			c.Check = check.NewEnvelope(stack.Check, envelopeRate(stack))
-		}
-		nets := make([]*netlayer.Net, 0, dp.platoon.Len())
-		for _, v := range dp.platoon.Vehicles() {
-			nets = append(nets, nodeOf[v.ID()].Net)
-		}
-		dp.comms = ebl.NewPlatoonComms(s, dp.platoon, nets, w.PF, c, nil)
+		dp.comms = w.AddComms(dp.platoon, c)
 		depth := cfg.SafetyDepth
 		if depth <= 0 || depth > len(dp.comms.Flows()) {
 			depth = len(dp.comms.Flows())
@@ -340,8 +308,7 @@ func RunDenseHighway(cfg DenseHighwayConfig) (*DenseHighwayResult, error) {
 					dst = laneOrder[lane][i+1].ID()
 				}
 				src := app.NewUDPSource(s, nodeOf[v.ID()].Net, w.PF, beaconPort, dst, beaconPort+1, packet.TypeCBR)
-				sink := app.NewUDPSink(s, nodeOf[dst].Net, beaconPort+1)
-				sink.SetSpans(stack.Spans)
+				sink := w.AddUDPSink(nodeOf[dst], beaconPort+1)
 				beaconPort += 2
 				rate := cfg.BeaconRateBps
 				if cfg.BeaconJitter > 0 {
@@ -404,9 +371,7 @@ func RunDenseHighway(cfg DenseHighwayConfig) (*DenseHighwayResult, error) {
 			}
 		}
 	}
-	allComms := make([]*ebl.PlatoonComms, 0, len(platoons))
 	for _, dp := range platoons {
-		allComms = append(allComms, dp.comms)
 		for _, f := range dp.comms.Flows() {
 			res.SafetySent += f.Sender.Stats().SegmentsSent
 			res.SafetyReceived += f.Delays.Len()
@@ -422,9 +387,6 @@ func RunDenseHighway(cfg DenseHighwayConfig) (*DenseHighwayResult, error) {
 		res.RxCollided += n.Radio.Stats().RxCollided
 	}
 	res.Channel = w.Channel.Stats()
-	res.Telemetry = w.HarvestTelemetry(allComms...)
-	res.Violations = w.AuditInvariants(allComms...)
-	res.Spans = stack.Spans.Events()
-	res.WallSeconds = time.Since(wallStart).Seconds()
+	res.Observations = w.Finish()
 	return res, nil
 }

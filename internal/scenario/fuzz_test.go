@@ -6,7 +6,6 @@ import (
 	"testing/quick"
 
 	"vanetsim/internal/app"
-	"vanetsim/internal/check"
 	"vanetsim/internal/fault"
 	"vanetsim/internal/geom"
 	"vanetsim/internal/packet"
@@ -34,7 +33,7 @@ func topologyConservation(t *testing.T, mac scenario.MACType, seed uint16, nRaw,
 	nf := int(flowsRaw%3) + 1 // 1..3 flows
 	rng := sim.NewRNG(uint64(seed) + 99)
 	cfg := scenario.DefaultStackConfig(mac)
-	cfg.Check = check.New()
+	cfg.Check = true
 	// faultRaw != 0 impairs the run: up to 60% independent loss plus up to
 	// 7 dB shadowing. The invariants must hold on an arbitrarily bad
 	// channel — loss may shrink delivery, never duplicate or time-travel.
@@ -79,7 +78,7 @@ func topologyConservation(t *testing.T, mac scenario.MACType, seed uint16, nRaw,
 		flows = append(flows, fl)
 	}
 	w.Sched.RunUntil(10)
-	for _, v := range w.AuditInvariants() {
+	for _, v := range w.Finish().Violations {
 		t.Errorf("mac=%v seed=%d fault=%d: %v", mac, seed, faultRaw, v.Error())
 	}
 	for k, fl := range flows {

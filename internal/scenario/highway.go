@@ -2,17 +2,12 @@ package scenario
 
 import (
 	"fmt"
-	"time"
 
-	"vanetsim/internal/check"
 	"vanetsim/internal/ebl"
 	"vanetsim/internal/geom"
 	"vanetsim/internal/mobility"
-	"vanetsim/internal/netlayer"
-	"vanetsim/internal/obs"
 	"vanetsim/internal/packet"
 	"vanetsim/internal/sim"
-	"vanetsim/internal/span"
 )
 
 // HighwayConfig describes the extension scenario the paper's conclusion
@@ -86,16 +81,7 @@ type HighwayResult struct {
 	Comms       *ebl.PlatoonComms
 	Indications []BrakeIndication
 	Collisions  int
-	// Telemetry is the metrics snapshot (nil unless Config.Telemetry).
-	Telemetry *obs.Snapshot
-	// Violations are the invariant violations of a checked run (nil unless
-	// checking was armed; empty means clean).
-	Violations []check.Violation
-	// Spans is the causal per-packet event stream (nil unless Config.Spans).
-	Spans []span.Event
-	// WallSeconds is the host wall-clock cost of the run (host-dependent,
-	// never feeds simulation output).
-	WallSeconds float64
+	Observations
 }
 
 // RunHighway executes the emergency-braking scenario. It returns an error
@@ -109,37 +95,22 @@ func RunHighway(cfg HighwayConfig) (*HighwayResult, error) {
 	if cfg.TDMARateBps > 0 {
 		stack.TDMA.DataRateBps = cfg.TDMARateBps
 	}
-	if cfg.Telemetry {
-		stack.Obs = obs.NewRegistry()
-	}
-	if cfg.Check || check.ForceAll {
-		stack.Check = check.New()
-	}
-	if cfg.Spans {
-		stack.Spans = span.NewRecorder()
-	}
+	stack.Telemetry, stack.Check, stack.Spans = cfg.Telemetry, cfg.Check, cfg.Spans
 	w := NewWorld(stack, cfg.Seed)
 	s := w.Sched
-	wallStart := time.Now()
 
 	// Long straight road along +x; start far enough back that the run
 	// fits entirely at positive coordinates.
 	p := mobility.NewPlatoon(s, 0, cfg.Vehicles, geom.V(float64(cfg.Vehicles)*cfg.SpacingM, 0), geom.V(1, 0), cfg.SpacingM)
-	nets := make([]*netlayer.Net, 0, p.Len())
 	for _, v := range p.Vehicles() {
-		nets = append(nets, w.AddVehicleNode(v).Net)
+		w.AddVehicleNode(v)
 	}
 	p.SetDest(geom.V(1e6, 0), cfg.SpeedMS) // cruise: silent
 
 	c := ebl.DefaultCommsConfig()
 	c.PacketSize = cfg.PacketSize
 	c.RateBps = cfg.RateBps
-	c.Obs = stack.Obs
-	c.Spans = stack.Spans
-	if stack.Check != nil {
-		c.Check = check.NewEnvelope(stack.Check, envelopeRate(stack))
-	}
-	comms := ebl.NewPlatoonComms(s, p, nets, w.PF, c, nil)
+	comms := w.AddComms(p, c)
 
 	// Follower reaction: brake on the first indication after BrakeAt.
 	firstAt := make(map[packet.NodeID]sim.Time, cfg.Vehicles-1)
@@ -185,9 +156,6 @@ func RunHighway(cfg HighwayConfig) (*HighwayResult, error) {
 		}
 		res.Indications = append(res.Indications, ind)
 	}
-	res.Telemetry = w.HarvestTelemetry(comms)
-	res.Violations = w.AuditInvariants(comms)
-	res.Spans = stack.Spans.Events()
-	res.WallSeconds = time.Since(wallStart).Seconds()
+	res.Observations = w.Finish()
 	return res, nil
 }

@@ -2,20 +2,16 @@ package scenario
 
 import (
 	"fmt"
-	"time"
 
 	"vanetsim/internal/app"
-	"vanetsim/internal/check"
 	"vanetsim/internal/geom"
 	"vanetsim/internal/jammer"
 	"vanetsim/internal/mactdma"
 	"vanetsim/internal/metrics"
 	"vanetsim/internal/mobility"
-	"vanetsim/internal/obs"
 	"vanetsim/internal/packet"
 	"vanetsim/internal/phy"
 	"vanetsim/internal/sim"
-	"vanetsim/internal/span"
 )
 
 // JammingConfig sets up the denial-of-service experiment the paper's
@@ -79,16 +75,7 @@ type JammingResult struct {
 	Flows  []JamFlowResult
 	// OverallDelivery is the total received/sent ratio across flows.
 	OverallDelivery float64
-	// Telemetry is the metrics snapshot (nil unless Config.Telemetry).
-	Telemetry *obs.Snapshot
-	// Violations are the invariant violations of a checked run (nil unless
-	// checking was armed; empty means clean).
-	Violations []check.Violation
-	// Spans is the causal per-packet event stream (nil unless Config.Spans).
-	Spans []span.Event
-	// WallSeconds is the host wall-clock cost of the run (host-dependent,
-	// never feeds simulation output).
-	WallSeconds float64
+	Observations
 }
 
 // RunJamming executes the experiment. It returns an error when the attack
@@ -101,18 +88,9 @@ func RunJamming(cfg JammingConfig) (*JammingResult, error) {
 	if cfg.TDMARateBps > 0 {
 		stack.TDMA.DataRateBps = cfg.TDMARateBps
 	}
-	if cfg.Telemetry {
-		stack.Obs = obs.NewRegistry()
-	}
-	if cfg.Check || check.ForceAll {
-		stack.Check = check.New()
-	}
-	if cfg.Spans {
-		stack.Spans = span.NewRecorder()
-	}
+	stack.Telemetry, stack.Check, stack.Spans = cfg.Telemetry, cfg.Check, cfg.Spans
 	w := NewWorld(stack, cfg.Seed)
 	s := w.Sched
-	wallStart := time.Now()
 	if cfg.MAC == MACTDMA && cfg.HopChannels > 1 {
 		w.TDMASchedule().SetHopping(mactdma.Hopping{Channels: cfg.HopChannels, Seed: cfg.HopSeed})
 	}
@@ -132,11 +110,10 @@ func RunJamming(cfg JammingConfig) (*JammingResult, error) {
 		port := 3000 + 2*i
 		fe := &flowEnd{
 			src:    app.NewUDPSource(s, leadNode.Net, w.PF, port, f.ID(), port+1, packet.TypeEBL),
-			sink:   app.NewUDPSink(s, n.Net, port+1),
+			sink:   w.AddUDPSink(n, port+1),
 			delays: &metrics.DelaySeries{},
 			rcv:    f.ID(),
 		}
-		fe.sink.SetSpans(stack.Spans)
 		seq := 0
 		fe.sink.OnRecv(func(pkt *packet.Packet, at sim.Time) {
 			seq++
@@ -181,9 +158,6 @@ func RunJamming(cfg JammingConfig) (*JammingResult, error) {
 	if totalSent > 0 {
 		res.OverallDelivery = float64(totalRecv) / float64(totalSent)
 	}
-	res.Telemetry = w.HarvestTelemetry()
-	res.Violations = w.AuditInvariants()
-	res.Spans = stack.Spans.Events()
-	res.WallSeconds = time.Since(wallStart).Seconds()
+	res.Observations = w.Finish()
 	return res, nil
 }

@@ -1,7 +1,6 @@
 package scenario
 
 import (
-	"vanetsim/internal/ebl"
 	"vanetsim/internal/obs"
 	"vanetsim/internal/sim"
 )
@@ -66,15 +65,14 @@ func newLiveInstruments(r *obs.Registry, mac MACType) liveInstruments {
 	return li
 }
 
-// HarvestTelemetry folds every layer's post-run statistics and the
-// scheduler's execution profile into the world's registry and returns the
-// snapshot. comms lists the platoon TCP endpoints to summarise. It returns
-// nil when telemetry is disabled. The snapshot is a pure function of the
-// run: no host-clock value flows into it, so the same seed produces
-// byte-identical reports on any machine (host-clock cost lives on the
-// result structs' WallSeconds fields instead).
-func (w *World) HarvestTelemetry(comms ...*ebl.PlatoonComms) *obs.Snapshot {
-	r := w.Obs
+// harvestTelemetry folds every layer's post-run statistics, the registered
+// platoons' TCP endpoints and the scheduler's execution profile into the
+// world's registry and returns the snapshot. It returns nil when telemetry
+// is disarmed. The snapshot is a pure function of the run: no host-clock
+// value flows into it, so the same seed produces byte-identical reports on
+// any machine (host-clock cost lives on Observations.WallSeconds instead).
+func (w *World) harvestTelemetry() *obs.Snapshot {
+	r := w.obs
 	if !r.Enabled() {
 		return nil
 	}
@@ -143,7 +141,7 @@ func (w *World) HarvestTelemetry(comms ...*ebl.PlatoonComms) *obs.Snapshot {
 	}
 
 	// Transport, summed over every EBL flow.
-	for _, pc := range comms {
+	for _, pc := range w.comms {
 		for _, f := range pc.Flows() {
 			ts := f.Sender.Stats()
 			add("tcp/segments_sent", "first transmissions of TCP segments", ts.SegmentsSent)

@@ -2,21 +2,15 @@ package scenario
 
 import (
 	"fmt"
-	"time"
 
 	"vanetsim/internal/anim"
-	"vanetsim/internal/check"
 	"vanetsim/internal/ebl"
 	"vanetsim/internal/fault"
 	"vanetsim/internal/geom"
 	"vanetsim/internal/metrics"
 	"vanetsim/internal/mobility"
-	"vanetsim/internal/netlayer"
-	"vanetsim/internal/obs"
 	"vanetsim/internal/packet"
 	"vanetsim/internal/sim"
-	"vanetsim/internal/span"
-	"vanetsim/internal/trace"
 )
 
 // TrialConfig describes one run of the paper's intersection scenario. The
@@ -142,20 +136,8 @@ type TrialResult struct {
 	World    *World
 	Platoon1 *PlatoonResult
 	Platoon2 *PlatoonResult
-	Trace    []trace.Record // nil unless CollectTrace
 	Anim     *anim.Recorder // nil unless AnimInterval > 0
-	// Telemetry is the cross-layer metrics snapshot (nil unless
-	// Config.Telemetry).
-	Telemetry *obs.Snapshot
-	// Violations are the invariant violations recorded during a checked run
-	// (nil unless checking was armed; empty means the run was clean).
-	Violations []check.Violation
-	// Spans is the causal per-packet event stream in scheduler order (nil
-	// unless Config.Spans).
-	Spans []span.Event
-	// WallSeconds is the host wall-clock cost of the run. It is the only
-	// host-dependent field and feeds no simulation output.
-	WallSeconds float64
+	Observations
 }
 
 // RunTrial executes the paper's scenario under cfg and returns the
@@ -178,18 +160,9 @@ func RunTrial(cfg TrialConfig) *TrialResult {
 	}
 	stack.Radio.SINRMode = cfg.SINRPhy
 	stack.Faults = cfg.Faults
-	if cfg.Telemetry {
-		stack.Obs = obs.NewRegistry()
-	}
-	if cfg.Check || check.ForceAll {
-		stack.Check = check.New()
-	}
-	if cfg.Spans {
-		stack.Spans = span.NewRecorder()
-	}
+	stack.Telemetry, stack.Check, stack.Spans, stack.Trace = cfg.Telemetry, cfg.Check, cfg.Spans, cfg.CollectTrace
 	w := NewWorld(stack, cfg.Seed)
 	s := w.Sched
-	wallStart := time.Now()
 
 	// Platoon 1 approaches the intersection from the south in its own
 	// lane (x = 5 m), lead first.
@@ -200,49 +173,33 @@ func RunTrial(cfg TrialConfig) *TrialResult {
 	p2 := mobility.NewPlatoon(s, first2, cfg.PlatoonSize, geom.V(0, 0), geom.V(1, 0), cfg.SpacingM)
 
 	// Stacks. TDMA slot order is node-ID order, as in ns-2.
-	addStacks := func(p *mobility.Platoon) []*netlayer.Net {
-		nets := make([]*netlayer.Net, 0, p.Len())
-		for _, v := range p.Vehicles() {
-			v := v
-			n := w.AddVehicleNode(v)
-			nets = append(nets, n.Net)
-		}
-		return nets
+	vehicles := append(append([]*mobility.Vehicle{}, p1.Vehicles()...), p2.Vehicles()...)
+	for _, v := range vehicles {
+		w.AddVehicleNode(v)
 	}
-	nets1 := addStacks(p1)
-	nets2 := addStacks(p2)
 
 	// Start platoon 1 moving *before* wiring comms so its application
 	// correctly begins silent.
 	p1.SetDest(geom.V(5, 0), cfg.SpeedMS)
 
-	var tracer *trace.Collector
-	if cfg.CollectTrace {
-		tracer = trace.NewCollector(nil)
-	}
-	comms := func(p *mobility.Platoon, nets []*netlayer.Net, basePort int) *ebl.PlatoonComms {
+	comms := func(p *mobility.Platoon, basePort int) *ebl.PlatoonComms {
 		c := ebl.DefaultCommsConfig()
 		c.PacketSize = cfg.PacketSize
 		c.RateBps = cfg.RateBps
 		c.BasePort = basePort
 		c.ThroughputBin = cfg.ThroughputBn
-		c.Obs = stack.Obs
-		c.Spans = stack.Spans
-		if stack.Check != nil {
-			c.Check = check.NewEnvelope(stack.Check, envelopeRate(stack))
-		}
 		if cfg.TCPWindow > 0 {
 			c.TCP.MaxCwnd = cfg.TCPWindow
 		}
-		return ebl.NewPlatoonComms(s, p, nets, w.PF, c, tracer)
+		return w.AddComms(p, c)
 	}
-	comms1 := comms(p1, nets1, 1000)
-	comms2 := comms(p2, nets2, 2000)
+	comms1 := comms(p1, 1000)
+	comms2 := comms(p2, 2000)
 
 	var rec *anim.Recorder
 	if cfg.AnimInterval > 0 {
 		rec = anim.NewRecorder(s, cfg.AnimInterval)
-		for _, v := range append(append([]*mobility.Vehicle{}, p1.Vehicles()...), p2.Vehicles()...) {
+		for _, v := range vehicles {
 			rec.Track(v.ID(), v.Position)
 		}
 		rec.Start(cfg.Duration)
@@ -257,30 +214,14 @@ func RunTrial(cfg TrialConfig) *TrialResult {
 
 	s.RunUntil(cfg.Duration)
 
-	res := &TrialResult{
-		Config:   cfg,
-		World:    w,
-		Platoon1: &PlatoonResult{Platoon: p1, Comms: comms1},
-		Platoon2: &PlatoonResult{Platoon: p2, Comms: comms2},
+	return &TrialResult{
+		Config:       cfg,
+		World:        w,
+		Platoon1:     &PlatoonResult{Platoon: p1, Comms: comms1},
+		Platoon2:     &PlatoonResult{Platoon: p2, Comms: comms2},
+		Anim:         rec,
+		Observations: w.Finish(),
 	}
-	if tracer != nil {
-		res.Trace = tracer.Records()
-	}
-	res.Anim = rec
-	res.Telemetry = w.HarvestTelemetry(comms1, comms2)
-	res.Violations = w.AuditInvariants(comms1, comms2)
-	res.Spans = stack.Spans.Events()
-	res.WallSeconds = time.Since(wallStart).Seconds()
-	return res
-}
-
-// envelopeRate picks the radio bit rate the EBL delay envelope is checked
-// against: the active MAC's data rate.
-func envelopeRate(stack StackConfig) float64 {
-	if stack.MAC == MAC80211 {
-		return stack.DCF.DataRateBps
-	}
-	return stack.TDMA.DataRateBps
 }
 
 // String summarises the configuration.

@@ -6,9 +6,12 @@ package scenario
 
 import (
 	"fmt"
+	"time"
 
 	"vanetsim/internal/aodv"
+	"vanetsim/internal/app"
 	"vanetsim/internal/check"
+	"vanetsim/internal/ebl"
 	"vanetsim/internal/fault"
 	"vanetsim/internal/mac"
 	"vanetsim/internal/mac80211"
@@ -21,6 +24,7 @@ import (
 	"vanetsim/internal/queue"
 	"vanetsim/internal/sim"
 	"vanetsim/internal/span"
+	"vanetsim/internal/trace"
 )
 
 // MACType selects the medium-access protocol — the paper's second variable
@@ -66,22 +70,27 @@ type StackConfig struct {
 	TDMA     mactdma.Config
 	DCF      mac80211.Config
 	AODV     aodv.Config
-	// Obs receives cross-layer telemetry when non-nil. Instrumentation is
-	// observation-only: the same seed produces identical runs with it on
-	// or off.
-	Obs *obs.Registry
 	// Faults is the impairment recipe. The zero value injects nothing and
 	// leaves every unfaulted golden digest untouched.
 	Faults fault.Plan
-	// Check, when non-nil, arms the runtime invariant checker: layer seams
-	// audit packet conservation, slot exclusivity, route sanity and event
-	// monotonicity into this registry. Checking is observation-only — runs
-	// are byte-identical with it on or off.
-	Check *check.Registry
-	// Spans, when non-nil, arms the causal per-packet tracer: every layer
-	// seam records lifecycle events into this recorder. Tracing is
-	// observation-only and, like Check, byte-identical on or off.
-	Spans *span.Recorder
+
+	// The observation-only instruments. The world builds each armed one,
+	// wires it into every stack and every platoon's comms, and harvests
+	// it in Finish. Each is byte-identical on or off: the same seed
+	// produces the same run either way.
+	//
+	// Telemetry arms the cross-layer metrics registry.
+	Telemetry bool
+	// Check arms the runtime invariant checker: layer seams audit packet
+	// conservation, slot exclusivity, route sanity and event monotonicity.
+	// The `checkall` build tag forces it on regardless of this field.
+	Check bool
+	// Spans arms the causal per-packet tracer: every layer seam records
+	// lifecycle events.
+	Spans bool
+	// Trace arms the agent-level ns-2-style trace of the platoons' EBL
+	// send and receive events.
+	Trace bool
 	// DisableCulling forces the channel's full-receiver scan even when the
 	// propagation model would allow spatial-index culling. Culling is exact
 	// — indexed and scanned runs are byte-identical — so this only costs
@@ -127,17 +136,22 @@ type World struct {
 	PF      *packet.Factory
 	RNG     *sim.RNG
 	Nodes   []*Node
-	// Obs is the telemetry registry (nil when telemetry is disabled).
-	Obs *obs.Registry
 
 	cfg      StackConfig
-	spans    *span.Recorder    // nil when span tracing is disarmed
 	schedule *mactdma.Schedule // TDMA worlds only
-	live     liveInstruments
-	fault    *fault.Injector // nil unless a per-link loss model is enabled
-	shadow   *phy.Shadowing  // nil unless shadowing is enabled
+	fault    *fault.Injector   // nil unless a per-link loss model is enabled
+	shadow   *phy.Shadowing    // nil unless shadowing is enabled
 
-	// Invariant-checking state (all nil/empty when cfg.Check is nil).
+	// Observation-only instruments, each nil when disarmed, and the
+	// platoon comms Finish harvests and audits, in registration order.
+	obs       *obs.Registry
+	live      liveInstruments
+	spans     *span.Recorder
+	trace     *trace.Collector
+	comms     []*ebl.PlatoonComms
+	wallStart time.Time
+
+	// Invariant-checking state (all nil/empty when checking is disarmed).
 	check      *check.Registry
 	chkQueues  []labeledQueue
 	slotGuard  *check.SlotGuard  // TDMA worlds only
@@ -174,15 +188,22 @@ func NewWorld(cfg StackConfig, seed uint64) *World {
 		Channel: phy.NewChannel(s, prop, pf),
 		PF:      pf,
 		RNG:     rng,
-		Obs:     cfg.Obs,
 		cfg:     cfg,
-		spans:   cfg.Spans,
-		live:    newLiveInstruments(cfg.Obs, cfg.MAC),
 		shadow:  shadow,
 	}
-	// The recorder carries the run's clock so clockless layers (netlayer,
-	// queue taps) can stamp events; Bind is nil-safe.
-	w.spans.Bind(s)
+	if cfg.Telemetry {
+		w.obs = obs.NewRegistry()
+	}
+	w.live = newLiveInstruments(w.obs, cfg.MAC)
+	if cfg.Spans {
+		// The recorder carries the run's clock so clockless layers
+		// (netlayer, queue taps) can stamp events.
+		w.spans = span.NewRecorder()
+		w.spans.Bind(s)
+	}
+	if cfg.Trace {
+		w.trace = &trace.Collector{}
+	}
 	if shadow == nil && !cfg.DisableCulling {
 		// Spatial-index neighbor culling is exact (byte-identical digests)
 		// for every deterministic monotone propagation model. Shadowing is
@@ -197,8 +218,8 @@ func NewWorld(cfg StackConfig, seed uint64) *World {
 	if cfg.MAC == MACTDMA {
 		w.schedule = mactdma.NewSchedule(cfg.TDMA.SlotDuration())
 	}
-	if cfg.Check != nil {
-		w.check = cfg.Check
+	if cfg.Check || check.ForceAll {
+		w.check = check.New()
 		s.SetStepHook(check.Monotonic(w.check))
 		w.routeGuard = check.NewRouteGuard(w.check)
 		if cfg.MAC == MACTDMA {
@@ -209,12 +230,46 @@ func NewWorld(cfg StackConfig, seed uint64) *World {
 		// which leaves the registry's zero-cost default in place).
 		w.check.SetTrail(w.spans.TrailFn())
 	}
+	w.wallStart = time.Now()
 	return w
 }
 
-// CheckRegistry returns the invariant-violation registry (nil when
-// checking is disabled).
-func (w *World) CheckRegistry() *check.Registry { return w.check }
+// Observations is what a run's observation-only instruments recorded.
+// Every scenario result embeds it. Only WallSeconds depends on the host;
+// every other field is a pure function of the configuration and seed.
+type Observations struct {
+	// Trace is the agent-level ns-2-style trace (nil unless armed).
+	Trace []trace.Record
+	// Telemetry is the cross-layer metrics snapshot (nil unless armed).
+	Telemetry *obs.Snapshot
+	// Violations are the invariant violations recorded during a checked
+	// run (nil unless checking was armed; empty means the run was clean).
+	Violations []check.Violation
+	// Spans is the causal per-packet event stream in scheduler order (nil
+	// unless armed).
+	Spans []span.Event
+	// WallSeconds is the host wall-clock cost of the run, from NewWorld to
+	// Finish. It feeds no simulation output.
+	WallSeconds float64
+}
+
+// Finish harvests the world's instruments once, after the run: the
+// telemetry snapshot, then the end-of-run invariant audit over the
+// registered comms in registration order, then the spans and the trace,
+// then the wall time. Harvesting only reads counters the simulation keeps
+// anyway, so it never changes a run's outputs.
+func (w *World) Finish() Observations {
+	o := Observations{
+		Telemetry:  w.harvestTelemetry(),
+		Violations: w.audit(),
+		Spans:      w.spans.Events(),
+	}
+	if w.trace != nil {
+		o.Trace = w.trace.Records()
+	}
+	o.WallSeconds = time.Since(w.wallStart).Seconds()
+	return o
+}
 
 // FaultStats returns the per-link injector's counters (zero when no loss
 // model is enabled).
@@ -260,7 +315,7 @@ func (w *World) AddNode(id packet.NodeID, pos phy.PositionFn) *Node {
 		w.chkQueues = append(w.chkQueues, labeledQueue{id: id, q: cq})
 		n.Ifq = cq
 	}
-	if w.Obs.Enabled() {
+	if w.obs.Enabled() {
 		// Transparent decorator: an unwrapped queue pays nothing when
 		// telemetry is off.
 		n.Ifq = queue.Instrument(n.Ifq, w.Sched, w.live.ifqOccupancy, w.live.ifqEnqueued, w.live.ifqOccSeries)
@@ -310,6 +365,36 @@ func (w *World) AddVehicleNode(v *mobility.Vehicle) *Node {
 	radio := n.Radio
 	v.OnMotionChange(func() { w.Channel.MotionChanged(radio) })
 	return n
+}
+
+// AddComms builds the EBL application for platoon p, whose vehicles must
+// already have nodes, with every armed instrument wired in: telemetry,
+// spans, the trace and the delay-envelope check against the active MAC's
+// bit rate. The comms are registered for Finish's harvest and audit.
+func (w *World) AddComms(p *mobility.Platoon, c ebl.CommsConfig) *ebl.PlatoonComms {
+	nets := make([]*netlayer.Net, 0, p.Len())
+	for _, v := range p.Vehicles() {
+		nets = append(nets, w.Node(v.ID()).Net)
+	}
+	c.Obs, c.Spans, c.Trace = w.obs, w.spans, w.trace
+	if w.check != nil {
+		rate := w.cfg.TDMA.DataRateBps
+		if w.cfg.MAC == MAC80211 {
+			rate = w.cfg.DCF.DataRateBps
+		}
+		c.Check = check.NewEnvelope(w.check, rate)
+	}
+	pc := ebl.NewPlatoonComms(w.Sched, p, nets, w.PF, c)
+	w.comms = append(w.comms, pc)
+	return pc
+}
+
+// AddUDPSink binds a datagram sink to port on node n, recording its
+// consumption events when spans are armed.
+func (w *World) AddUDPSink(n *Node, port int) *app.UDPSink {
+	sink := app.NewUDPSink(w.Sched, n.Net, port)
+	sink.SetSpans(w.spans)
+	return sink
 }
 
 // scheduleOutages arms the plan's outage windows targeting r's node: the

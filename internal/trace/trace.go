@@ -239,25 +239,14 @@ func parseAddr(s string) (packet.NodeID, int, error) {
 	return packet.NodeID(h), p, nil
 }
 
-// writeLine writes one record (plus newline) to w, encoding into buf's
-// capacity, and returns the buffer for reuse. It is the single line writer
-// behind both Collector streaming and WriteAll, so the on-disk format has
-// exactly one producer.
-func writeLine(w io.Writer, buf []byte, r Record) ([]byte, error) {
-	buf = r.AppendLine(buf[:0])
-	buf = append(buf, '\n')
-	_, err := w.Write(buf)
-	return buf, err
-}
-
 // WriteAll writes records to w one line each, buffered — the inverse of
-// ReadAll.
+// ReadAll. It is the on-disk format's only producer.
 func WriteAll(w io.Writer, recs []Record) error {
 	bw := bufio.NewWriter(w)
 	var buf []byte
-	var err error
 	for _, r := range recs {
-		if buf, err = writeLine(bw, buf, r); err != nil {
+		buf = append(r.AppendLine(buf[:0]), '\n')
+		if _, err := bw.Write(buf); err != nil {
 			return fmt.Errorf("trace: write: %w", err)
 		}
 	}
@@ -267,32 +256,16 @@ func WriteAll(w io.Writer, recs []Record) error {
 	return nil
 }
 
-// Collector accumulates records in memory and optionally streams them to a
-// writer. The zero value collects in memory only.
+// Collector accumulates records in memory. The zero value is ready to use.
 type Collector struct {
 	recs []Record
-	w    io.Writer
-	buf  []byte // reused line-encoding buffer for the streaming path
-	err  error
 }
-
-// NewCollector returns a collector that also writes each record as a line
-// to w (which may be nil).
-func NewCollector(w io.Writer) *Collector { return &Collector{w: w} }
 
 // Add records one event.
-func (c *Collector) Add(r Record) {
-	c.recs = append(c.recs, r)
-	if c.w != nil && c.err == nil {
-		c.buf, c.err = writeLine(c.w, c.buf, r)
-	}
-}
+func (c *Collector) Add(r Record) { c.recs = append(c.recs, r) }
 
 // Records returns all events in order.
 func (c *Collector) Records() []Record { return c.recs }
-
-// Err returns the first write error, if any.
-func (c *Collector) Err() error { return c.err }
 
 // ReadAll parses a whole trace stream.
 func ReadAll(r io.Reader) ([]Record, error) {

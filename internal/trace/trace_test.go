@@ -85,23 +85,26 @@ func TestFromPacket(t *testing.T) {
 }
 
 func TestCollectorAndReadAll(t *testing.T) {
-	var sb strings.Builder
-	c := NewCollector(&sb)
+	var c Collector
 	c.Add(sample())
 	r2 := sample()
 	r2.Op = Recv
 	r2.Node = 1
 	r2.At = 12.1
 	c.Add(r2)
-	if len(c.Records()) != 2 || c.Err() != nil {
-		t.Fatalf("collector state: %d records, err=%v", len(c.Records()), c.Err())
+	if len(c.Records()) != 2 {
+		t.Fatalf("collector holds %d records, want 2", len(c.Records()))
+	}
+	var sb strings.Builder
+	if err := WriteAll(&sb, c.Records()); err != nil {
+		t.Fatal(err)
 	}
 	recs, err := ReadAll(strings.NewReader(sb.String() + "\n# comment\n\n"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(recs) != 2 || recs[1].Op != Recv {
-		t.Fatalf("ReadAll = %+v", recs)
+	if len(recs) != 2 || recs[0] != c.Records()[0] || recs[1] != r2 {
+		t.Fatalf("ReadAll = %+v, want %+v", recs, c.Records())
 	}
 }
 

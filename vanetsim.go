@@ -57,6 +57,11 @@ type TrialConfig = scenario.TrialConfig
 // TrialResult carries a completed trial's measurements.
 type TrialResult = scenario.TrialResult
 
+// Observations is what a run's observation-only instruments recorded: the
+// trace, telemetry, invariant violations, spans and host wall time. Every
+// scenario result embeds it.
+type Observations = scenario.Observations
+
 // PlatoonResult is one platoon's view of a trial.
 type PlatoonResult = scenario.PlatoonResult
 
@@ -181,8 +186,9 @@ func DefaultJamming(mac MACType) JammingConfig { return scenario.DefaultJamming(
 func RunJamming(cfg JammingConfig) (*JammingResult, error) { return scenario.RunJamming(cfg) }
 
 // CheckViolation is one runtime invariant violation recorded by a checked
-// run (TrialConfig.Check and the Highway/Jamming equivalents). A clean
-// checked run leaves the result's Violations slice empty.
+// run (the Check field of TrialConfig, HighwayConfig, JammingConfig or
+// DenseHighwayConfig). A clean checked run leaves the result's Violations
+// slice empty.
 type CheckViolation = check.Violation
 
 // StoppingAnalysis is the §III.E stopping-distance feasibility result.
@@ -256,9 +262,9 @@ func WriteTrace(path string, r *TrialResult) error {
 
 // SpanEvent is one causal-tracing lifecycle step of one packet (emit,
 // queue enq/deq, MAC wait, transmit with airtime, loss with cause,
-// forward, delivery). Arm collection with TrialConfig.Spans (and the
-// Highway/Jamming equivalents); the run's events land on the result's
-// Spans field in scheduler order.
+// forward, delivery). Arm collection with the Spans field of TrialConfig,
+// HighwayConfig, JammingConfig or DenseHighwayConfig; the run's events
+// land on the result's Spans field in scheduler order.
 type SpanEvent = span.Event
 
 // LatencyBreakdown decomposes one delivered packet's end-to-end delay into
@@ -321,11 +327,11 @@ func WriteSpansChrome(path string, events []SpanEvent) error {
 
 // Telemetry is a cross-layer metrics snapshot: counters, gauges with
 // high-water marks, latency histograms, and time series harvested from
-// every stack layer plus the scheduler. Enable collection with
-// TrialConfig.Telemetry (and the Highway/Jamming equivalents); render with
-// FormatText, NDJSON, or Prometheus.
+// every stack layer plus the scheduler. Enable collection with the
+// Telemetry field of TrialConfig, HighwayConfig, JammingConfig or
+// DenseHighwayConfig; render with FormatText, NDJSON, or Prometheus.
 type Telemetry = obs.Snapshot
 
-// NewTelemetryRegistry returns a live registry for callers assembling
-// worlds directly through the scenario package.
+// NewTelemetryRegistry returns a live registry for callers recording
+// their own metrics, such as ebltrace's offline trace summary.
 func NewTelemetryRegistry() *obs.Registry { return obs.NewRegistry() }
