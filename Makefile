@@ -14,12 +14,15 @@ test:
 	$(GO) test ./...
 
 # verify is the CI gate: compile everything, require gofmt-clean sources,
-# vet, and run the full test suite under the race detector.
+# vet (the bench/ module too: it is a separate module over the internal
+# packages, so the root build never compiles it), and run the full test
+# suite under the race detector.
 verify:
 	$(GO) build ./...
 	@unformatted="$$(gofmt -l .)"; if [ -n "$$unformatted" ]; then \
 		echo "gofmt -l lists unformatted files:"; echo "$$unformatted"; exit 1; fi
 	$(GO) vet ./...
+	cd bench && $(GO) vet ./...
 	$(GO) test -race ./...
 
 # check arms the runtime invariant checker everywhere: the full test

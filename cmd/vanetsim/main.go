@@ -8,7 +8,7 @@
 //	vanetsim -trial 3 -ascii Fig11    # trial 3 delay curve in the terminal
 //	vanetsim -trial 2 -csv Fig10      # figure data as CSV on stdout
 //	vanetsim -trial 1 -trace t1.tr    # write an agent-level trace file
-//	vanetsim -mac 802.11 -packet 500  # a configuration the paper didn't run
+//	vanetsim -trial 0 -mac 802.11 -packet 500  # a configuration the paper didn't run
 //	vanetsim -trial 3 -stats          # tables plus the telemetry summary
 //	vanetsim -trial 1 -stats-json m.ndjson  # machine-readable run report
 //	vanetsim -trial 1 -spans s.ndjson # causal per-packet span events
@@ -86,15 +86,24 @@ func run(args []string, out io.Writer) (err error) {
 	if d := *duration; math.IsNaN(d) || math.IsInf(d, 0) || d < 0 {
 		return fmt.Errorf("invalid -duration %v: want finite seconds >= 0 (0 = paper default)", d)
 	}
+	if *dense < 0 {
+		return fmt.Errorf("invalid -dense %d: want a vehicle count (0 = run a paper trial)", *dense)
+	}
 	if *dense > 0 {
-		var trialOnly []string
-		fs.Visit(func(f *flag.Flag) {
-			if denseRejects[f.Name] {
-				trialOnly = append(trialOnly, "-"+f.Name)
+		if set := setFlags(fs, denseRejects); len(set) > 0 {
+			return fmt.Errorf("-dense does not take %s", strings.Join(set, ", "))
+		}
+	} else {
+		if set := setFlags(fs, denseOnly); len(set) > 0 {
+			return fmt.Errorf("%s: only valid with -dense", strings.Join(set, ", "))
+		}
+		if *trial >= 1 && *trial <= 3 {
+			if set := setFlags(fs, customOnly); len(set) > 0 {
+				return fmt.Errorf("-trial %d does not take %s: -packet and -mac configure -trial 0", *trial, strings.Join(set, ", "))
 			}
-		})
-		if len(trialOnly) > 0 {
-			return fmt.Errorf("-dense does not take %s", strings.Join(trialOnly, ", "))
+		}
+		if *trial == 0 && *pktSize <= 0 {
+			return fmt.Errorf("invalid -packet %d: want a positive size in bytes", *pktSize)
 		}
 	}
 	stopProf, err := prof.Start(*cpuProf, *memProf)
@@ -219,6 +228,29 @@ var denseRejects = map[string]bool{
 	"trial": true, "packet": true, "trace": true, "anim": true, "csv": true,
 	"ascii": true, "loss": true, "ber": true, "burst-loss": true,
 	"burst-len": true, "shadow": true, "outage": true,
+}
+
+// denseOnly names the flags that configure -dense only; a trial refuses
+// them.
+var denseOnly = map[string]bool{
+	"lanes": true, "platoon-len": true, "beacon-frac": true,
+	"beacon-jitter": true, "safety-depth": true, "no-culling": true,
+}
+
+// customOnly names the flags that build -trial 0's configuration; the
+// fixed paper trials 1-3 refuse them.
+var customOnly = map[string]bool{"packet": true, "mac": true}
+
+// setFlags returns the flags named in names that were set on the command
+// line, as "-name", in lexical order.
+func setFlags(fs *flag.FlagSet, names map[string]bool) []string {
+	var set []string
+	fs.Visit(func(f *flag.Flag) {
+		if names[f.Name] {
+			set = append(set, "-"+f.Name)
+		}
+	})
+	return set
 }
 
 // parseMAC resolves a -mac value.

@@ -112,6 +112,20 @@ func TestRunErrors(t *testing.T) {
 		{"-dense", "40", "-burst-len", "4"},
 		{"-dense", "40", "-shadow", "4"},
 		{"-dense", "40", "-outage", "1:2:3"},
+		// A bad -packet once panicked in the CBR source; flags that do not
+		// apply to the chosen run were once silently ignored.
+		{"-trial", "0", "-packet", "0"},
+		{"-trial", "0", "-packet", "-5"},
+		{"-trial", "1", "-packet", "500"},
+		{"-trial", "2", "-mac", "802.11"},
+		{"-trial", "3", "-mac", "tdma", "-packet", "1000"},
+		{"-trial", "1", "-lanes", "9"},
+		{"-platoon-len", "5"},
+		{"-beacon-frac", "0.5"},
+		{"-beacon-jitter", "0.1"},
+		{"-safety-depth", "2"},
+		{"-no-culling"},
+		{"-dense", "-3"},
 	}
 	for _, args := range cases {
 		var sb strings.Builder

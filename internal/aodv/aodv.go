@@ -9,8 +9,11 @@ import (
 )
 
 // Config holds AODV protocol constants. DefaultConfig matches ns-2's AODV
-// defaults with link-layer failure detection (hellos disabled), the
-// configuration the paper's Tcl script selects.
+// defaults with link-layer failure detection, the configuration the
+// paper's Tcl script selects: a broken link is learned only from the
+// MAC's failed unicast (there are no hello beacons), and an intermediate
+// node that loses a downstream link first tries a local repair (RFC 3561
+// §6.12), sending the route error only if the repair fails.
 type Config struct {
 	// ActiveRouteTimeout is the lifetime granted to a route each time it
 	// carries traffic.
@@ -34,21 +37,9 @@ type Config struct {
 	MaxBufferPerDest int
 	// BroadcastJitter randomises RREQ rebroadcast to desynchronise floods.
 	BroadcastJitter sim.Time
-	// HelloInterval enables periodic hello beacons when positive; zero
-	// relies on MAC-layer failure detection (ns-2's -llFailure, and the
-	// only failure signal available under TDMA-with-ACKs-off is none, so
-	// hellos are the ablation knob for that).
-	HelloInterval sim.Time
-	// AllowedHelloLoss consecutive missed hellos declare a link broken.
-	AllowedHelloLoss int
-	// LocalRepair lets an intermediate node that loses a downstream link
-	// try to re-discover the destination itself (RFC 3561 §6.12) instead
-	// of immediately reporting a route error; the error is sent only if
-	// the repair fails.
-	LocalRepair bool
-	// MaxRepairHops bounds which breaks are repairable: only routes whose
-	// remaining distance was at most this many hops (RFC's
-	// MAX_REPAIR_TTL intent).
+	// MaxRepairHops bounds which breaks are locally repairable: only
+	// routes whose remaining distance was at most this many hops (RFC's
+	// MAX_REPAIR_TTL intent). Other breaks send the route error at once.
 	MaxRepairHops int
 }
 
@@ -66,9 +57,6 @@ func DefaultConfig() Config {
 		BcastIDSave:        6 * sim.Second,
 		MaxBufferPerDest:   64,
 		BroadcastJitter:    10 * sim.Millisecond,
-		HelloInterval:      0,
-		AllowedHelloLoss:   2,
-		LocalRepair:        true,
 		MaxRepairHops:      5,
 	}
 }
@@ -82,11 +70,9 @@ type Stats struct {
 	RREPOriginated  int
 	RREPForwarded   int
 	RERRSent        int
-	HellosSent      int
 	RREQBytes       int // bytes of RREQ traffic offered to the stack
 	RREPBytes       int // bytes of RREP traffic offered to the stack
 	RERRBytes       int // bytes of RERR traffic offered to the stack
-	HelloBytes      int // bytes of hello traffic offered to the stack
 	DataForwarded   int
 	DataNoRoute     int // data dropped (or RERRed) for lack of a route
 	DataTTLExpired  int
@@ -128,9 +114,6 @@ type Agent struct {
 	seen    map[seenKey]sim.Time
 	disc    map[packet.NodeID]*discovery
 
-	neighbors  map[packet.NodeID]sim.Time // last-heard times (hello mode)
-	helloTimer sim.Timer
-
 	stats Stats
 
 	// chk validates routes at use time and packet hop budgets along paths
@@ -148,21 +131,17 @@ var _ netlayer.Routing = (*Agent)(nil)
 // that layer's routing agent.
 func New(sched *sim.Scheduler, net *netlayer.Net, pf *packet.Factory, rng *sim.RNG, cfg Config) *Agent {
 	a := &Agent{
-		id:        net.ID(),
-		sched:     sched,
-		net:       net,
-		pf:        pf,
-		rng:       rng,
-		cfg:       cfg,
-		tbl:       newTable(),
-		seen:      make(map[seenKey]sim.Time),
-		disc:      make(map[packet.NodeID]*discovery),
-		neighbors: make(map[packet.NodeID]sim.Time),
+		id:    net.ID(),
+		sched: sched,
+		net:   net,
+		pf:    pf,
+		rng:   rng,
+		cfg:   cfg,
+		tbl:   newTable(),
+		seen:  make(map[seenKey]sim.Time),
+		disc:  make(map[packet.NodeID]*discovery),
 	}
 	net.SetRouting(a)
-	if cfg.HelloInterval > 0 {
-		a.helloTimer = sched.ScheduleKind(sim.KindRouting, cfg.HelloInterval, a.onHelloTimer)
-	}
 	return a
 }
 
@@ -313,7 +292,6 @@ func (a *Agent) HandleIncoming(p *packet.Packet) {
 
 func (a *Agent) handleData(p *packet.Packet) {
 	now := a.sched.Now()
-	a.noteNeighbor(p.Mac.Src)
 	if p.IP.Dst == a.id {
 		a.net.DeliverLocally(p)
 		return
@@ -357,7 +335,6 @@ func (a *Agent) seqOf(dst packet.NodeID) uint32 {
 func (a *Agent) recvRREQ(p *packet.Packet, rq *RREQ) {
 	now := a.sched.Now()
 	from := p.Mac.Src
-	a.noteNeighbor(from)
 	if rq.Origin == a.id {
 		return // our own flood echoed back
 	}
@@ -439,16 +416,6 @@ func (a *Agent) sendRREP(origin, dst packet.NodeID, hops int, seq uint32, lifeti
 func (a *Agent) recvRREP(p *packet.Packet, rp *RREP) {
 	now := a.sched.Now()
 	from := p.Mac.Src
-	if rp.Hello {
-		a.neighbors[from] = now
-		life := sim.Time(float64(a.cfg.AllowedHelloLoss+1)) * a.cfg.HelloInterval
-		if life == 0 {
-			life = a.cfg.ActiveRouteTimeout
-		}
-		a.tbl.update(rp.Dst, rp.DstSeq, true, 1, from, now+life)
-		return
-	}
-	a.noteNeighbor(from)
 	a.tbl.update(from, 0, false, 1, from, now+a.cfg.ActiveRouteTimeout)
 	a.tbl.update(rp.Dst, rp.DstSeq, true, rp.HopCount+1, from, now+rp.Lifetime)
 
@@ -540,22 +507,22 @@ func (a *Agent) MacTxDone(p *packet.Packet, ok bool) {
 	if ok {
 		return
 	}
-	a.linkBreak(p.Mac.Dst, p)
+	a.linkBreak(p)
 }
 
-// linkBreak invalidates every route through the lost neighbour, emits a
+// linkBreak invalidates every route through p's lost next hop, emits a
 // route error, and salvages the undelivered packet if we originated it.
-func (a *Agent) linkBreak(neighbour packet.NodeID, p *packet.Packet) {
+func (a *Agent) linkBreak(p *packet.Packet) {
 	a.stats.LinkBreaks++
-	delete(a.neighbors, neighbour)
+	neighbour := p.Mac.Dst
 
 	// Decide whether the in-flight packet's destination is worth a local
 	// repair (RFC 3561 §6.12): we were forwarding (not the source) and
 	// the destination was close enough. Must be checked before the route
 	// is invalidated, while its hop count is still meaningful.
 	repairDst := packet.None
-	isData := p != nil && p.Type != packet.TypeAODV && p.IP.Dst != packet.Broadcast
-	if a.cfg.LocalRepair && isData && p.IP.Src != a.id {
+	isData := p.Type != packet.TypeAODV && p.IP.Dst != packet.Broadcast
+	if isData && p.IP.Src != a.id {
 		if r := a.tbl.lookup(p.IP.Dst); r != nil && r.Valid && r.NextHop == neighbour && r.Hops <= a.cfg.MaxRepairHops {
 			repairDst = p.IP.Dst
 		}
@@ -585,42 +552,6 @@ func (a *Agent) linkBreak(neighbour packet.NodeID, p *packet.Packet) {
 		a.stats.Salvaged++
 		a.bufferAndDiscoverMode(p, false, span.CauseSalvage)
 	}
-}
-
-// onHelloTimer broadcasts a hello and expires silent neighbours.
-func (a *Agent) onHelloTimer() {
-	now := a.sched.Now()
-	a.stats.HellosSent++
-	p := a.pf.New(packet.TypeAODV, helloSize, now)
-	a.stats.HelloBytes += helloSize
-	p.IP = packet.IPHdr{
-		Src: a.id, Dst: packet.Broadcast,
-		SrcPort: aodvPort, DstPort: aodvPort,
-		TTL: 1, NextHop: packet.Broadcast,
-	}
-	p.Payload = &RREP{Dst: a.id, DstSeq: a.seq, Lifetime: sim.Time(float64(a.cfg.AllowedHelloLoss+1)) * a.cfg.HelloInterval, Hello: true}
-	a.net.Send(p)
-
-	deadline := now - sim.Time(float64(a.cfg.AllowedHelloLoss))*a.cfg.HelloInterval
-	for n, last := range a.neighbors {
-		if last < deadline {
-			a.linkBreak(n, nil)
-		}
-	}
-	a.helloTimer = a.sched.ScheduleKind(sim.KindRouting, a.cfg.HelloInterval, a.onHelloTimer)
-}
-
-// noteNeighbor records that we heard from a neighbour (hello bookkeeping).
-func (a *Agent) noteNeighbor(n packet.NodeID) {
-	if a.cfg.HelloInterval <= 0 {
-		// Hello mode off: nothing ever reads the last-heard table, so the
-		// per-reception map write would be pure overhead on the hot path.
-		return
-	}
-	if n == packet.None || n == packet.Broadcast {
-		return
-	}
-	a.neighbors[n] = a.sched.Now()
 }
 
 // pruneSeen drops expired RREQ-dedup entries; called opportunistically.

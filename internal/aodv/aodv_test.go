@@ -166,9 +166,11 @@ func TestLinkBreakSalvageAndRediscovery(t *testing.T) {
 	}
 }
 
-func TestLinkBreakWithoutLocalRepairSendsRERR(t *testing.T) {
+func TestUnrepairableLinkBreakSendsRERR(t *testing.T) {
+	// With MaxRepairHops 0 no break is close enough to repair, so the
+	// intermediate node reports the route error at once.
 	cfg := scenario.DefaultStackConfig(scenario.MAC80211)
-	cfg.AODV.LocalRepair = false
+	cfg.AODV.MaxRepairHops = 0
 	w := scenario.NewWorld(cfg, 11)
 	pos2 := geom.V(400, 0)
 	w.AddNode(0, fixed(0, 0))
@@ -186,7 +188,7 @@ func TestLinkBreakWithoutLocalRepairSendsRERR(t *testing.T) {
 	w.Sched.RunUntil(3)
 	st := w.Nodes[1].AODV.Stats()
 	if st.RepairsStarted != 0 {
-		t.Fatal("repair attempted despite LocalRepair=false")
+		t.Fatal("repair attempted on a break beyond MaxRepairHops")
 	}
 	if st.RERRSent == 0 {
 		t.Fatal("node 1 sent no route error")
@@ -260,22 +262,6 @@ func TestRouteExpiry(t *testing.T) {
 	}
 }
 
-func TestHelloNeighborDetection(t *testing.T) {
-	cfg := scenario.DefaultStackConfig(scenario.MAC80211)
-	cfg.AODV.HelloInterval = 0.5
-	w := scenario.NewWorld(cfg, 5)
-	w.AddNode(0, fixed(0, 0))
-	w.AddNode(1, fixed(100, 0))
-	w.Sched.RunUntil(3)
-	// Hellos alone should have created neighbour routes.
-	if r := w.Nodes[0].AODV.RouteTo(1); r == nil || r.Hops != 1 {
-		t.Fatalf("hello-learned route = %+v", r)
-	}
-	if w.Nodes[0].AODV.Stats().HellosSent < 4 {
-		t.Fatalf("hellos sent = %d, want >= 4 in 3 s at 0.5 s interval", w.Nodes[0].AODV.Stats().HellosSent)
-	}
-}
-
 func TestDataTTLExpiry(t *testing.T) {
 	// A packet injected with TTL 1 must die at the first forwarder.
 	w := line(t, 3, 200)
@@ -327,8 +313,5 @@ func TestAODVConfigDefaults(t *testing.T) {
 	cfg := aodv.DefaultConfig()
 	if cfg.TTLStart >= cfg.NetDiameter {
 		t.Fatal("ring search must start below the network diameter")
-	}
-	if cfg.HelloInterval != 0 {
-		t.Fatal("hellos must default off (link-layer detection, as in ns-2)")
 	}
 }

@@ -2,8 +2,9 @@
 // protocol (RFC 3561 essentials, in the shape of ns-2's AODV agent): the
 // paper's fixed routing parameter. Routes are discovered only on demand by
 // flooding route requests with an expanding ring search, data packets are
-// buffered during discovery, and broken links trigger route errors back
-// toward traffic sources.
+// buffered during discovery, and broken links — learned only from the
+// MAC's failed unicasts, as there are no hello beacons — trigger local
+// repair or route errors back toward traffic sources.
 package aodv
 
 import (
@@ -17,7 +18,6 @@ const (
 	rrepSize     = 20 + 20
 	rerrBase     = 12 + 20
 	rerrPerDest  = 8
-	helloSize    = 20 + 20
 	aodvPort     = 254 // routing agents talk agent-to-agent on this port
 	infinityHops = 250
 )
@@ -57,14 +57,12 @@ func (m *RREQ) ClonePayloadOnto(old packet.Payload) (packet.Payload, bool) {
 }
 
 // RREP is a route reply, unicast hop-by-hop back to the request origin.
-// Hellos are RREPs with Hello=true, broadcast with TTL 1.
 type RREP struct {
 	HopCount int
 	Dst      packet.NodeID // the destination the route leads to
 	DstSeq   uint32
-	Origin   packet.NodeID // the node that asked (ignored for hellos)
+	Origin   packet.NodeID // the node that asked
 	Lifetime sim.Time
-	Hello    bool
 }
 
 // ClonePayload implements packet.Payload.

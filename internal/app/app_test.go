@@ -91,16 +91,3 @@ func TestCBRPanicsOnBadConfig(t *testing.T) {
 		}()
 	}
 }
-
-func TestFTPFloodsOnce(t *testing.T) {
-	tr := &countingSender{}
-	f := NewFTP(tr)
-	f.Start()
-	f.Start()
-	if len(tr.calls) != 1 {
-		t.Fatalf("FTP wrote %d times, want once", len(tr.calls))
-	}
-	if tr.calls[0] < 1<<30 {
-		t.Fatalf("FTP backlog too small to be greedy: %d", tr.calls[0])
-	}
-}

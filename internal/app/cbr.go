@@ -79,23 +79,3 @@ func (c *CBR) tick() {
 	c.tr.SendBytes(c.packetSize)
 	c.timer = c.sched.ScheduleKind(sim.KindApp, c.interval, c.tickFn)
 }
-
-// FTP is a greedy source: it keeps the transport's backlog effectively
-// infinite, modelling ns-2's Application/FTP.
-type FTP struct {
-	tr      ByteSender
-	started bool
-}
-
-// NewFTP creates a greedy source over tr.
-func NewFTP(tr ByteSender) *FTP { return &FTP{tr: tr} }
-
-// Start floods the transport with an effectively unbounded backlog.
-// Idempotent.
-func (f *FTP) Start() {
-	if f.started {
-		return
-	}
-	f.started = true
-	f.tr.SendBytes(1 << 40)
-}

@@ -1,7 +1,7 @@
 // Package app provides the traffic applications that ride on the transport
 // layer: a constant-bit-rate generator (the paper's "packets are sent at a
-// constant bit rate"), a greedy FTP source, and a minimal UDP datagram
-// agent for connectionless traffic such as EBL status messages.
+// constant bit rate") and a minimal UDP datagram agent for connectionless
+// traffic such as EBL status messages.
 package app
 
 import (

@@ -3,7 +3,9 @@
 // virtual carrier sense (NAV), DIFS/SIFS interframe spaces, binary
 // exponential backoff, positive acknowledgement of unicast frames, and a
 // retry limit whose exhaustion is reported upward as a link failure (which
-// AODV uses for route-error detection, as in ns-2).
+// AODV uses for route-error detection, as in ns-2). Access is basic
+// DATA/ACK only, as in the paper's ns-2 runs: there is no RTS/CTS
+// exchange.
 //
 // Compared with TDMA, DCF grants the channel on demand: a braking vehicle's
 // first status packet goes out after at most DIFS + backoff rather than
@@ -24,7 +26,7 @@ import (
 )
 
 // Config holds DCF parameters. DefaultConfig models an 802.11b radio at
-// 11 Mb/s with long PLCP preambles and 1 Mb/s control frames.
+// 11 Mb/s with long PLCP preambles and 1 Mb/s ACKs.
 type Config struct {
 	SlotTime sim.Time
 	SIFS     sim.Time
@@ -43,13 +45,6 @@ type Config struct {
 	RetryLimit int
 	// MaxPropDelay pads the ACK timeout for the farthest receiver.
 	MaxPropDelay sim.Time
-	// RTSThresholdBytes enables RTS/CTS for unicast data frames of at
-	// least this size; 0 disables the exchange (the default, as in the
-	// paper's ns-2 runs). RTS/CTS reserves the medium around a *hidden*
-	// sender via the NAV, at the cost of two extra control frames.
-	RTSThresholdBytes int
-	// RTSBytes and CTSBytes are the control frame sizes.
-	RTSBytes, CTSBytes int
 }
 
 // DefaultConfig returns 802.11b (11 Mb/s) DCF parameters.
@@ -67,24 +62,7 @@ func DefaultConfig() Config {
 		AckBytes:     14,
 		RetryLimit:   7,
 		MaxPropDelay: 2 * sim.Microsecond,
-		RTSBytes:     20,
-		CTSBytes:     14,
 	}
-}
-
-// RTSTxTime returns the on-air time of an RTS frame.
-func (c Config) RTSTxTime() sim.Time {
-	return c.PLCPTime + mac.Duration(c.RTSBytes, c.BasicRateBps)
-}
-
-// CTSTxTime returns the on-air time of a CTS frame.
-func (c Config) CTSTxTime() sim.Time {
-	return c.PLCPTime + mac.Duration(c.CTSBytes, c.BasicRateBps)
-}
-
-// CTSTimeout returns how long an RTS sender waits for the CTS.
-func (c Config) CTSTimeout() sim.Time {
-	return c.SIFS + c.CTSTxTime() + 2*c.MaxPropDelay + c.SlotTime
 }
 
 // DataTxTime returns the on-air time of a data frame carrying size bytes.
@@ -115,8 +93,6 @@ const (
 type Stats struct {
 	TxData      int // data transmissions, including retries
 	TxAck       int // acknowledgements sent
-	TxRTS       int // RTS frames sent
-	TxCTS       int // CTS responses sent
 	TxErrors    int // frames the radio refused (Transmit returned an error)
 	Retries     int // retransmission attempts
 	Drops       int // frames dropped after RetryLimit
@@ -146,35 +122,28 @@ type MAC struct {
 
 	waitingAck bool
 	ackTimer   sim.Timer
-	waitingCTS bool
-	ctsTimer   sim.Timer
 
 	navUntil sim.Time
 	navTimer sim.Timer
 
 	// Hot-path callbacks, bound once at construction: the access and NAV
 	// timers are re-armed on nearly every medium transition, and every
-	// frame schedules its end of transmission and its ACK/CTS timeout; a
+	// frame schedules its end of transmission and its ACK timeout; a
 	// fresh method value (or closure) per arming is real allocation
 	// traffic at dense fleet sizes.
 	difsEndFn        func()
 	backoffEndFn     func()
 	navExpireFn      func()
-	txEndFn          func() // end of an ACK or CTS we sent
+	ackTxEndFn       func()
 	broadcastTxEndFn func()
 	unicastTxEndFn   func()
-	rtsTxEndFn       func()
 	ackTimeoutFn     func()
-	ctsTimeoutFn     func()
-	sendAfterCTSFn   func()
 	sendAckFn        func(any) // a *response: the ACK one SIFS after data
-	sendCTSFn        func(any) // a *response: the CTS one SIFS after an RTS
 
-	txBusy     bool // our radio is clocking out a frame
-	pendingAck sim.Timer
-	// ctlFrame is the ACK, CTS or RTS on the air (nil otherwise); the MAC
-	// minted it, so it releases it at its own end of transmission.
-	ctlFrame *packet.Packet
+	txBusy bool // our radio is clocking out a frame
+	// ackFrame is the ACK on the air (nil otherwise); the MAC minted it,
+	// so it releases it at its own end of transmission.
+	ackFrame *packet.Packet
 	respFree []*response
 
 	dedup map[uint64]bool
@@ -200,12 +169,10 @@ type MAC struct {
 var _ mac.MAC = (*MAC)(nil)
 var _ phy.MAC = (*MAC)(nil)
 
-// response carries a pending SIFS response (ACK or CTS) to its callback.
-// Responses are pooled per MAC; each needs its own record because ACKs can
-// overlap.
+// response carries a pending SIFS ACK to its callback. Responses are
+// pooled per MAC; each needs its own record because ACKs can overlap.
 type response struct {
-	to       packet.NodeID
-	navGrant sim.Time // CTS only
+	to packet.NodeID
 }
 
 // dedupWindow bounds duplicate detection to the most recent data UIDs.
@@ -232,18 +199,11 @@ func New(id packet.NodeID, sched *sim.Scheduler, radio *phy.Radio, ifq queue.Que
 		m.navTimer = sim.Timer{}
 		m.startAccess()
 	}
-	m.txEndFn = func() {
-		m.txBusy = false
-		m.releaseCtl()
-	}
+	m.ackTxEndFn = m.onAckTxEnd
 	m.broadcastTxEndFn = m.onBroadcastTxEnd
 	m.unicastTxEndFn = m.onUnicastTxEnd
-	m.rtsTxEndFn = m.onRTSTxEnd
 	m.ackTimeoutFn = m.onAckTimeout
-	m.ctsTimeoutFn = m.onCtsTimeout
-	m.sendAfterCTSFn = m.onSendAfterCTS
 	m.sendAckFn = m.onSendAck
-	m.sendCTSFn = m.onSendCTS
 	radio.SetMAC(m)
 	return m
 }
@@ -291,7 +251,7 @@ func (m *MAC) mediumFree() bool {
 // startAccess begins (or defers) the DIFS + backoff procedure for the
 // frame in service.
 func (m *MAC) startAccess() {
-	if m.current == nil || m.phase != phaseNone || m.waitingAck || m.waitingCTS {
+	if m.current == nil || m.phase != phaseNone || m.waitingAck {
 		return
 	}
 	if !m.mediumFree() {
@@ -348,16 +308,6 @@ func (m *MAC) transmitData() {
 	p.Mac.Subtype = packet.MacData
 	p.Mac.Retries = m.retries
 	broadcast := p.Mac.Dst == packet.Broadcast
-	if !broadcast && m.cfg.RTSThresholdBytes > 0 && p.Size >= m.cfg.RTSThresholdBytes {
-		m.transmitRTS(p)
-		return
-	}
-	m.transmitDataFrame(p, broadcast)
-}
-
-// transmitDataFrame clocks out the data frame itself (directly, or as the
-// third step of an RTS/CTS exchange).
-func (m *MAC) transmitDataFrame(p *packet.Packet, broadcast bool) {
 	dur := m.cfg.DataTxTime(p.Size)
 	if broadcast {
 		p.Mac.Duration = 0
@@ -392,54 +342,6 @@ func (m *MAC) onUnicastTxEnd() {
 	m.txBusy = false
 	m.waitingAck = true
 	m.ackTimer = m.sched.ScheduleKind(sim.KindMAC, m.cfg.AckTimeout(), m.ackTimeoutFn)
-}
-
-// transmitRTS opens an RTS/CTS exchange for the frame in service. The RTS
-// NAV reserves the medium for the whole CTS + DATA + ACK sequence.
-func (m *MAC) transmitRTS(p *packet.Packet) {
-	rts := m.pf.New(packet.TypeMACAck, m.cfg.RTSBytes, m.sched.Now())
-	rts.Mac = packet.MacHdr{
-		Src:     m.id,
-		Dst:     p.Mac.Dst,
-		Subtype: packet.MacRTS,
-		Duration: 3*m.cfg.SIFS + m.cfg.CTSTxTime() +
-			m.cfg.DataTxTime(p.Size) + m.cfg.AckTxTime(),
-	}
-	dur := m.cfg.RTSTxTime()
-	m.stats.TxRTS++
-	m.txBusy = true
-	m.ctlFrame = rts
-	m.sched.ScheduleKind(sim.KindMAC, dur, m.rtsTxEndFn)
-	if err := m.radio.Transmit(rts, dur); err != nil {
-		m.stats.TxErrors++ // degrade through the CTS timeout
-	}
-}
-
-// onRTSTxEnd starts waiting for the CTS answering our RTS.
-func (m *MAC) onRTSTxEnd() {
-	m.txBusy = false
-	m.releaseCtl()
-	m.waitingCTS = true
-	m.ctsTimer = m.sched.ScheduleKind(sim.KindMAC, m.cfg.CTSTimeout(), m.ctsTimeoutFn)
-}
-
-// onCtsTimeout handles a missing CTS like a missing ACK: back off and
-// retry the whole exchange.
-func (m *MAC) onCtsTimeout() {
-	m.ctsTimer = sim.Timer{}
-	m.waitingCTS = false
-	m.retries++
-	if m.retries > m.cfg.RetryLimit {
-		m.stats.Drops++
-		m.cw = m.cfg.CWMin
-		m.finishCurrent(false)
-		return
-	}
-	m.stats.Retries++
-	m.spans.Record(span.OpRetry, span.CauseCtsTimeout, m.id, m.current)
-	m.cw = min(2*m.cw+1, m.cfg.CWMax)
-	m.backoffSlots = m.rng.Intn(m.cw + 1)
-	m.startAccess()
 }
 
 func (m *MAC) onAckTimeout() {
@@ -497,9 +399,8 @@ func (m *MAC) RecvFromPhy(p *packet.Packet, corrupted bool) {
 	// Every arm below that does not hand p to the network layer recycles
 	// it: under a dense fleet almost every decoded frame is overheard
 	// traffic or MAC control, and releasing those is what keeps the
-	// receive path allocation-free in steady state. The handlers consume
-	// header fields before the release (scheduleCTS and scheduleAck copy
-	// what their deferred callbacks need).
+	// receive path allocation-free in steady state. scheduleAck copies
+	// the header field its deferred callback needs before the release.
 	switch p.Mac.Subtype {
 	case packet.MacAck:
 		if p.Mac.Dst == m.id && m.waitingAck {
@@ -507,19 +408,6 @@ func (m *MAC) RecvFromPhy(p *packet.Packet, corrupted bool) {
 			m.ackTimer = sim.Timer{}
 			m.waitingAck = false
 			m.finishCurrent(true)
-		}
-		m.radio.ReleaseFrame(p)
-	case packet.MacRTS:
-		if p.Mac.Dst == m.id {
-			m.scheduleCTS(p)
-		}
-		m.radio.ReleaseFrame(p)
-	case packet.MacCTS:
-		if p.Mac.Dst == m.id && m.waitingCTS {
-			m.ctsTimer.Cancel()
-			m.ctsTimer = sim.Timer{}
-			m.waitingCTS = false
-			m.sendDataAfterCTS()
 		}
 		m.radio.ReleaseFrame(p)
 	case packet.MacData:
@@ -548,67 +436,40 @@ func (m *MAC) RecvFromPhy(p *packet.Packet, corrupted bool) {
 // sent regardless of medium state — SIFS priority is what makes them win
 // the channel.
 func (m *MAC) scheduleAck(data *packet.Packet) {
-	m.pendingAck = m.sched.ScheduleArgKind(sim.KindMAC, m.cfg.SIFS, m.sendAckFn, m.newResponse(data.Mac.Src, 0))
+	m.sched.ScheduleArgKind(sim.KindMAC, m.cfg.SIFS, m.sendAckFn, m.newResponse(data.Mac.Src))
 }
 
-// onSendAck sends the ACK scheduled by scheduleAck.
+// onSendAck sends the ACK scheduled by scheduleAck. As in transmitData,
+// txBusy is cleared (and the frame released) before the radio's
+// same-instant ChannelIdle, so a deferred access can resume.
 func (m *MAC) onSendAck(a any) {
 	to := m.takeResponse(a).to
-	m.pendingAck = sim.Timer{}
 	if m.txBusy {
 		return // pathological overlap; drop the ACK, sender retries
 	}
 	ack := m.pf.New(packet.TypeMACAck, m.cfg.AckBytes, m.sched.Now())
 	ack.Mac = packet.MacHdr{Src: m.id, Dst: to, Subtype: packet.MacAck}
 	m.stats.TxAck++
-	m.transmitCtl(ack, m.cfg.AckTxTime())
-}
-
-// scheduleCTS answers an RTS after SIFS, granting the reservation.
-func (m *MAC) scheduleCTS(rts *packet.Packet) {
-	navGrant := rts.Mac.Duration - m.cfg.SIFS - m.cfg.CTSTxTime()
-	if navGrant < 0 {
-		navGrant = 0
-	}
-	m.sched.ScheduleArgKind(sim.KindMAC, m.cfg.SIFS, m.sendCTSFn, m.newResponse(rts.Mac.Src, navGrant))
-}
-
-// onSendCTS sends the CTS scheduled by scheduleCTS.
-func (m *MAC) onSendCTS(a any) {
-	r := m.takeResponse(a)
-	if m.txBusy {
-		return // pathological overlap; RTS sender times out and retries
-	}
-	cts := m.pf.New(packet.TypeMACAck, m.cfg.CTSBytes, m.sched.Now())
-	cts.Mac = packet.MacHdr{Src: m.id, Dst: r.to, Subtype: packet.MacCTS, Duration: r.navGrant}
-	m.stats.TxCTS++
-	m.transmitCtl(cts, m.cfg.CTSTxTime())
-}
-
-// transmitCtl clocks out an ACK or CTS frame. As in transmitData, txBusy
-// is cleared (and the frame released) before the radio's same-instant
-// ChannelIdle, so a deferred access can resume.
-func (m *MAC) transmitCtl(p *packet.Packet, dur sim.Time) {
+	dur := m.cfg.AckTxTime()
 	m.txBusy = true
-	m.ctlFrame = p
-	m.sched.ScheduleKind(sim.KindMAC, dur, m.txEndFn)
-	if err := m.radio.Transmit(p, dur); err != nil {
-		m.stats.TxErrors++ // lost ACK/CTS; the peer times out and retries
+	m.ackFrame = ack
+	m.sched.ScheduleKind(sim.KindMAC, dur, m.ackTxEndFn)
+	if err := m.radio.Transmit(ack, dur); err != nil {
+		m.stats.TxErrors++ // lost ACK; the peer times out and retries
 	}
 }
 
-// releaseCtl releases the control frame whose transmission just ended.
-// Receivers only borrowed it until first-bit arrival, strictly before now
-// (a receiver whose first bit would land later got an eager clone).
-func (m *MAC) releaseCtl() {
-	if m.ctlFrame != nil {
-		m.pf.Release(m.ctlFrame)
-		m.ctlFrame = nil
-	}
+// onAckTxEnd releases the ACK whose transmission just ended. Receivers
+// only borrowed it until first-bit arrival, strictly before now (a
+// receiver whose first bit would land later got an eager clone).
+func (m *MAC) onAckTxEnd() {
+	m.txBusy = false
+	m.pf.Release(m.ackFrame)
+	m.ackFrame = nil
 }
 
 // newResponse returns a pooled response record.
-func (m *MAC) newResponse(to packet.NodeID, navGrant sim.Time) *response {
+func (m *MAC) newResponse(to packet.NodeID) *response {
 	var r *response
 	if n := len(m.respFree); n > 0 {
 		r = m.respFree[n-1]
@@ -616,7 +477,7 @@ func (m *MAC) newResponse(to packet.NodeID, navGrant sim.Time) *response {
 	} else {
 		r = new(response)
 	}
-	*r = response{to: to, navGrant: navGrant}
+	*r = response{to: to}
 	return r
 }
 
@@ -626,22 +487,6 @@ func (m *MAC) takeResponse(a any) response {
 	r := a.(*response)
 	m.respFree = append(m.respFree, r)
 	return *r
-}
-
-// sendDataAfterCTS transmits the reserved data frame one SIFS after the
-// CTS arrived.
-func (m *MAC) sendDataAfterCTS() {
-	m.sched.ScheduleKind(sim.KindMAC, m.cfg.SIFS, m.sendAfterCTSFn)
-}
-
-// onSendAfterCTS sends the reserved frame, unless it is gone or our radio
-// is busy.
-func (m *MAC) onSendAfterCTS() {
-	p := m.current
-	if p == nil || m.txBusy {
-		return
-	}
-	m.transmitDataFrame(p, false)
 }
 
 // isDup records and tests receipt of a data frame UID, bounding memory

@@ -219,6 +219,51 @@ func TestHiddenFrameNAV(t *testing.T) {
 	}
 }
 
+// hiddenParams narrows carrier sense to the receive range so two senders
+// 400 m apart are genuinely hidden from each other while both reach a
+// receiver in the middle.
+func hiddenParams() phy.RadioParams {
+	p := phy.DefaultRadioParams()
+	p.CSThreshW = p.RxThreshW
+	return p
+}
+
+// hiddenRig builds A(0) - B(200) - C(400) with the narrowed carrier sense.
+func hiddenRig(t *testing.T, cfg Config) (*sim.Scheduler, []*node, *packet.Factory) {
+	t.Helper()
+	s := sim.New()
+	pf := &packet.Factory{}
+	ch := phy.NewChannel(s, phy.DefaultPropagation(), pf)
+	rng := sim.NewRNG(77)
+	xs := []float64{0, 200, 400}
+	nodes := make([]*node, len(xs))
+	for i, x := range xs {
+		x := x
+		r := phy.NewRadio(packet.NodeID(i), s, func() geom.Vec2 { return geom.V(x, 0) }, hiddenParams())
+		ch.Attach(r)
+		up := &upRecorder{}
+		ifq := queue.NewDropTail(50, nil)
+		m := New(packet.NodeID(i), s, r, ifq, up, pf, rng.Fork(string(rune('a'+i))), cfg)
+		nodes[i] = &node{mac: m, ifq: ifq, up: up}
+	}
+	return s, nodes, pf
+}
+
+// A and C cannot hear each other but both reach B: basic access has no
+// reservation to protect B, so their data frames collide there.
+func TestHiddenTerminalsCollide(t *testing.T) {
+	s, nodes, f := hiddenRig(t, DefaultConfig())
+	const n = 40
+	for i := 0; i < n; i++ {
+		send(f, nodes[0], 1, 1000)
+		send(f, nodes[2], 1, 1000)
+	}
+	s.RunUntil(3)
+	if nodes[1].mac.Stats().RxCorrupted == 0 {
+		t.Fatal("hidden terminals should collide at the middle receiver")
+	}
+}
+
 func TestBackoffWithinBounds(t *testing.T) {
 	cfg := DefaultConfig()
 	s, nodes, f := rig(t, 2, cfg)

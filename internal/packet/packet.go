@@ -69,8 +69,6 @@ type MacSubtype uint8
 const (
 	MacData MacSubtype = iota
 	MacAck
-	MacRTS
-	MacCTS
 	// MacJam marks deliberate interference from a jammer node; receivers
 	// never deliver it upward, but it occupies the medium and corrupts
 	// overlapping receptions like any other energy.

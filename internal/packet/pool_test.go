@@ -14,7 +14,7 @@ func TestReleasedPacketIsRecycledInFull(t *testing.T) {
 	p.SetTCP(TCPHdr{Seq: 4, Retransmit: true})
 	p.Payload = &fakePayload{val: 7}
 	p.IP = IPHdr{Src: 1, Dst: 2, SrcPort: 3, DstPort: 4, TTL: 5, NextHop: 6}
-	p.Mac = MacHdr{Src: 1, Dst: 2, Subtype: MacRTS, Duration: 1, Retries: 2}
+	p.Mac = MacHdr{Src: 1, Dst: 2, Subtype: MacAck, Duration: 1, Retries: 2}
 	p.SentAt, p.NumForwards = 2, 3
 	f.Release(p)
 	if f.Pooled() != 1 {

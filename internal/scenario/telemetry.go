@@ -109,11 +109,13 @@ func (w *World) harvestTelemetry() *obs.Snapshot {
 		add("aodv/rrep_originated", "route replies originated", as.RREPOriginated)
 		add("aodv/rrep_forwarded", "route replies forwarded", as.RREPForwarded)
 		add("aodv/rerr_sent", "route errors sent", as.RERRSent)
-		add("aodv/hellos_sent", "hello beacons sent", as.HellosSent)
+		// Hello and RTS/CTS rows are always 0 (neither mechanism exists);
+		// they stay so artifact bytes hold until a canon.Version bump.
+		add("aodv/hellos_sent", "hello beacons sent", 0)
 		add("aodv/rreq_bytes", "bytes of RREQ traffic offered to the stack", as.RREQBytes)
 		add("aodv/rrep_bytes", "bytes of RREP traffic offered to the stack", as.RREPBytes)
 		add("aodv/rerr_bytes", "bytes of RERR traffic offered to the stack", as.RERRBytes)
-		add("aodv/hello_bytes", "bytes of hello traffic offered to the stack", as.HelloBytes)
+		add("aodv/hello_bytes", "bytes of hello traffic offered to the stack", 0)
 		add("aodv/data_no_route", "data packets lacking a route", as.DataNoRoute)
 		add("aodv/buffered_dropped", "buffered packets abandoned after failed discovery", as.BufferedDropped)
 		add("aodv/link_breaks", "MAC-reported link failures", as.LinkBreaks)
@@ -130,8 +132,8 @@ func (w *World) harvestTelemetry() *obs.Snapshot {
 			ms := n.DCF.Stats()
 			add("mac/dcf/tx_data", "data transmissions including retries", ms.TxData)
 			add("mac/dcf/tx_ack", "acknowledgements sent", ms.TxAck)
-			add("mac/dcf/tx_rts", "RTS frames sent", ms.TxRTS)
-			add("mac/dcf/tx_cts", "CTS responses sent", ms.TxCTS)
+			add("mac/dcf/tx_rts", "RTS frames sent", 0) // always 0; see aodv/hellos_sent
+			add("mac/dcf/tx_cts", "CTS responses sent", 0)
 			add("mac/dcf/retries_total", "retransmission attempts", ms.Retries)
 			add("mac/dcf/drops", "frames dropped after the retry limit", ms.Drops)
 			add("mac/dcf/rx_delivered", "frames delivered upward", ms.RxDelivered)

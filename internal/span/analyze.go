@@ -137,32 +137,6 @@ func Analyze(events []Event) []Breakdown {
 	return out
 }
 
-// CriticalPath returns uid's events from its first emit through its first
-// delivery, inclusive — the EBL delay chain for one notification.
-func CriticalPath(events []Event, uid uint64) []Event {
-	var out []Event
-	started := false
-	for _, e := range events {
-		if e.UID != uid {
-			continue
-		}
-		if !started {
-			if e.Op != OpEmit {
-				continue
-			}
-			started = true
-		}
-		out = append(out, e)
-		if e.Op == OpDeliver {
-			break
-		}
-	}
-	if n := len(out); n == 0 || out[n-1].Op != OpDeliver {
-		return nil
-	}
-	return out
-}
-
 // Aggregate is the mean latency decomposition over a set of delivered
 // packets.
 type Aggregate struct {

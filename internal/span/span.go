@@ -81,7 +81,6 @@ const (
 	CauseOutage              // radio was down (fault injection)
 	CauseAbortedByTx         // in-progress reception aborted by a local transmit
 	CauseAckTimeout          // 802.11 ACK never arrived
-	CauseCtsTimeout          // 802.11 CTS never arrived
 	CauseLinkFail            // MAC gave up on the link (retry limit)
 	CauseTTLExpired          // network-layer TTL reached zero
 	CauseNoRoute             // no route and discovery not possible
@@ -95,9 +94,9 @@ const (
 var causeNames = [...]string{
 	"", "ifq_full", "ifq_evict", "red_early", "collision", "impaired",
 	"below_thresh", "while_tx", "captured", "overlap", "outage",
-	"aborted_by_tx", "ack_timeout", "cts_timeout", "link_fail",
-	"ttl_expired", "no_route", "buf_overflow", "discovery_fail", "repair",
-	"salvage", "no_port",
+	"aborted_by_tx", "ack_timeout", "link_fail", "ttl_expired",
+	"no_route", "buf_overflow", "discovery_fail", "repair", "salvage",
+	"no_port",
 }
 
 // String returns the cause's snake_case wire name ("" for CauseNone).

@@ -301,22 +301,6 @@ func TestAnalyzeReroutingAndUndelivered(t *testing.T) {
 	}
 }
 
-func TestCriticalPath(t *testing.T) {
-	f := newFixture()
-	p := pkt(1, packet.TypeEBL, 52)
-	f.at(1.0, OpEmit, CauseNone, 0, p, 0)
-	f.at(1.1, OpTx, CauseNone, 0, p, 0.001)
-	f.at(1.2, OpDeliver, CauseNone, 1, p, 0)
-	f.at(1.3, OpAppRecv, CauseNone, 1, p, 0) // after delivery: excluded
-	cp := CriticalPath(f.rec.Events(), 1)
-	if len(cp) != 3 || cp[0].Op != OpEmit || cp[2].Op != OpDeliver {
-		t.Fatalf("critical path: %+v", cp)
-	}
-	if CriticalPath(f.rec.Events(), 99) != nil {
-		t.Fatal("unknown uid produced a path")
-	}
-}
-
 func TestSummarizeAndFormat(t *testing.T) {
 	bs := []Breakdown{
 		{Total: 0.010, Queueing: 0.004, Airtime: 0.002, Other: 0.004},

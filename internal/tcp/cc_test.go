@@ -111,56 +111,45 @@ func TestCongestionAvoidanceLinearGrowth(t *testing.T) {
 }
 
 func TestFastRetransmitRecoversSingleLoss(t *testing.T) {
-	for _, variant := range []tcp.Variant{tcp.VariantReno, tcp.VariantTahoe} {
-		cfg := tcp.DefaultConfig()
-		cfg.Variant = variant
-		s, sn, snd, snk := ccRig(t, cfg, 10*sim.Millisecond)
-		sn.dropFirstTx[8] = true // lose segment 8's first transmission
-		const n = 60
-		snd.SendBytes(n * cfg.SegmentSize)
-		s.RunUntil(30)
-		if snk.Bytes() != n*cfg.SegmentSize {
-			t.Fatalf("%v: transfer incomplete: %d bytes", variant, snk.Bytes())
-		}
-		st := snd.Stats()
-		if st.FastRetransmits != 1 {
-			t.Fatalf("%v: fast retransmits = %d, want 1", variant, st.FastRetransmits)
-		}
-		if st.Timeouts != 0 {
-			t.Fatalf("%v: loss should be repaired without an RTO (timeouts=%d)", variant, st.Timeouts)
-		}
+	cfg := tcp.DefaultConfig()
+	s, sn, snd, snk := ccRig(t, cfg, 10*sim.Millisecond)
+	sn.dropFirstTx[8] = true // lose segment 8's first transmission
+	const n = 60
+	snd.SendBytes(n * cfg.SegmentSize)
+	s.RunUntil(30)
+	if snk.Bytes() != n*cfg.SegmentSize {
+		t.Fatalf("transfer incomplete: %d bytes", snk.Bytes())
+	}
+	st := snd.Stats()
+	if st.FastRetransmits != 1 {
+		t.Fatalf("fast retransmits = %d, want 1", st.FastRetransmits)
+	}
+	if st.Timeouts != 0 {
+		t.Fatalf("loss should be repaired without an RTO (timeouts=%d)", st.Timeouts)
 	}
 }
 
-func TestTahoeCollapsesRenoDoesNot(t *testing.T) {
-	run := func(variant tcp.Variant) (minCwndAfterLoss float64) {
-		cfg := tcp.DefaultConfig()
-		cfg.Variant = variant
-		s, sn, snd, _ := ccRig(t, cfg, 10*sim.Millisecond)
-		sn.dropFirstTx[12] = true
-		snd.SendBytes(200 * cfg.SegmentSize)
-		minCwndAfterLoss = math.Inf(1)
-		sawLoss := false
-		for s.Step() {
-			if snd.Stats().FastRetransmits > 0 {
-				sawLoss = true
-			}
-			if sawLoss && snd.Cwnd() < minCwndAfterLoss {
-				minCwndAfterLoss = snd.Cwnd()
-			}
-			if s.Now() > 20 {
-				break
-			}
+// Reno's fast recovery deflates the window to ssthresh after a triple
+// duplicate ACK instead of restarting slow start from one segment.
+func TestRenoFastRecoveryKeepsWindow(t *testing.T) {
+	cfg := tcp.DefaultConfig()
+	s, sn, snd, _ := ccRig(t, cfg, 10*sim.Millisecond)
+	sn.dropFirstTx[12] = true
+	snd.SendBytes(200 * cfg.SegmentSize)
+	minCwndAfterLoss := math.Inf(1)
+	for s.Step() {
+		if snd.Stats().FastRetransmits > 0 && snd.Cwnd() < minCwndAfterLoss {
+			minCwndAfterLoss = snd.Cwnd()
 		}
-		return minCwndAfterLoss
+		if s.Now() > 20 {
+			break
+		}
 	}
-	tahoe := run(tcp.VariantTahoe)
-	reno := run(tcp.VariantReno)
-	if tahoe != 1 {
-		t.Fatalf("Tahoe min cwnd after loss = %v, want 1 (slow-start restart)", tahoe)
+	if math.IsInf(minCwndAfterLoss, 1) {
+		t.Fatal("the dropped segment never triggered a fast retransmit")
 	}
-	if reno < 2 {
-		t.Fatalf("Reno min cwnd after loss = %v, want >= ssthresh (fast recovery)", reno)
+	if minCwndAfterLoss < 2 {
+		t.Fatalf("min cwnd after loss = %v, want >= ssthresh (fast recovery)", minCwndAfterLoss)
 	}
 }
 

@@ -15,24 +15,11 @@ import (
 	"vanetsim/internal/sim"
 )
 
-// Variant selects the congestion-control flavour.
-type Variant uint8
-
-// Congestion-control variants.
-const (
-	// VariantReno performs fast recovery: after a fast retransmit the
-	// window deflates to ssthresh instead of restarting slow start.
-	VariantReno Variant = iota
-	// VariantTahoe (ns-2's original Agent/TCP) collapses the window to
-	// one segment on every loss signal, including triple duplicate ACKs.
-	VariantTahoe
-)
-
 // Config holds TCP parameters. DefaultConfig mirrors ns-2 Agent/TCP
-// defaults (window_=20, packetSize_=1000) with Reno loss recovery.
+// defaults (window_=20, packetSize_=1000). Loss recovery is always Reno:
+// after a fast retransmit the window deflates to ssthresh instead of
+// restarting slow start.
 type Config struct {
-	// Variant picks Reno (default) or Tahoe loss recovery.
-	Variant Variant
 	// SegmentSize is the data payload per segment in bytes — the paper's
 	// variable "packet size" parameter (1,000 in trials 1 and 3, 500 in
 	// trial 2).
@@ -312,13 +299,6 @@ func (s *Sender) dupAck() {
 		s.recover = s.nextSeq - 1
 		s.retransmitted[lost] = true // Karn: no RTT sample from this one
 		s.stats.Retransmits++
-		if s.cfg.Variant == VariantTahoe {
-			// Tahoe: no fast recovery — slow start from scratch.
-			s.cwnd = 1
-			s.dupAcks = 0
-			s.transmit(lost, true)
-			return
-		}
 		// Reno fast recovery.
 		s.inFR = true
 		s.cwnd = s.ssthresh + float64(s.cfg.DupThresh)

@@ -196,7 +196,7 @@ func TestCBROverTCPPacesBytes(t *testing.T) {
 func TestFTPGreedySaturates(t *testing.T) {
 	cfg := tcp.DefaultConfig()
 	w, snd, snk := pair(t, cfg)
-	app.NewFTP(snd).Start()
+	snd.SendBytes(1 << 40) // a greedy, effectively unbounded backlog
 	w.Sched.RunUntil(2)
 	// 11 Mb/s link, window 20: expect multiple Mb/s of goodput.
 	mbps := float64(snk.Bytes()) * 8 / 2 / 1e6
