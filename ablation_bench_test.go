@@ -166,7 +166,7 @@ func BenchmarkReplicationStudy(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		cfg := vanetsim.Trial3()
 		cfg.Duration = vanetsim.Seconds(60)
-		st, err := vanetsim.RunReplications(cfg, []uint64{1, 2, 3, 4, 5})
+		st, err := vanetsim.RunReplicationsPool(cfg, []uint64{1, 2, 3, 4, 5}, vanetsim.Pool{})
 		if err != nil {
 			b.Fatal(err)
 		}

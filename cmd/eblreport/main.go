@@ -29,6 +29,7 @@ import (
 	"strings"
 
 	"vanetsim"
+	"vanetsim/internal/cliflag"
 )
 
 func main() {
@@ -54,26 +55,51 @@ func run(args []string, out io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *maxReps != 0 && *tolerance == 0 {
-		return fmt.Errorf("-max-reps only applies with -tolerance")
-	}
+	var modes []string
 	if *tolerance != 0 {
-		return toleranceReport(out, *jobs, *tolerance, *maxReps, *checkInv)
+		modes = append(modes, "-tolerance")
 	}
 	if *latency {
-		return latencyBreakdownReport(out, *jobs)
+		modes = append(modes, "-latency-breakdown")
 	}
 	if *degrade {
+		modes = append(modes, "-degrade")
+	}
+	if len(modes) > 1 {
+		return fmt.Errorf("%s each select a report: give one", strings.Join(modes, ", "))
+	}
+	mode := "the full report"
+	if len(modes) == 1 {
+		mode = modes[0]
+	}
+	if set := cliflag.Set(fs, modeRejects[mode]...); len(set) > 0 {
+		return fmt.Errorf("%s does not take %s", mode, strings.Join(set, ", "))
+	}
+	switch mode {
+	case "-tolerance":
+		return toleranceReport(out, *jobs, *tolerance, *maxReps, *checkInv)
+	case "-latency-breakdown":
+		return latencyBreakdownReport(out, *jobs)
+	case "-degrade":
 		return degradationReport(out, *jobs, *degCSV, *checkInv)
 	}
 	return reportWith(out, *jobs, *stats, *statsJSN, *checkInv)
+}
+
+// modeRejects names, per report, the flags that do not apply to it; each
+// is an error rather than silently ignored.
+var modeRejects = map[string][]string{
+	"the full report":    {"max-reps", "degrade-csv"},
+	"-tolerance":         {"stats", "stats-json", "degrade-csv"},
+	"-latency-breakdown": {"max-reps", "stats", "stats-json", "degrade-csv", "check"},
+	"-degrade":           {"max-reps", "stats", "stats-json"},
 }
 
 // toleranceReport is the adaptive-precision evaluation: replications are
 // added in batches until every watched 95% CI meets the requested
 // relative half-width (or the budget runs out), and two common-random-
 // numbers paired comparisons quantify what seed sharing buys. Output is
-// byte-identical at every -j and batch size.
+// byte-identical at every -j.
 func toleranceReport(out io.Writer, jobs int, tol float64, maxReps int, check bool) error {
 	fmt.Fprintln(out, "Adaptive-precision replication — run until the CI bound is met")
 	fmt.Fprintln(out, "==============================================================")
@@ -216,10 +242,6 @@ func degradationReport(out io.Writer, jobs int, csvPath string, check bool) erro
 	}
 	return nil
 }
-
-// report writes the plain evaluation report (kept for tests and callers
-// that don't need telemetry).
-func report(out io.Writer) { _ = reportWith(out, 0, false, "", false) }
 
 func reportWith(out io.Writer, jobs int, stats bool, statsJSON string, check bool) error {
 	fmt.Fprintln(out, "Extended Brake Lights reproduction — full evaluation report")

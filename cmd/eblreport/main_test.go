@@ -12,7 +12,9 @@ func TestReportCoversEverything(t *testing.T) {
 		t.Skip("full three-trial report is slow")
 	}
 	var sb strings.Builder
-	report(&sb)
+	if err := run(nil, &sb); err != nil {
+		t.Fatal(err)
+	}
 	out := sb.String()
 	for _, want := range []string{
 		"trial1", "trial2", "trial3",
@@ -109,5 +111,38 @@ func TestDegradationReport(t *testing.T) {
 	}
 	if !strings.HasPrefix(lines[1], "TDMA,0,") || !strings.HasPrefix(lines[8], "802.11,0,") {
 		t.Fatalf("csv rows out of order:\n%s", raw)
+	}
+}
+
+// TestFlagConflicts: two report selectors, or a flag the selected report
+// does not use, are a one-line error before any run. They were once
+// resolved by precedence or silently ignored.
+func TestFlagConflicts(t *testing.T) {
+	for _, args := range [][]string{
+		{"-tolerance", "0.05", "-degrade"},
+		{"-tolerance", "0.05", "-latency-breakdown"},
+		{"-latency-breakdown", "-degrade"},
+		{"-degrade-csv", "x.csv"},
+		{"-tolerance", "0.05", "-degrade-csv", "x.csv"},
+		{"-latency-breakdown", "-degrade-csv", "x.csv"},
+		{"-degrade", "-stats"},
+		{"-degrade", "-stats-json", "x.ndjson"},
+		{"-tolerance", "0.05", "-stats"},
+		{"-latency-breakdown", "-stats-json", "x.ndjson"},
+		{"-latency-breakdown", "-check"},
+		{"-degrade", "-max-reps", "8"},
+	} {
+		var sb strings.Builder
+		err := run(args, &sb)
+		if err == nil {
+			t.Errorf("args %v accepted", args)
+			continue
+		}
+		if strings.Contains(err.Error(), "\n") {
+			t.Errorf("args %v: error spans lines: %q", args, err)
+		}
+		if sb.Len() > 0 {
+			t.Errorf("args %v printed before failing:\n%s", args, sb.String())
+		}
 	}
 }

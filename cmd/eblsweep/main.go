@@ -40,6 +40,7 @@ import (
 	"strings"
 
 	"vanetsim"
+	"vanetsim/internal/cliflag"
 	"vanetsim/internal/prof"
 	"vanetsim/internal/runner"
 )
@@ -97,6 +98,16 @@ func runWith(args []string, out, progress io.Writer) (err error) {
 	// reports the missing indication delay itself.
 	if d := *duration; math.IsNaN(d) || math.IsInf(d, 0) || d < 0 {
 		return fmt.Errorf("invalid -duration %v: want finite seconds >= 0", d)
+	}
+	switch {
+	case *safetyOnly && *perfOnly:
+		return fmt.Errorf("-safety and -perf each select one sweep: give one, or neither for both")
+	case *degrade && (*safetyOnly || *perfOnly):
+		return fmt.Errorf("-degrade runs only the degradation sweep: it does not take -safety or -perf")
+	case !*degrade:
+		if set := cliflag.Set(fs, "degrade-loss", "degrade-burst", "degrade-outage", "degrade-mac"); len(set) > 0 {
+			return fmt.Errorf("%s: only valid with -degrade", strings.Join(set, ", "))
+		}
 	}
 	stopProf, err := prof.Start(*cpuProf, *memProf)
 	if err != nil {
@@ -297,13 +308,8 @@ func parseDegradeAxes(loss, burst, outage, mac string) (degradeAxes, error) {
 			return a, err
 		}
 	}
-	switch strings.ToLower(mac) {
-	case "tdma":
-		a.mac = vanetsim.MACTDMA
-	case "802.11", "dcf", "80211":
-		a.mac = vanetsim.MAC80211
-	default:
-		return a, fmt.Errorf("-degrade-mac: unknown MAC %q", mac)
+	if a.mac, err = vanetsim.ParseMAC(mac); err != nil {
+		return a, fmt.Errorf("-degrade-mac: %w", err)
 	}
 	return a, nil
 }

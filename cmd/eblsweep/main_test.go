@@ -194,3 +194,33 @@ func TestDegradeAxisErrors(t *testing.T) {
 		}
 	}
 }
+
+// TestFlagConflicts: flags that cannot apply to the selected sweep are a
+// one-line error before any run. -safety -perf once ran nothing and
+// exited 0; the -degrade-* axes were silently ignored without -degrade.
+func TestFlagConflicts(t *testing.T) {
+	for _, args := range [][]string{
+		{"-safety", "-perf"},
+		{"-degrade", "-safety"},
+		{"-degrade", "-perf"},
+		{"-degrade-loss", "0.1"},
+		{"-degrade-burst", "4"},
+		{"-degrade-outage", "1:22:5"},
+		{"-degrade-mac", "802.11"},
+		{"-safety", "-degrade-mac", "tdma"},
+		{"-perf", "-degrade-loss", "0,0.1", "-degrade-burst", "1"},
+	} {
+		var out, prog bytes.Buffer
+		err := runWith(args, &out, &prog)
+		if err == nil {
+			t.Errorf("args %v accepted", args)
+			continue
+		}
+		if strings.Contains(err.Error(), "\n") {
+			t.Errorf("args %v: error spans lines: %q", args, err)
+		}
+		if out.Len() > 0 || prog.Len() > 0 {
+			t.Errorf("args %v ran before failing:\n%s%s", args, out.String(), prog.String())
+		}
+	}
+}

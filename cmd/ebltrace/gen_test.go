@@ -1,9 +1,11 @@
 package main
 
 import (
+	"os"
 	"testing"
 
 	"vanetsim"
+	"vanetsim/internal/trace"
 )
 
 // genTrace runs a short trial with trace collection and writes it to path.
@@ -13,7 +15,12 @@ func genTrace(t *testing.T, path string) {
 	cfg.Duration = vanetsim.Seconds(40)
 	cfg.CollectTrace = true
 	r := vanetsim.RunTrial(cfg)
-	if err := vanetsim.WriteTrace(path, r); err != nil {
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if err := trace.WriteAll(f, r.Trace); err != nil {
 		t.Fatal(err)
 	}
 }

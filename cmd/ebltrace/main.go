@@ -13,11 +13,13 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"sort"
 	"strings"
 
 	"vanetsim"
+	"vanetsim/internal/cliflag"
 	"vanetsim/internal/packet"
 	"vanetsim/internal/sim"
 	"vanetsim/internal/trace"
@@ -42,6 +44,18 @@ func run(args []string, in io.Reader, out io.Writer) error {
 	if fs.NArg() != 1 {
 		return fmt.Errorf("usage: ebltrace [-bin seconds] [-stats] [-stats-json path] [-format report|chrome] <trace-file|->")
 	}
+	switch *format {
+	case "report":
+		if b := *bin; !(b > 0) || math.IsInf(b, 1) {
+			return fmt.Errorf("invalid -bin %v: want a positive finite width in seconds", b)
+		}
+	case "chrome":
+		if set := cliflag.Set(fs, "bin", "stats", "stats-json"); len(set) > 0 {
+			return fmt.Errorf("-format chrome does not take %s", strings.Join(set, ", "))
+		}
+	default:
+		return fmt.Errorf("unknown -format %q (want report or chrome)", *format)
+	}
 	src := in
 	if name := fs.Arg(0); name != "-" {
 		f, err := os.Open(name)
@@ -55,12 +69,8 @@ func run(args []string, in io.Reader, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	switch *format {
-	case "report":
-	case "chrome":
+	if *format == "chrome" {
 		return writeChromeTrace(out, recs)
-	default:
-		return fmt.Errorf("unknown -format %q (want report or chrome)", *format)
 	}
 	fmt.Fprintf(out, "%d trace records\n\n", len(recs))
 

@@ -123,3 +123,32 @@ func TestEndToEndWithGeneratedTrace(t *testing.T) {
 		t.Fatal("analysis incomplete")
 	}
 }
+
+// TestFlagErrors: a -bin that is not a positive finite width once
+// panicked in the throughput binning (0, negative) or indexed out of
+// range (NaN), and -format chrome silently ignored the report-only
+// flags. Each is now a one-line error before any output.
+func TestFlagErrors(t *testing.T) {
+	for _, args := range [][]string{
+		{"-bin", "0", "-"},
+		{"-bin", "-0.5", "-"},
+		{"-bin", "NaN", "-"},
+		{"-bin", "+Inf", "-"},
+		{"-format", "chrome", "-bin", "0.5", "-"},
+		{"-format", "chrome", "-stats", "-"},
+		{"-format", "chrome", "-stats-json", "x.ndjson", "-"},
+	} {
+		var sb strings.Builder
+		err := run(args, strings.NewReader(sampleTrace), &sb)
+		if err == nil {
+			t.Errorf("args %v accepted", args)
+			continue
+		}
+		if strings.Contains(err.Error(), "\n") {
+			t.Errorf("args %v: error spans lines: %q", args, err)
+		}
+		if sb.Len() > 0 {
+			t.Errorf("args %v printed before failing:\n%s", args, sb.String())
+		}
+	}
+}

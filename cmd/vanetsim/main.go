@@ -33,6 +33,7 @@ import (
 	"strings"
 
 	"vanetsim"
+	"vanetsim/internal/cliflag"
 	"vanetsim/internal/prof"
 	"vanetsim/internal/trace"
 )
@@ -63,7 +64,6 @@ func run(args []string, out io.Writer) (err error) {
 		beaconFr = fs.Float64("beacon-frac", 0.25, "fraction of vehicles sourcing beacon traffic for -dense")
 		beaconJt = fs.Float64("beacon-jitter", 0, "per-vehicle beacon-interval jitter fraction in [0,1) for -dense (0 = lockstep intervals)")
 		safDepth = fs.Int("safety-depth", 0, "followers per platoon on the lead's safety stream for -dense (0 = all)")
-		noCull   = fs.Bool("no-culling", false, "disable spatial-index neighbor culling (full receiver scan) for -dense")
 		loss     = fs.Float64("loss", 0, "independent per-frame loss probability")
 		ber      = fs.Float64("ber", 0, "independent per-bit error rate")
 		burstP   = fs.Float64("burst-loss", 0, "stationary loss probability of the bursty (Gilbert–Elliott) model")
@@ -90,15 +90,15 @@ func run(args []string, out io.Writer) (err error) {
 		return fmt.Errorf("invalid -dense %d: want a vehicle count (0 = run a paper trial)", *dense)
 	}
 	if *dense > 0 {
-		if set := setFlags(fs, denseRejects); len(set) > 0 {
+		if set := cliflag.Set(fs, denseRejects...); len(set) > 0 {
 			return fmt.Errorf("-dense does not take %s", strings.Join(set, ", "))
 		}
 	} else {
-		if set := setFlags(fs, denseOnly); len(set) > 0 {
+		if set := cliflag.Set(fs, denseOnly...); len(set) > 0 {
 			return fmt.Errorf("%s: only valid with -dense", strings.Join(set, ", "))
 		}
 		if *trial >= 1 && *trial <= 3 {
-			if set := setFlags(fs, customOnly); len(set) > 0 {
+			if set := cliflag.Set(fs, customOnly...); len(set) > 0 {
 				return fmt.Errorf("-trial %d does not take %s: -packet and -mac configure -trial 0", *trial, strings.Join(set, ", "))
 			}
 		}
@@ -117,7 +117,7 @@ func run(args []string, out io.Writer) (err error) {
 	}()
 
 	if *dense > 0 {
-		mac, err := parseMAC(*macName)
+		mac, err := vanetsim.ParseMAC(*macName)
 		if err != nil {
 			return err
 		}
@@ -127,7 +127,6 @@ func run(args []string, out io.Writer) (err error) {
 		dcfg.BeaconFraction = *beaconFr
 		dcfg.BeaconJitter = *beaconJt
 		dcfg.SafetyDepth = *safDepth
-		dcfg.DisableCulling = *noCull
 		dcfg.Telemetry = o.telemetry()
 		dcfg.Check = o.check
 		dcfg.Spans = o.spanned()
@@ -152,7 +151,7 @@ func run(args []string, out io.Writer) (err error) {
 		cfg = vanetsim.Trial1()
 		cfg.Name = "custom"
 		cfg.PacketSize = *pktSize
-		if cfg.MAC, err = parseMAC(*macName); err != nil {
+		if cfg.MAC, err = vanetsim.ParseMAC(*macName); err != nil {
 			return err
 		}
 	default:
@@ -224,45 +223,18 @@ func run(args []string, out io.Writer) (err error) {
 
 // denseRejects names the flags that configure a paper trial only; -dense
 // refuses them rather than silently ignoring them.
-var denseRejects = map[string]bool{
-	"trial": true, "packet": true, "trace": true, "anim": true, "csv": true,
-	"ascii": true, "loss": true, "ber": true, "burst-loss": true,
-	"burst-len": true, "shadow": true, "outage": true,
+var denseRejects = []string{
+	"trial", "packet", "trace", "anim", "csv", "ascii", "loss", "ber",
+	"burst-loss", "burst-len", "shadow", "outage",
 }
 
 // denseOnly names the flags that configure -dense only; a trial refuses
 // them.
-var denseOnly = map[string]bool{
-	"lanes": true, "platoon-len": true, "beacon-frac": true,
-	"beacon-jitter": true, "safety-depth": true, "no-culling": true,
-}
+var denseOnly = []string{"lanes", "platoon-len", "beacon-frac", "beacon-jitter", "safety-depth"}
 
 // customOnly names the flags that build -trial 0's configuration; the
 // fixed paper trials 1-3 refuse them.
-var customOnly = map[string]bool{"packet": true, "mac": true}
-
-// setFlags returns the flags named in names that were set on the command
-// line, as "-name", in lexical order.
-func setFlags(fs *flag.FlagSet, names map[string]bool) []string {
-	var set []string
-	fs.Visit(func(f *flag.Flag) {
-		if names[f.Name] {
-			set = append(set, "-"+f.Name)
-		}
-	})
-	return set
-}
-
-// parseMAC resolves a -mac value.
-func parseMAC(name string) (vanetsim.MACType, error) {
-	switch strings.ToLower(name) {
-	case "tdma":
-		return vanetsim.MACTDMA, nil
-	case "802.11", "dcf", "80211":
-		return vanetsim.MAC80211, nil
-	}
-	return 0, fmt.Errorf("unknown MAC %q", name)
-}
+var customOnly = []string{"packet", "mac"}
 
 // runDense executes and summarises the dense multi-lane scaling scenario.
 func runDense(cfg vanetsim.DenseHighwayConfig, o outputs, out io.Writer) error {
@@ -271,12 +243,8 @@ func runDense(cfg vanetsim.DenseHighwayConfig, o outputs, out io.Writer) error {
 		return err
 	}
 	return o.emit(&r.Observations, "dense highway", out, func() error {
-		culling := "culled"
-		if cfg.DisableCulling {
-			culling = "full scan"
-		}
-		fmt.Fprintf(out, "dense highway — %v MAC, %d vehicles, %d lanes, %d platoons (%s), %.0f s simulated in %.2f s wall\n\n",
-			cfg.MAC, cfg.Vehicles, cfg.Lanes, r.Platoons, culling, float64(cfg.Duration), r.WallSeconds)
+		fmt.Fprintf(out, "dense highway — %v MAC, %d vehicles, %d lanes, %d platoons (culled), %.0f s simulated in %.2f s wall\n\n",
+			cfg.MAC, cfg.Vehicles, cfg.Lanes, r.Platoons, float64(cfg.Duration), r.WallSeconds)
 		fmt.Fprint(out, vanetsim.FormatDenseSummary(r))
 		return nil
 	})

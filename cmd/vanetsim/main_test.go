@@ -124,7 +124,6 @@ func TestRunErrors(t *testing.T) {
 		{"-beacon-frac", "0.5"},
 		{"-beacon-jitter", "0.1"},
 		{"-safety-depth", "2"},
-		{"-no-culling"},
 		{"-dense", "-3"},
 	}
 	for _, args := range cases {
@@ -176,11 +175,8 @@ func TestRunFaultFlagErrors(t *testing.T) {
 }
 
 func TestRunDense(t *testing.T) {
-	var culled, scan strings.Builder
+	var culled strings.Builder
 	if err := run([]string{"-dense", "48", "-duration", "6"}, &culled); err != nil {
-		t.Fatal(err)
-	}
-	if err := run([]string{"-dense", "48", "-duration", "6", "-no-culling"}, &scan); err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(culled.String(), "\n")
@@ -192,12 +188,7 @@ func TestRunDense(t *testing.T) {
 			t.Fatalf("dense output line %d = %q, want prefix %q:\n%s", 3+i, lines[2+i], want, culled.String())
 		}
 	}
-	// Culling is exact: only the header's label and wall time may differ.
 	_, culledBody, _ := strings.Cut(culled.String(), "\n")
-	_, scanBody, _ := strings.Cut(scan.String(), "\n")
-	if culledBody != scanBody {
-		t.Fatalf("culled and full-scan summaries differ:\n%s\n---\n%s", culledBody, scanBody)
-	}
 
 	// -spans rides the shared output path: the file is written first, and
 	// arming spans leaves the summary untouched.

@@ -1,39 +1,11 @@
 package vanetsim_test
 
 import (
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
 	"vanetsim"
 )
-
-func TestWriteTraceRoundTrip(t *testing.T) {
-	cfg := vanetsim.Trial1()
-	cfg.Duration = vanetsim.Seconds(40)
-	cfg.CollectTrace = true
-	r := vanetsim.RunTrial(cfg)
-	path := filepath.Join(t.TempDir(), "t.tr")
-	if err := vanetsim.WriteTrace(path, r); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Count(strings.TrimSpace(string(data)), "\n") + 1
-	if lines != len(r.Trace) {
-		t.Fatalf("wrote %d lines for %d records", lines, len(r.Trace))
-	}
-}
-
-func TestWriteTraceBadPath(t *testing.T) {
-	r := &vanetsim.TrialResult{}
-	if err := vanetsim.WriteTrace("/nonexistent-dir/x/y.tr", r); err == nil {
-		t.Fatal("bad path should error")
-	}
-}
 
 func TestFormatEnvelopeTable(t *testing.T) {
 	rows := vanetsim.FeasibilityEnvelope(vanetsim.DefaultBrakingModel(), 0.24, 0.006, []float64{10, 22.4})

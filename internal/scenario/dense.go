@@ -66,10 +66,6 @@ type DenseHighwayConfig struct {
 	Telemetry   bool     `canon:"telemetry"` // collect a cross-layer metrics snapshot
 	Check       bool     `canon:"check"`     // arm the runtime invariant checker (observation-only)
 	Spans       bool     `canon:"-"`         // arm causal span tracing (observation-only)
-	// DisableCulling runs the same workload on the channel's full-receiver
-	// scan, for culled-vs-scan equivalence tests and scaling benchmarks.
-	// Execution-only: culled and full-scan runs are byte-identical.
-	DisableCulling bool `canon:"-"`
 }
 
 // DefaultDenseHighway returns an n-vehicle four-lane run on the given MAC:
@@ -147,7 +143,6 @@ func RunDenseHighway(cfg DenseHighwayConfig) (*DenseHighwayResult, error) {
 	}
 	stack := DefaultStackConfig(cfg.MAC)
 	stack.QueueCap = cfg.QueueCap
-	stack.DisableCulling = cfg.DisableCulling
 	if cfg.TDMARateBps > 0 {
 		stack.TDMA.DataRateBps = cfg.TDMARateBps
 	}
@@ -189,7 +184,6 @@ func RunDenseHighway(cfg DenseHighwayConfig) (*DenseHighwayResult, error) {
 	var (
 		platoons  []*densePlatoon
 		nodeOf    = make(map[packet.NodeID]*Node, cfg.Vehicles)
-		vehicleOf = make(map[packet.NodeID]*mobility.Vehicle, cfg.Vehicles)
 		laneOrder = make([][]*mobility.Vehicle, cfg.Lanes) // front to back
 		nextID    packet.NodeID
 		frontX    = float64(cfg.Vehicles) * (cfg.SpacingM + cfg.GapM) // room to brake at positive x
@@ -219,7 +213,6 @@ func RunDenseHighway(cfg DenseHighwayConfig) (*DenseHighwayResult, error) {
 			platoons = append(platoons, dp)
 			for _, v := range p.Vehicles() {
 				nodeOf[v.ID()] = w.AddVehicleNode(v)
-				vehicleOf[v.ID()] = v
 				laneOrder[lane] = append(laneOrder[lane], v)
 			}
 			count -= size
@@ -247,7 +240,7 @@ func RunDenseHighway(cfg DenseHighwayConfig) (*DenseHighwayResult, error) {
 	// control traffic and nothing ever gets through. Flows beyond
 	// SafetyDepth are muted right after every (re)start, so uncovered
 	// followers stay dark.
-	firstAt := make(map[packet.NodeID]sim.Time, cfg.Vehicles)
+	brakes := newBrakeWatcher(s, cfg.BrakeAt, cfg.ReactionS, cfg.DecelMS2)
 	for _, dp := range platoons {
 		c := ebl.DefaultCommsConfig()
 		c.PacketSize = cfg.PacketSize
@@ -267,17 +260,7 @@ func RunDenseHighway(cfg DenseHighwayConfig) (*DenseHighwayResult, error) {
 				}
 			})
 		}
-		dp.comms.OnDeliver(func(f *ebl.Flow, _ *packet.Packet, at sim.Time) {
-			if at < cfg.BrakeAt {
-				return
-			}
-			if _, seen := firstAt[f.Receiver]; seen {
-				return
-			}
-			firstAt[f.Receiver] = at
-			fv := vehicleOf[f.Receiver]
-			s.Schedule(cfg.ReactionS, func() { fv.Brake(cfg.DecelMS2) })
-		})
+		brakes.watch(dp.platoon, dp.comms)
 	}
 
 	// Beacon mix: every k-th vehicle unicasts periodic beacons to the
@@ -337,19 +320,8 @@ func RunDenseHighway(cfg DenseHighwayConfig) (*DenseHighwayResult, error) {
 
 	res := &DenseHighwayResult{Config: cfg, World: w, Platoons: len(platoons)}
 	for _, dp := range platoons {
-		vehicles := dp.platoon.Vehicles()
-		for i := 1; i < len(vehicles); i++ {
-			v := vehicles[i]
-			ind := BrakeIndication{Vehicle: v.ID()}
-			if at, ok := firstAt[v.ID()]; ok {
-				ind.IndicationDelay = at - cfg.BrakeAt
-				ind.DistanceBlind = cfg.SpeedMS * float64(ind.IndicationDelay+cfg.ReactionS)
-			} else {
-				ind.IndicationDelay = -1 // outside safety depth, or never reached
-				ind.DistanceBlind = cfg.SpeedMS * float64(cfg.Duration-cfg.BrakeAt)
-			}
-			res.Indications = append(res.Indications, ind)
-		}
+		// Followers outside the safety depth are never notified.
+		res.Indications = append(res.Indications, brakes.indications(dp.platoon, cfg.SpeedMS, cfg.Duration)...)
 	}
 	// Gaps and collisions follow lane order, crossing platoon boundaries:
 	// a platoon tail can be overrun by the next platoon's lead too.

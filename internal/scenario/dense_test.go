@@ -58,8 +58,10 @@ func TestDenseHighwaySmoke(t *testing.T) {
 func TestDenseHighwayCulledMatchesScan(t *testing.T) {
 	cfg := denseTestConfig(scenario.MAC80211, 45)
 	culled := mustDense(t, cfg)
-	cfg.DisableCulling = true
-	scan := mustDense(t, cfg)
+	scan, err := scenario.RunDenseHighwayFullScan(cfg)
+	if err != nil {
+		t.Fatalf("RunDenseHighwayFullScan: %v", err)
+	}
 
 	if !culled.World.Channel.CullingEnabled() {
 		t.Fatal("culled run did not enable the spatial index")

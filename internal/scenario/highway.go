@@ -112,50 +112,85 @@ func RunHighway(cfg HighwayConfig) (*HighwayResult, error) {
 	c.RateBps = cfg.RateBps
 	comms := w.AddComms(p, c)
 
-	// Follower reaction: brake on the first indication after BrakeAt.
-	firstAt := make(map[packet.NodeID]sim.Time, cfg.Vehicles-1)
-	vehicleByID := make(map[packet.NodeID]*mobility.Vehicle, cfg.Vehicles)
-	for _, v := range p.Vehicles() {
-		vehicleByID[v.ID()] = v
-	}
-	comms.OnDeliver(func(f *ebl.Flow, _ *packet.Packet, at sim.Time) {
-		if at < cfg.BrakeAt {
-			return
-		}
-		if _, seen := firstAt[f.Receiver]; seen {
-			return
-		}
-		firstAt[f.Receiver] = at
-		v := vehicleByID[f.Receiver]
-		s.Schedule(cfg.ReactionS, func() { v.Brake(cfg.DecelMS2) })
-	})
+	brakes := newBrakeWatcher(s, cfg.BrakeAt, cfg.ReactionS, cfg.DecelMS2)
+	brakes.watch(p, comms)
 
 	s.At(cfg.BrakeAt, func() { p.Lead().Brake(cfg.DecelMS2) })
 	s.RunUntil(cfg.Duration)
 
 	res := &HighwayResult{Config: cfg, World: w, Platoon: p, Comms: comms}
+	res.Indications = brakes.indications(p, cfg.SpeedMS, cfg.Duration)
 	vehicles := p.Vehicles()
 	for i := 1; i < len(vehicles); i++ {
-		v := vehicles[i]
-		ind := BrakeIndication{Vehicle: v.ID()}
-		if at, ok := firstAt[v.ID()]; ok {
-			ind.IndicationDelay = at - cfg.BrakeAt
-			ind.DistanceBlind = cfg.SpeedMS * float64(ind.IndicationDelay+cfg.ReactionS)
-		} else {
-			ind.IndicationDelay = -1 // never notified
-			ind.DistanceBlind = cfg.SpeedMS * float64(cfg.Duration-cfg.BrakeAt)
-		}
-		ahead := vehicles[i-1]
 		// Signed along-road gap: a follower that overran its predecessor
 		// must not read as "far apart" again.
-		along := ahead.Position().Sub(v.Position()).Dot(p.Heading())
+		along := vehicles[i-1].Position().Sub(vehicles[i].Position()).Dot(p.Heading())
+		ind := &res.Indications[i-1]
 		ind.FinalGap = along - cfg.CarLengthM
 		ind.Collided = ind.FinalGap <= 0
 		if ind.Collided {
 			res.Collisions++
 		}
-		res.Indications = append(res.Indications, ind)
 	}
 	res.Observations = w.Finish()
 	return res, nil
+}
+
+// brakeWatcher is the followers' reaction to the EBL brake indication,
+// shared by the highway scenarios: a vehicle brakes reaction after the
+// first EBL packet that reaches it at or after brakeAt.
+type brakeWatcher struct {
+	sched             *sim.Scheduler
+	brakeAt, reaction sim.Time
+	decel             float64
+	vehicle           map[packet.NodeID]*mobility.Vehicle
+	firstAt           map[packet.NodeID]sim.Time
+}
+
+func newBrakeWatcher(s *sim.Scheduler, brakeAt, reaction sim.Time, decel float64) *brakeWatcher {
+	return &brakeWatcher{
+		sched: s, brakeAt: brakeAt, reaction: reaction, decel: decel,
+		vehicle: make(map[packet.NodeID]*mobility.Vehicle),
+		firstAt: make(map[packet.NodeID]sim.Time),
+	}
+}
+
+// watch makes p's vehicles react to the deliveries of comms.
+func (b *brakeWatcher) watch(p *mobility.Platoon, comms *ebl.PlatoonComms) {
+	for _, v := range p.Vehicles() {
+		b.vehicle[v.ID()] = v
+	}
+	comms.OnDeliver(func(f *ebl.Flow, _ *packet.Packet, at sim.Time) {
+		if at < b.brakeAt {
+			return
+		}
+		if _, seen := b.firstAt[f.Receiver]; seen {
+			return
+		}
+		b.firstAt[f.Receiver] = at
+		v := b.vehicle[f.Receiver]
+		b.sched.Schedule(b.reaction, func() { v.Brake(b.decel) })
+	})
+}
+
+// indications reports each follower of p in platoon order: its
+// indication delay and the distance it covered at speedMS before braking.
+// A follower never notified reports IndicationDelay -1 and covers the
+// whole span from brakeAt to end blind. FinalGap and Collided are left
+// to the caller.
+func (b *brakeWatcher) indications(p *mobility.Platoon, speedMS float64, end sim.Time) []BrakeIndication {
+	vehicles := p.Vehicles()
+	out := make([]BrakeIndication, 0, len(vehicles)-1)
+	for _, v := range vehicles[1:] {
+		ind := BrakeIndication{Vehicle: v.ID()}
+		if at, ok := b.firstAt[v.ID()]; ok {
+			ind.IndicationDelay = at - b.brakeAt
+			ind.DistanceBlind = speedMS * float64(ind.IndicationDelay+b.reaction)
+		} else {
+			ind.IndicationDelay = -1
+			ind.DistanceBlind = speedMS * float64(end-b.brakeAt)
+		}
+		out = append(out, ind)
+	}
+	return out
 }

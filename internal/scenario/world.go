@@ -6,6 +6,7 @@ package scenario
 
 import (
 	"fmt"
+	"strings"
 	"time"
 
 	"vanetsim/internal/aodv"
@@ -45,6 +46,19 @@ func (m MACType) String() string {
 		return macNames[m]
 	}
 	return fmt.Sprintf("mac(%d)", uint8(m))
+}
+
+// ParseMAC resolves the MAC names the CLI flags and service requests
+// share: "tdma" (or empty, the paper's base MAC) and "802.11" (also
+// "dcf", "80211"), in any case.
+func ParseMAC(name string) (MACType, error) {
+	switch strings.ToLower(name) {
+	case "", "tdma":
+		return MACTDMA, nil
+	case "802.11", "dcf", "80211":
+		return MAC80211, nil
+	}
+	return 0, fmt.Errorf("unknown MAC %q (want tdma or 802.11)", name)
 }
 
 // QueueType selects the interface queue flavour.
@@ -91,11 +105,6 @@ type StackConfig struct {
 	// Trace arms the agent-level ns-2-style trace of the platoons' EBL
 	// send and receive events.
 	Trace bool
-	// DisableCulling forces the channel's full-receiver scan even when the
-	// propagation model would allow spatial-index culling. Culling is exact
-	// — indexed and scanned runs are byte-identical — so this only costs
-	// time; it exists for equivalence tests and scaling benchmarks.
-	DisableCulling bool
 }
 
 // DefaultStackConfig returns the paper's fixed parameters: drop-tail
@@ -165,6 +174,11 @@ type labeledQueue struct {
 	q  *check.CountingQueue
 }
 
+// fullScan keeps every new world on the channel's full-receiver scan.
+// Culling is exact, so only the culled-vs-scan equivalence test sets it
+// (export_test.go).
+var fullScan bool
+
 // NewWorld creates an empty world with the given stack recipe and seed.
 func NewWorld(cfg StackConfig, seed uint64) *World {
 	if err := cfg.Faults.Validate(); err != nil {
@@ -204,7 +218,7 @@ func NewWorld(cfg StackConfig, seed uint64) *World {
 	if cfg.Trace {
 		w.trace = &trace.Collector{}
 	}
-	if shadow == nil && !cfg.DisableCulling {
+	if shadow == nil && !fullScan {
 		// Spatial-index neighbor culling is exact (byte-identical digests)
 		// for every deterministic monotone propagation model. Shadowing is
 		// the exception: its per-computation RNG draw means skipping a

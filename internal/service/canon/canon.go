@@ -43,7 +43,6 @@ import (
 	"math"
 	"reflect"
 	"sort"
-	"strings"
 
 	"vanetsim/internal/fault"
 	"vanetsim/internal/packet"
@@ -246,19 +245,6 @@ func Canonicalize(req Request) (*Canonical, error) {
 	}
 }
 
-// ParseMAC resolves the wire MAC names shared with the CLI flags; the
-// empty string is TDMA (the paper's base MAC).
-func ParseMAC(s string) (scenario.MACType, error) {
-	switch strings.ToLower(s) {
-	case "", "tdma":
-		return scenario.MACTDMA, nil
-	case "802.11", "dcf", "80211":
-		return scenario.MAC80211, nil
-	default:
-		return 0, fmt.Errorf("canon: unknown MAC %q", s)
-	}
-}
-
 // macName is the canonical wire spelling of a MAC type.
 func macName(m scenario.MACType) string {
 	if m == scenario.MAC80211 {
@@ -379,9 +365,9 @@ func canonTrial(tr TrialRequest) (*Canonical, error) {
 	case 0:
 		cfg = scenario.Trial1()
 		cfg.Name = "custom"
-		mac, err := ParseMAC(tr.MAC)
+		mac, err := scenario.ParseMAC(tr.MAC)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("canon: %w", err)
 		}
 		cfg.MAC = mac
 		if tr.Packet != 0 {
@@ -413,9 +399,9 @@ func canonTrial(tr TrialRequest) (*Canonical, error) {
 }
 
 func canonDense(dr DenseRequest) (*Canonical, error) {
-	mac, err := ParseMAC(dr.MAC)
+	mac, err := scenario.ParseMAC(dr.MAC)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("canon: %w", err)
 	}
 	if dr.Vehicles < 2 {
 		return nil, fmt.Errorf("canon: dense.vehicles = %d needs at least 2", dr.Vehicles)
@@ -467,9 +453,9 @@ func canonDense(dr DenseRequest) (*Canonical, error) {
 }
 
 func canonDegradation(gr DegradationRequest) (*Canonical, error) {
-	mac, err := ParseMAC(gr.MAC)
+	mac, err := scenario.ParseMAC(gr.MAC)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("canon: %w", err)
 	}
 	base := scenario.Trial1()
 	if mac == scenario.MAC80211 {

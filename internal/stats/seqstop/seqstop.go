@@ -17,16 +17,16 @@
 //	N* = min{ k : MinReps ≤ k ≤ MaxReps, every metric's CI over
 //	           replications [0, k) meets Tolerance }
 //
-// (or MaxReps if no such k exists). Because replication i is required
-// to be a pure function of i — in practice, of the i-th deterministically
-// derived seed — N* does not depend on the batch size, the worker-pool
-// width, or how far past N* a batch overshot. After each batch the
-// engine scans candidate prefixes in increasing order and truncates the
-// study to the earliest qualifying prefix, so the returned study is
-// byte-identical at any -j and any batch size. The number of
-// replications actually executed (Result.Executed) DOES vary with batch
-// size; it exists for cost accounting and must never be rendered into a
-// deterministic artifact.
+// (or MaxReps if no such k exists). Replications run in batches of
+// BatchSize, and replication i is required to be a pure function of i —
+// in practice, of the i-th deterministically derived seed — so N* does
+// not depend on the worker-pool width or on how far past N* a batch
+// overshot. After each batch the engine scans candidate prefixes in
+// increasing order and truncates the study to the earliest qualifying
+// prefix, so the returned study is byte-identical at any -j. The number
+// of replications actually executed (Result.Executed) includes the
+// overshoot; it exists for cost accounting and must never be rendered
+// into a deterministic artifact.
 package seqstop
 
 import (
@@ -38,12 +38,17 @@ import (
 	"vanetsim/internal/stats"
 )
 
+// The confidence level of every interval, and how many replications run
+// between CI recomputations.
+const (
+	Level     = 0.95
+	BatchSize = 4
+)
+
 // Defaults applied by Run for zero-valued Config fields.
 const (
-	DefaultLevel     = 0.95
-	DefaultMinReps   = 4
-	DefaultMaxReps   = 64
-	DefaultBatchSize = 4
+	DefaultMinReps = 4
+	DefaultMaxReps = 64
 )
 
 // Config controls a sequential-stopping run.
@@ -53,23 +58,17 @@ type Config struct {
 	// Tolerance is the requested relative half-width (0.05 = ±5%) every
 	// metric must meet. Must be a finite positive value.
 	Tolerance float64
-	// Level is the confidence level (0 = 0.95).
-	Level float64
 	// MinReps is the smallest prefix a verdict may use (0 = 4; ≥ 2 —
 	// no interval exists on fewer samples).
 	MinReps int
 	// MaxReps is the replication budget (0 = 64).
 	MaxReps int
-	// BatchSize is how many replications run between CI recomputations
-	// (0 = 4). Execution-only: it affects wall-clock and overshoot,
-	// never the returned study.
-	BatchSize int
 	// Pool fans a batch's replications across workers; every pool size
 	// produces identical output.
 	Pool runner.Pool
 	// Progress, if non-nil, receives one line per non-final batch. The
-	// lines depend only on batch boundaries and the sample values, so a
-	// fixed batch size streams deterministic progress.
+	// lines depend only on the fixed batch boundaries and the sample
+	// values, so progress is deterministic.
 	Progress func(string)
 }
 
@@ -89,8 +88,8 @@ type Result struct {
 	// contract).
 	N int
 	// Executed is how many replications actually ran, including batch
-	// overshoot past N. Execution detail only: varies with batch size,
-	// so it must not appear in deterministic artifacts.
+	// overshoot past N. Execution detail only: it must not appear in
+	// deterministic artifacts.
 	Executed int
 	// Met reports whether every metric met the tolerance (false means
 	// the budget was exhausted; Metrics still carries the achieved
@@ -113,13 +112,6 @@ func Run(cfg Config, rep func(i int) ([]float64, error)) (*Result, error) {
 	if !(cfg.Tolerance > 0) || math.IsInf(cfg.Tolerance, 1) {
 		return nil, fmt.Errorf("seqstop: tolerance %v is not a positive finite relative half-width", cfg.Tolerance)
 	}
-	level := cfg.Level
-	if level == 0 {
-		level = DefaultLevel
-	}
-	if !(level > 0 && level < 1) {
-		return nil, fmt.Errorf("seqstop: confidence level %v outside (0, 1)", level)
-	}
 	minReps := cfg.MinReps
 	if minReps == 0 {
 		minReps = DefaultMinReps
@@ -133,10 +125,6 @@ func Run(cfg Config, rep func(i int) ([]float64, error)) (*Result, error) {
 	}
 	if maxReps < minReps {
 		return nil, fmt.Errorf("seqstop: MaxReps %d < MinReps %d", maxReps, minReps)
-	}
-	batch := cfg.BatchSize
-	if batch <= 0 {
-		batch = DefaultBatchSize
 	}
 	progress := cfg.Progress
 	if progress == nil {
@@ -155,7 +143,7 @@ func Run(cfg Config, rep func(i int) ([]float64, error)) (*Result, error) {
 	executed := 0
 	scanFrom := minReps
 	for executed < maxReps {
-		n := batch
+		n := BatchSize
 		if executed+n > maxReps {
 			n = maxReps - executed
 		}
@@ -179,7 +167,7 @@ func Run(cfg Config, rep func(i int) ([]float64, error)) (*Result, error) {
 		// the EARLIEST qualifying k, independent of where this batch's
 		// boundary happened to land.
 		for k := scanFrom; k <= executed; k++ {
-			if ms := Evaluate(cfg.Metrics, samples[:k], level); allMet(ms) {
+			if ms := Evaluate(cfg.Metrics, samples[:k]); allMet(ms) {
 				return &Result{N: k, Executed: executed, Met: true, Metrics: ms, Samples: samples[:k]}, nil
 			}
 		}
@@ -189,27 +177,27 @@ func Run(cfg Config, rep func(i int) ([]float64, error)) (*Result, error) {
 			scanFrom = executed + 1
 		}
 		if executed < maxReps {
-			ms := Evaluate(cfg.Metrics, samples, level)
+			ms := Evaluate(cfg.Metrics, samples)
 			progress(fmt.Sprintf("replications %d/%d: tolerance ±%g%% not met yet (worst: %s)",
 				executed, maxReps, 100*cfg.Tolerance, worst(ms)))
 		}
 	}
 	// Budget exhausted: report the achieved bound over the full budget.
-	ms := Evaluate(cfg.Metrics, samples, level)
+	ms := Evaluate(cfg.Metrics, samples)
 	return &Result{N: executed, Executed: executed, Met: allMet(ms), Metrics: ms, Samples: samples}, nil
 }
 
-// Evaluate computes each named metric's CI over the observed (non-NaN)
-// samples of its column — the one confidence-interval path shared by
-// sequential-stopping and fixed-seed studies.
-func Evaluate(names []string, samples [][]float64, level float64) []MetricResult {
+// Evaluate computes each named metric's Level CI over the observed
+// (non-NaN) samples of its column — the one confidence-interval path
+// shared by sequential-stopping and fixed-seed studies.
+func Evaluate(names []string, samples [][]float64) []MetricResult {
 	out := make([]MetricResult, len(names))
 	col := make([]float64, len(samples))
 	for j, name := range names {
 		for i, s := range samples {
 			col[i] = s[j]
 		}
-		ci, missing := stats.MeanCIObserved(col, level)
+		ci, missing := stats.MeanCIObserved(col, Level)
 		out[j] = MetricResult{Name: name, CI: ci, Missing: missing}
 	}
 	return out
@@ -246,8 +234,8 @@ func worst(ms []MetricResult) string {
 // run and artificially narrow every CI, so the stream is deduplicated
 // by construction). Seeds(base, n) is a prefix of Seeds(base, m) for
 // n ≤ m, which is what makes replication i a pure function of i: the
-// same base seed yields the same i-th replication at any batch size,
-// worker count, or tolerance.
+// same base seed yields the same i-th replication at any worker count
+// or tolerance.
 func Seeds(base uint64, n int) []uint64 {
 	rng := sim.NewRNG(base).Fork("replication/seeds")
 	seen := make(map[uint64]bool, n)

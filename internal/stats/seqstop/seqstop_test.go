@@ -79,19 +79,14 @@ func TestRunStopsAtEarliestQualifyingPrefix(t *testing.T) {
 }
 
 // The determinism contract: the verdict (N, Met, Metrics, Samples) is
-// identical at any batch size and any worker-pool width; only Executed
-// (overshoot) may differ.
-func TestRunBatchSizeAndPoolInvariance(t *testing.T) {
+// identical at any worker-pool width.
+func TestRunPoolInvariance(t *testing.T) {
 	const tol = 0.02
 	var ref *Result
-	for _, tc := range []struct {
-		batch, workers int
-	}{
-		{1, 1}, {4, 1}, {1, 8}, {4, 8}, {3, 2}, {7, 8}, {64, 8},
-	} {
+	for _, workers := range []int{1, 2, 3, 8} {
 		res, err := Run(Config{
 			Metrics: []string{"a", "b"}, Tolerance: tol, MinReps: 2,
-			BatchSize: tc.batch, Pool: runner.Pool{Workers: tc.workers},
+			Pool: runner.Pool{Workers: workers},
 		}, func(i int) ([]float64, error) { return sample(i), nil })
 		if err != nil {
 			t.Fatal(err)
@@ -100,16 +95,16 @@ func TestRunBatchSizeAndPoolInvariance(t *testing.T) {
 			ref = res
 			continue
 		}
-		if res.N != ref.N || res.Met != ref.Met {
-			t.Fatalf("batch=%d workers=%d: N=%d met=%v, want N=%d met=%v",
-				tc.batch, tc.workers, res.N, res.Met, ref.N, ref.Met)
+		if res.N != ref.N || res.Met != ref.Met || res.Executed != ref.Executed {
+			t.Fatalf("workers=%d: N=%d met=%v executed=%d, want N=%d met=%v executed=%d",
+				workers, res.N, res.Met, res.Executed, ref.N, ref.Met, ref.Executed)
 		}
 		if !reflect.DeepEqual(res.Metrics, ref.Metrics) {
-			t.Fatalf("batch=%d workers=%d: metrics diverge:\n%+v\nvs\n%+v",
-				tc.batch, tc.workers, res.Metrics, ref.Metrics)
+			t.Fatalf("workers=%d: metrics diverge:\n%+v\nvs\n%+v",
+				workers, res.Metrics, ref.Metrics)
 		}
 		if !reflect.DeepEqual(res.Samples, ref.Samples) {
-			t.Fatalf("batch=%d workers=%d: samples diverge", tc.batch, tc.workers)
+			t.Fatalf("workers=%d: samples diverge", workers)
 		}
 	}
 }
@@ -165,7 +160,7 @@ func TestRunPartialMissingUsesObservedSamples(t *testing.T) {
 	// One missing sample among real ones: the CI covers the observed
 	// remainder and the verdict can still be met.
 	res, err := Run(Config{
-		Metrics: []string{"m"}, Tolerance: 0.5, MinReps: 4, MaxReps: 8, BatchSize: 4,
+		Metrics: []string{"m"}, Tolerance: 0.5, MinReps: 4, MaxReps: 8,
 	}, func(i int) ([]float64, error) {
 		if i == 1 {
 			return []float64{math.NaN()}, nil
@@ -185,19 +180,19 @@ func TestRunPartialMissingUsesObservedSamples(t *testing.T) {
 }
 
 // Regression: a batch boundary landing BELOW MinReps must not lower the
-// prefix-scan cursor — with zero-variance data and BatchSize 2, a study
-// with MinReps 4 once stopped at k=3 (the cursor slipped to executed+1
-// after the first batch).
+// prefix-scan cursor — with zero-variance data, a study whose MinReps
+// lies past the first batch once stopped at executed+1 (the cursor
+// slipped there after the first batch).
 func TestRunBatchBelowMinRepsRespectsMinimum(t *testing.T) {
-	for _, batch := range []int{1, 2, 3, 4, 5} {
+	for minReps := BatchSize + 1; minReps <= 2*BatchSize+1; minReps++ {
 		res, err := Run(Config{
-			Metrics: []string{"m"}, Tolerance: 0.5, MinReps: 4, MaxReps: 8, BatchSize: batch,
+			Metrics: []string{"m"}, Tolerance: 0.5, MinReps: minReps, MaxReps: 3 * BatchSize,
 		}, func(i int) ([]float64, error) { return []float64{100}, nil })
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.N != 4 || !res.Met {
-			t.Fatalf("batch=%d: N=%d met=%v, want stop exactly at MinReps 4", batch, res.N, res.Met)
+		if res.N != minReps || !res.Met {
+			t.Fatalf("MinReps %d: N=%d met=%v, want stop exactly at MinReps", minReps, res.N, res.Met)
 		}
 	}
 }
@@ -225,7 +220,6 @@ func TestRunConfigValidation(t *testing.T) {
 		{Metrics: []string{"m"}, Tolerance: math.Inf(1)},
 		{Metrics: []string{"m"}, Tolerance: 0.1, MinReps: 1},
 		{Metrics: []string{"m"}, Tolerance: 0.1, MinReps: 8, MaxReps: 4},
-		{Metrics: []string{"m"}, Tolerance: 0.1, Level: 1.5},
 	}
 	for i, cfg := range cases {
 		if _, err := Run(cfg, rep); err == nil {
@@ -238,8 +232,8 @@ func TestRunProgressDeterministicAtFixedBatch(t *testing.T) {
 	lines := func() []string {
 		var out []string
 		_, err := Run(Config{
-			Metrics: []string{"a", "b"}, Tolerance: 1e-9, MinReps: 2, MaxReps: 8,
-			BatchSize: 2, Progress: func(s string) { out = append(out, s) },
+			Metrics: []string{"a", "b"}, Tolerance: 1e-9, MinReps: 2, MaxReps: 4 * BatchSize,
+			Progress: func(s string) { out = append(out, s) },
 		}, func(i int) ([]float64, error) { return sample(i), nil })
 		if err != nil {
 			t.Fatal(err)
@@ -250,7 +244,7 @@ func TestRunProgressDeterministicAtFixedBatch(t *testing.T) {
 	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("progress lines not deterministic:\n%v\nvs\n%v", a, b)
 	}
-	if len(a) != 3 { // batches at 2, 4, 6; the final batch (8) emits no line
+	if len(a) != 3 { // three batches; the final one emits no line
 		t.Fatalf("got %d progress lines, want 3: %v", len(a), a)
 	}
 	for _, l := range a {
@@ -293,7 +287,7 @@ func TestSeedsDeterministicPrefixNonZeroUnique(t *testing.T) {
 // rather than poisoning the interval.
 func TestEvaluateColumns(t *testing.T) {
 	rows := [][]float64{{1, 4}, {2, math.NaN()}, {4, 8}}
-	ms := Evaluate([]string{"full", "gappy"}, rows, 0.95)
+	ms := Evaluate([]string{"full", "gappy"}, rows)
 	if ms[0].Name != "full" || ms[0].Missing != 0 || ms[0].CI != stats.MeanCI([]float64{1, 2, 4}, 0.95) {
 		t.Errorf("full column = %+v", ms[0])
 	}

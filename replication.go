@@ -124,23 +124,17 @@ func (s *ReplicationStudy) aggregate() {
 	for i, rep := range s.Runs {
 		rows[i] = sampleVector(metrics, rep)
 	}
-	ms := seqstop.Evaluate(metrics, rows, seqstop.DefaultLevel)
+	ms := seqstop.Evaluate(metrics, rows)
 	s.DelayCI, s.SteadyCI, s.FirstCI, s.TputCI = ms[0].CI, ms[1].CI, ms[2].CI, ms[3].CI
 	s.FirstMissing = ms[2].Missing
 }
 
-// RunReplications executes cfg once per seed — fanning the independent
-// runs across all CPUs — and aggregates 95% CIs. It returns an error if
-// fewer than two seeds are given (no interval exists) or any seed
-// repeats (a duplicate double-counts a run and artificially narrows
-// every interval).
-func RunReplications(cfg TrialConfig, seeds []uint64) (*ReplicationStudy, error) {
-	return RunReplicationsPool(cfg, seeds, runner.Pool{})
-}
-
-// RunReplicationsPool is RunReplications on an explicit worker pool
-// (for callers threading a `-j` flag through). Results and CIs are
-// reduced in seed order, so every pool size produces identical output.
+// RunReplicationsPool executes cfg once per seed on a bounded worker pool
+// (the zero Pool is one worker per CPU) and aggregates 95% CIs. Results
+// and CIs are reduced in seed order, so every pool size produces
+// identical output. It returns an error if fewer than two seeds are
+// given (no interval exists) or any seed repeats (a duplicate
+// double-counts a run and artificially narrows every interval).
 func RunReplicationsPool(cfg TrialConfig, seeds []uint64, p runner.Pool) (*ReplicationStudy, error) {
 	if len(seeds) < 2 {
 		return nil, fmt.Errorf("vanetsim: replication study needs at least two seeds, got %d", len(seeds))
@@ -184,22 +178,17 @@ func (s *ReplicationStudy) String() string {
 }
 
 // ToleranceOptions tunes RunReplicationsTolerance and
-// RunPairedReplicationsTolerance. The zero value is ready to use: seeds
-// derived from the config's own seed, all four metrics watched, 4–64
-// replications in batches of 4 on a machine-sized pool.
+// RunPairedReplicationsTolerance. The zero value is ready to use: all
+// four metrics watched, 4–64 replications in batches of 4 on a
+// machine-sized pool. Seeds are always derived from the config's own
+// seed through seqstop.Seeds: deduplicated, never zero, and
+// prefix-stable, so replication i always runs the same seed regardless
+// of workers or tolerance.
 type ToleranceOptions struct {
-	// BaseSeed roots the derived seed stream (0 = the config's Seed).
-	// The stream itself comes from seqstop.Seeds: deduplicated, never
-	// zero, and prefix-stable, so replication i always runs the same
-	// seed regardless of batch size, workers, or tolerance.
-	BaseSeed uint64
 	// MinReps is the smallest usable study (0 = 4; at least 2).
 	MinReps int
 	// MaxReps is the replication budget (0 = 64).
 	MaxReps int
-	// BatchSize is how many replications run between CI checks (0 = 4).
-	// Execution-only: every batch size yields the identical study.
-	BatchSize int
 	// Metrics selects the stopping metrics — MetricDelay, MetricSteady,
 	// MetricFirst, MetricTput (nil = all four). The study stops only
 	// when every selected metric meets the tolerance.
@@ -233,9 +222,9 @@ type ToleranceStudy struct {
 	// replications, in the order the metrics were requested.
 	Precision []MetricPrecision
 	// Executed counts replications actually simulated (or recalled from
-	// a cache), including batch overshoot past the stopping point. It
-	// varies with batch size — an execution detail for cost accounting,
-	// deliberately excluded from String().
+	// a cache), including batch overshoot past the stopping point — an
+	// execution detail for cost accounting, deliberately excluded from
+	// String().
 	Executed int
 }
 
@@ -243,50 +232,25 @@ type ToleranceStudy struct {
 // metric's 95% CI relative half-width is at most tol, or the MaxReps
 // budget is exhausted — the sequential-stopping upgrade over a fixed
 // seed list ("give me this answer to ±2%"). Seeds are forked
-// deterministically from the base seed, so the returned study is
-// byte-identical at any pool width and any batch size; only the
-// Executed count (overshoot past the stopping point) depends on
-// batching.
+// deterministically from cfg.Seed, so the returned study is
+// byte-identical at any pool width.
 //
 // A run that arms cfg.Check and violates an invariant fails the study
 // with an error: a measurement from a run that broke conservation is
 // not evidence.
 func RunReplicationsTolerance(cfg TrialConfig, tol float64, opts ToleranceOptions) (*ToleranceStudy, error) {
-	metrics := opts.Metrics
-	if metrics == nil {
-		metrics = allMetrics()
-	}
-	if err := validateMetrics(metrics); err != nil {
+	rule, seeds, err := opts.stoppingRule(tol, cfg.Seed)
+	if err != nil {
 		return nil, err
 	}
-	base := opts.BaseSeed
-	if base == 0 {
-		base = cfg.Seed
-	}
-	maxReps := opts.MaxReps
-	if maxReps == 0 {
-		maxReps = seqstop.DefaultMaxReps
-	}
-	if maxReps < 2 {
-		return nil, fmt.Errorf("vanetsim: MaxReps %d < 2: no confidence interval exists", maxReps)
-	}
-	seeds := seqstop.Seeds(base, maxReps)
-	reps := make([]Replication, maxReps)
-	res, err := seqstop.Run(seqstop.Config{
-		Metrics:   metrics,
-		Tolerance: tol,
-		MinReps:   opts.MinReps,
-		MaxReps:   maxReps,
-		BatchSize: opts.BatchSize,
-		Pool:      opts.Pool,
-		Progress:  opts.Progress,
-	}, func(i int) ([]float64, error) {
+	reps := make([]Replication, len(seeds))
+	res, err := seqstop.Run(rule, func(i int) ([]float64, error) {
 		rep, err := runReplication(cfg, seeds[i], opts)
 		if err != nil {
 			return nil, err
 		}
 		reps[i] = rep
-		return sampleVector(metrics, rep), nil
+		return sampleVector(rule.Metrics, rep), nil
 	})
 	if err != nil {
 		return nil, err
@@ -301,6 +265,34 @@ func RunReplicationsTolerance(cfg TrialConfig, tol float64, opts ToleranceOption
 	st.Runs = append([]Replication(nil), reps[:res.N]...)
 	st.aggregate()
 	return st, nil
+}
+
+// stoppingRule resolves opts into the sequential-stopping configuration
+// (stopping metrics, budget, pool, progress) and the seed stream derived
+// from base that replication i runs under.
+func (opts ToleranceOptions) stoppingRule(tol float64, base uint64) (seqstop.Config, []uint64, error) {
+	metrics := opts.Metrics
+	if metrics == nil {
+		metrics = allMetrics()
+	}
+	if err := validateMetrics(metrics); err != nil {
+		return seqstop.Config{}, nil, err
+	}
+	maxReps := opts.MaxReps
+	if maxReps == 0 {
+		maxReps = seqstop.DefaultMaxReps
+	}
+	if maxReps < 2 {
+		return seqstop.Config{}, nil, fmt.Errorf("vanetsim: MaxReps %d < 2: no confidence interval exists", maxReps)
+	}
+	return seqstop.Config{
+		Metrics:   metrics,
+		Tolerance: tol,
+		MinReps:   opts.MinReps,
+		MaxReps:   maxReps,
+		Pool:      opts.Pool,
+		Progress:  opts.Progress,
+	}, seqstop.Seeds(base, maxReps), nil
 }
 
 // runReplication produces one replication: from the cache hooks when
@@ -325,8 +317,8 @@ func runReplication(cfg TrialConfig, seed uint64, opts ToleranceOptions) (Replic
 }
 
 // String renders the study with its achieved precision per stopping
-// metric. Everything printed is independent of batch size and pool
-// width (Executed is deliberately omitted).
+// metric. Everything printed is independent of the pool width (Executed
+// is deliberately omitted).
 func (s *ToleranceStudy) String() string {
 	var b strings.Builder
 	verdict := "met"
@@ -416,41 +408,18 @@ type PairedStudy struct {
 // derived seed drives both configurations, and the study grows until the
 // 95% CI on every chosen metric's paired difference (A − B) meets the
 // relative tolerance, or the budget is exhausted. The stopping rule and
-// determinism contract match RunReplicationsTolerance. opts.BaseSeed
-// falls back to cfgA.Seed; opts.Lookup/Store are ignored (cache entries
-// are keyed per single-arm config — the service caches arms, not pairs).
+// determinism contract match RunReplicationsTolerance; seeds derive from
+// cfgA.Seed. opts.Lookup/Store are ignored (cache entries are keyed per
+// single-arm config — the service caches arms, not pairs).
 func RunPairedReplicationsTolerance(cfgA, cfgB TrialConfig, tol float64, opts ToleranceOptions) (*PairedStudy, error) {
-	metrics := opts.Metrics
-	if metrics == nil {
-		metrics = allMetrics()
-	}
-	if err := validateMetrics(metrics); err != nil {
+	rule, seeds, err := opts.stoppingRule(tol, cfgA.Seed)
+	if err != nil {
 		return nil, err
 	}
-	base := opts.BaseSeed
-	if base == 0 {
-		base = cfgA.Seed
-	}
-	maxReps := opts.MaxReps
-	if maxReps == 0 {
-		maxReps = seqstop.DefaultMaxReps
-	}
-	if maxReps < 2 {
-		return nil, fmt.Errorf("vanetsim: MaxReps %d < 2: no confidence interval exists", maxReps)
-	}
-	seeds := seqstop.Seeds(base, maxReps)
-	pairs := make([]PairedReplication, maxReps)
+	pairs := make([]PairedReplication, len(seeds))
 	noCache := opts
 	noCache.Lookup, noCache.Store = nil, nil
-	res, err := seqstop.Run(seqstop.Config{
-		Metrics:   metrics,
-		Tolerance: tol,
-		MinReps:   opts.MinReps,
-		MaxReps:   maxReps,
-		BatchSize: opts.BatchSize,
-		Pool:      opts.Pool,
-		Progress:  opts.Progress,
-	}, func(i int) ([]float64, error) {
+	res, err := seqstop.Run(rule, func(i int) ([]float64, error) {
 		a, err := runReplication(cfgA, seeds[i], noCache)
 		if err != nil {
 			return nil, err
@@ -460,7 +429,7 @@ func RunPairedReplicationsTolerance(cfgA, cfgB TrialConfig, tol float64, opts To
 			return nil, err
 		}
 		pairs[i] = PairedReplication{Seed: seeds[i], A: a, B: b}
-		va, vb := sampleVector(metrics, a), sampleVector(metrics, b)
+		va, vb := sampleVector(rule.Metrics, a), sampleVector(rule.Metrics, b)
 		d := make([]float64, len(va))
 		for j := range va {
 			d[j] = va[j] - vb[j] // NaN if either arm missed: a pair is observed only whole
@@ -478,7 +447,7 @@ func RunPairedReplicationsTolerance(cfgA, cfgB TrialConfig, tol float64, opts To
 		Runs:      append([]PairedReplication(nil), pairs[:res.N]...),
 		Executed:  res.Executed,
 	}
-	st.Diffs = pairedMetrics(metrics, res, st.Runs)
+	st.Diffs = pairedMetrics(rule.Metrics, res, st.Runs)
 	return st, nil
 }
 
@@ -515,7 +484,7 @@ func pairedMetrics(metrics []string, res *seqstop.Result, runs []PairedReplicati
 // String renders the paired comparison: per-metric arm means, the paired
 // CRN interval on the difference, the unpaired interval the same runs
 // would have given, and the variance-reduction factor. Independent of
-// batch size and pool width.
+// the pool width.
 func (s *PairedStudy) String() string {
 	var b strings.Builder
 	verdict := "met"

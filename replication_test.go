@@ -11,7 +11,7 @@ import (
 func TestReplicationStudy80211(t *testing.T) {
 	cfg := vanetsim.Trial3()
 	cfg.Duration = vanetsim.Seconds(60)
-	st, err := vanetsim.RunReplications(cfg, []uint64{1, 2, 3, 4})
+	st, err := vanetsim.RunReplicationsPool(cfg, []uint64{1, 2, 3, 4}, vanetsim.Pool{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +52,7 @@ func TestReplicationStudyTDMADeterministicLayersAgree(t *testing.T) {
 	// statement about the protocol.
 	cfg := vanetsim.Trial1()
 	cfg.Duration = vanetsim.Seconds(50)
-	st, err := vanetsim.RunReplications(cfg, []uint64{1, 2, 3})
+	st, err := vanetsim.RunReplicationsPool(cfg, []uint64{1, 2, 3}, vanetsim.Pool{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +66,7 @@ func TestReplicationStudyTDMADeterministicLayersAgree(t *testing.T) {
 // trace.
 func TestReplicationStudyErrorsOnOneSeed(t *testing.T) {
 	for _, seeds := range [][]uint64{nil, {1}} {
-		if _, err := vanetsim.RunReplications(vanetsim.Trial1(), seeds); err == nil {
+		if _, err := vanetsim.RunReplicationsPool(vanetsim.Trial1(), seeds, vanetsim.Pool{}); err == nil {
 			t.Fatalf("seeds=%v: expected an error", seeds)
 		}
 	}
@@ -79,7 +79,7 @@ func TestReplicationStudyErrorsOnOneSeed(t *testing.T) {
 func TestReplicationStudyMissingFirstIsNaN(t *testing.T) {
 	cfg := vanetsim.Trial1()
 	cfg.Duration = 0 // no packet is ever received
-	st, err := vanetsim.RunReplications(cfg, []uint64{1, 2})
+	st, err := vanetsim.RunReplicationsPool(cfg, []uint64{1, 2}, vanetsim.Pool{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +108,7 @@ func TestReplicationStudyMissingFirstIsNaN(t *testing.T) {
 func TestReplicationStudyRejectsDuplicateSeeds(t *testing.T) {
 	cfg := vanetsim.Trial1()
 	cfg.Duration = vanetsim.Seconds(10)
-	_, err := vanetsim.RunReplications(cfg, []uint64{1, 2, 1})
+	_, err := vanetsim.RunReplicationsPool(cfg, []uint64{1, 2, 1}, vanetsim.Pool{})
 	if err == nil {
 		t.Fatal("duplicate seeds accepted")
 	}

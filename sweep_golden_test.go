@@ -101,7 +101,7 @@ func TestReplicationGolden(t *testing.T) {
 		"replication-trial3-40s":  trial3,
 		"replication-trial1-zero": empty,
 	} {
-		st, err := vanetsim.RunReplications(cfg, []uint64{1, 2, 3})
+		st, err := vanetsim.RunReplicationsPool(cfg, []uint64{1, 2, 3}, vanetsim.Pool{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -11,23 +11,17 @@ import (
 
 // TestToleranceStudyInvariance is the sequential-stopping determinism
 // gate at the library surface: the same tolerance must yield a
-// byte-identical study at -j1 vs -j8 and at batch sizes 1 vs 4 (and an
-// awkward 3), even though the executed-replication count legitimately
-// differs with batching (overshoot past the stopping point).
+// byte-identical study at -j1, -j2 and -j8.
 func TestToleranceStudyInvariance(t *testing.T) {
 	cfg := vanetsim.Trial3()
 	cfg.Duration = vanetsim.Seconds(40)
-	type variant struct {
-		batch, workers int
-	}
 	var ref *vanetsim.ToleranceStudy
 	var refOut string
-	for _, v := range []variant{{1, 1}, {4, 1}, {1, 8}, {4, 8}, {3, 2}} {
+	for _, workers := range []int{1, 8, 2} {
 		st, err := vanetsim.RunReplicationsTolerance(cfg, 0.6, vanetsim.ToleranceOptions{
-			MinReps:   2,
-			MaxReps:   8,
-			BatchSize: v.batch,
-			Pool:      vanetsim.Pool{Workers: v.workers},
+			MinReps: 2,
+			MaxReps: 8,
+			Pool:    vanetsim.Pool{Workers: workers},
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -37,16 +31,16 @@ func TestToleranceStudyInvariance(t *testing.T) {
 			continue
 		}
 		if out := st.String(); out != refOut {
-			t.Fatalf("batch=%d workers=%d: study differs:\n--- ref\n%s--- got\n%s", v.batch, v.workers, refOut, out)
+			t.Fatalf("workers=%d: study differs:\n--- ref\n%s--- got\n%s", workers, refOut, out)
 		}
 		if st.Met != ref.Met || len(st.Runs) != len(ref.Runs) {
-			t.Fatalf("batch=%d workers=%d: verdict differs (met %v runs %d vs met %v runs %d)",
-				v.batch, v.workers, st.Met, len(st.Runs), ref.Met, len(ref.Runs))
+			t.Fatalf("workers=%d: verdict differs (met %v runs %d vs met %v runs %d)",
+				workers, st.Met, len(st.Runs), ref.Met, len(ref.Runs))
 		}
 		for i := range st.Runs {
 			if st.Runs[i] != ref.Runs[i] {
-				t.Fatalf("batch=%d workers=%d: replication %d differs: %+v vs %+v",
-					v.batch, v.workers, i, st.Runs[i], ref.Runs[i])
+				t.Fatalf("workers=%d: replication %d differs: %+v vs %+v",
+					workers, i, st.Runs[i], ref.Runs[i])
 			}
 		}
 	}
@@ -68,7 +62,7 @@ func TestToleranceHitTDMA(t *testing.T) {
 	cfg := vanetsim.Trial1()
 	cfg.Duration = vanetsim.Seconds(40)
 	st, err := vanetsim.RunReplicationsTolerance(cfg, 0.01, vanetsim.ToleranceOptions{
-		MinReps: 3, MaxReps: 8, BatchSize: 4,
+		MinReps: 3, MaxReps: 8,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -101,7 +95,7 @@ func TestToleranceBudgetHit(t *testing.T) {
 	cfg := vanetsim.Trial1()
 	cfg.Duration = 0
 	st, err := vanetsim.RunReplicationsTolerance(cfg, 0.5, vanetsim.ToleranceOptions{
-		MinReps: 2, MaxReps: 3, BatchSize: 2,
+		MinReps: 2, MaxReps: 3,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -239,12 +233,11 @@ func TestPairedCRNStudy(t *testing.T) {
 	}
 	// Determinism at different pool widths, same as the single-arm study.
 	opts.Pool = vanetsim.Pool{Workers: 8}
-	opts.BatchSize = 2
 	st2, err := vanetsim.RunPairedReplicationsTolerance(a, b, 0.3, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if st.String() != st2.String() {
-		t.Fatalf("paired study not invariant to pool/batch:\n--- ref\n%s--- got\n%s", st, st2)
+		t.Fatalf("paired study not invariant to pool width:\n--- ref\n%s--- got\n%s", st, st2)
 	}
 }

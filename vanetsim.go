@@ -29,7 +29,6 @@ import (
 	"vanetsim/internal/scenario"
 	"vanetsim/internal/sim"
 	"vanetsim/internal/span"
-	"vanetsim/internal/trace"
 )
 
 // MACType selects the medium-access protocol for a trial.
@@ -40,6 +39,11 @@ const (
 	MACTDMA  = scenario.MACTDMA
 	MAC80211 = scenario.MAC80211
 )
+
+// ParseMAC resolves a MAC name as the CLI flags and service requests
+// spell it: "tdma" (or empty) and "802.11" (also "dcf", "80211"), in
+// any case.
+func ParseMAC(name string) (MACType, error) { return scenario.ParseMAC(name) }
 
 // QueueType selects the interface-queue flavour for a trial.
 type QueueType = scenario.QueueType
@@ -194,12 +198,6 @@ type CheckViolation = check.Violation
 // StoppingAnalysis is the §III.E stopping-distance feasibility result.
 type StoppingAnalysis = ebl.StoppingAnalysis
 
-// AnalyzeStopping runs the stopping-distance analysis with an explicit
-// braking model and driver reaction time.
-func AnalyzeStopping(initialDelay sim.Time, speedMS, separationM, decel float64, reaction sim.Time) StoppingAnalysis {
-	return ebl.Analyze(initialDelay, speedMS, separationM, decel, reaction)
-}
-
 // PaperStoppingAnalysis runs the paper's published arithmetic: 22.4 m/s,
 // 25 m separation, distance covered during the initial packet's flight.
 func PaperStoppingAnalysis(initialDelay sim.Time) StoppingAnalysis {
@@ -241,24 +239,6 @@ func FormatEnvelopeTable(rows []EnvelopeRow) string {
 // Seconds converts a float64 second count into simulated time (for
 // TrialConfig.Duration overrides).
 func Seconds(s float64) sim.Time { return sim.Time(s) }
-
-// WriteTrace writes a trial's collected trace records (run with
-// CollectTrace set) to path in the ns-2-like line format that
-// cmd/ebltrace parses.
-func WriteTrace(path string, r *TrialResult) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("vanetsim: %w", err)
-	}
-	if err := trace.WriteAll(f, r.Trace); err != nil {
-		f.Close()
-		return fmt.Errorf("vanetsim: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("vanetsim: close trace: %w", err)
-	}
-	return nil
-}
 
 // SpanEvent is one causal-tracing lifecycle step of one packet (emit,
 // queue enq/deq, MAC wait, transmit with airtime, loss with cause,

@@ -165,16 +165,6 @@ func TestPaperStoppingAnalysisNumbers(t *testing.T) {
 	}
 }
 
-func TestAnalyzeStoppingWithBraking(t *testing.T) {
-	a := vanetsim.AnalyzeStopping(0.018, 22.4, 25, 8, 0.7)
-	if a.Sufficient {
-		t.Fatal("50 mph with 0.7 s reaction in 25 m cannot be sufficient")
-	}
-	if a.BrakingDistance <= 0 {
-		t.Fatal("braking distance missing")
-	}
-}
-
 func TestMPHToMS(t *testing.T) {
 	if v := vanetsim.MPHToMS(100); math.Abs(v-44.704) > 1e-9 {
 		t.Fatalf("100 mph = %v", v)
