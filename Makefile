@@ -27,9 +27,9 @@ verify:
 
 # check arms the runtime invariant checker everywhere: the full test
 # suite with checks forced on (build tag `checkall`), then the four
-# headline configurations, an 802.11 dense highway, and the
-# fault-degradation grid through the CLI gates. Any recorded violation
-# is a non-zero exit.
+# headline configurations, an 802.11 dense highway, the full evaluation
+# report (its trials and replication study) and the fault-degradation
+# grid through the CLI gates. Any recorded violation is a non-zero exit.
 check:
 	$(GO) test -tags=checkall ./...
 	$(GO) build -o $(BIN)/vanetsim-check ./cmd/vanetsim
@@ -39,6 +39,7 @@ check:
 	$(BIN)/vanetsim-check -check -trial 0 -mac 802.11 -packet 500 > /dev/null
 	$(BIN)/vanetsim-check -check -dense 240 -mac 802.11 -duration 8 -spans $(BIN)/dense-spans.ndjson > /dev/null
 	$(GO) build -o $(BIN)/eblreport-check ./cmd/eblreport
+	$(BIN)/eblreport-check -check > /dev/null
 	$(BIN)/eblreport-check -check -degrade > /dev/null
 
 # bench regenerates the paper's evaluation as benchmark metrics.

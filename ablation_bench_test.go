@@ -170,9 +170,10 @@ func BenchmarkReplicationStudy(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.ReportMetric(st.TputCI.Mean, "tput_Mbps")
-		b.ReportMetric(st.TputCI.HalfWidth, "tput_ci95")
-		b.ReportMetric(st.DelayCI.Mean, "delay_s")
+		tput := studyMetric(b, st, vanetsim.MetricTput).CI
+		b.ReportMetric(tput.Mean, "tput_Mbps")
+		b.ReportMetric(tput.HalfWidth, "tput_ci95")
+		b.ReportMetric(studyMetric(b, st, vanetsim.MetricDelay).CI.Mean, "delay_s")
 	}
 }
 

@@ -30,6 +30,7 @@ import (
 
 	"vanetsim"
 	"vanetsim/internal/cliflag"
+	"vanetsim/internal/stats/seqstop"
 )
 
 func main() {
@@ -101,6 +102,12 @@ var modeRejects = map[string][]string{
 // numbers paired comparisons quantify what seed sharing buys. Output is
 // byte-identical at every -j.
 func toleranceReport(out io.Writer, jobs int, tol float64, maxReps int, check bool) error {
+	// Values the first study's rule accepts, the other two accept too, so
+	// checking it first reports a bad -tolerance or -max-reps before any
+	// output.
+	if _, err := (seqstop.Config{Tolerance: tol, MaxReps: maxReps}).Resolve(); err != nil {
+		return err
+	}
 	fmt.Fprintln(out, "Adaptive-precision replication — run until the CI bound is met")
 	fmt.Fprintln(out, "==============================================================")
 
@@ -303,6 +310,7 @@ func reportWith(out io.Writer, jobs int, stats bool, statsJSON string, check boo
 	fmt.Fprintln(out, "replications capture run-to-run variability too:")
 	repCfg := vanetsim.Trial3()
 	repCfg.Duration = vanetsim.Seconds(60)
+	repCfg.Check = check
 	study, err := vanetsim.RunReplicationsPool(repCfg, []uint64{1, 2, 3, 4, 5}, vanetsim.Pool{Workers: jobs})
 	if err != nil {
 		return err

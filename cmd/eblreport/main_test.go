@@ -68,13 +68,22 @@ func TestToleranceReport(t *testing.T) {
 	}
 }
 
+// TestToleranceFlagValidation: a flag combination or stopping-rule value
+// no study can run is an error before any output. A bad -tolerance or
+// -max-reps once printed the report title and first section header.
 func TestToleranceFlagValidation(t *testing.T) {
-	var sb strings.Builder
-	if err := run([]string{"-max-reps", "8"}, &sb); err == nil {
-		t.Fatal("-max-reps without -tolerance accepted")
-	}
-	if err := run([]string{"-tolerance", "-0.1"}, &sb); err == nil {
-		t.Fatal("negative tolerance accepted")
+	for _, args := range [][]string{
+		{"-max-reps", "8"},
+		{"-tolerance", "-0.1"},
+		{"-tolerance", "0.05", "-max-reps", "1"},
+	} {
+		var sb strings.Builder
+		if err := run(args, &sb); err == nil {
+			t.Errorf("args %v accepted", args)
+		}
+		if sb.Len() > 0 {
+			t.Errorf("args %v printed before failing:\n%s", args, sb.String())
+		}
 	}
 }
 

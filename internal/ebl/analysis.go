@@ -1,9 +1,6 @@
 package ebl
 
-import (
-	"vanetsim/internal/mobility"
-	"vanetsim/internal/sim"
-)
+import "vanetsim/internal/sim"
 
 // MPHToMS converts miles per hour to metres per second (the paper uses
 // "50 mph (22.4 m/s)").
@@ -12,42 +9,31 @@ func MPHToMS(mph float64) float64 { return mph * 0.44704 }
 // StoppingAnalysis is the paper's §III.E feasibility assessment: given the
 // one-way delay of the *initial* brake-status packet — the first
 // indication to a trailing vehicle that the lead is braking — how much of
-// the inter-vehicle separation is consumed before the driver even knows,
-// and is what remains enough to stop in?
+// the inter-vehicle separation is consumed before the driver even knows?
+// BrakingModel.MinSafeGap is the realistic-braking counterpart.
 type StoppingAnalysis struct {
 	// Inputs.
 	InitialDelay sim.Time // one-way delay of the first packet
 	Speed        float64  // m/s
 	Separation   float64  // m between vehicles
-	Decel        float64  // braking deceleration, m/s²
-	ReactionTime sim.Time // driver reaction after notification
 
 	// Results.
 	DistanceBeforeNotice float64 // m travelled during InitialDelay
 	FractionOfSeparation float64 // DistanceBeforeNotice / Separation
-	BrakingDistance      float64 // v²/(2a)
-	TotalStopDistance    float64 // notice + reaction + braking distance
-	Sufficient           bool    // TotalStopDistance <= Separation
 }
 
-// Analyze computes the stopping feasibility for the given inputs.
-func Analyze(initialDelay sim.Time, speedMS, separationM, decel float64, reaction sim.Time) StoppingAnalysis {
+// Analyze computes the distance travelled before notice for the given
+// inputs.
+func Analyze(initialDelay sim.Time, speedMS, separationM float64) StoppingAnalysis {
 	a := StoppingAnalysis{
-		InitialDelay: initialDelay,
-		Speed:        speedMS,
-		Separation:   separationM,
-		Decel:        decel,
-		ReactionTime: reaction,
+		InitialDelay:         initialDelay,
+		Speed:                speedMS,
+		Separation:           separationM,
+		DistanceBeforeNotice: speedMS * float64(initialDelay),
 	}
-	a.DistanceBeforeNotice = speedMS * float64(initialDelay)
 	if separationM > 0 {
 		a.FractionOfSeparation = a.DistanceBeforeNotice / separationM
 	}
-	if decel > 0 {
-		a.BrakingDistance = mobility.BrakingDistance(speedMS, decel)
-	}
-	a.TotalStopDistance = a.DistanceBeforeNotice + speedMS*float64(reaction) + a.BrakingDistance
-	a.Sufficient = a.TotalStopDistance <= separationM
 	return a
 }
 
@@ -60,5 +46,5 @@ func PaperAnalysis(initialDelay sim.Time) StoppingAnalysis {
 		speed      = 22.4 // m/s, 50 mph
 		separation = 25.0 // m
 	)
-	return Analyze(initialDelay, speed, separation, 0, 0)
+	return Analyze(initialDelay, speed, separation)
 }

@@ -178,31 +178,12 @@ func TestOnlineAndTraceDelaysAgree(t *testing.T) {
 }
 
 func TestAnalyze(t *testing.T) {
-	a := ebl.Analyze(0.24, 22.4, 25, 0, 0)
+	a := ebl.Analyze(0.24, 22.4, 25)
 	if math.Abs(a.DistanceBeforeNotice-5.376) > 1e-9 {
 		t.Fatalf("distance = %v, want 5.376 (paper: ~5.38 m)", a.DistanceBeforeNotice)
 	}
 	if math.Abs(a.FractionOfSeparation-0.21504) > 1e-9 {
 		t.Fatalf("fraction = %v, want ~21.5%% (paper: over 20%%)", a.FractionOfSeparation)
-	}
-	if a.BrakingDistance != 0 || a.TotalStopDistance != a.DistanceBeforeNotice {
-		t.Fatalf("no-braking analysis wrong: %+v", a)
-	}
-}
-
-func TestAnalyzeWithBrakingModel(t *testing.T) {
-	// 22.4 m/s, 8 m/s² hard braking: v²/2a = 31.36 m. With notification
-	// delay and reaction, 25 m separation is insufficient.
-	a := ebl.Analyze(0.018, 22.4, 25, 8, 0.7)
-	if math.Abs(a.BrakingDistance-31.36) > 1e-9 {
-		t.Fatalf("braking distance = %v", a.BrakingDistance)
-	}
-	if a.Sufficient {
-		t.Fatal("25 m at 50 mph cannot be sufficient with realistic braking")
-	}
-	want := 22.4*0.018 + 22.4*0.7 + 31.36
-	if math.Abs(a.TotalStopDistance-want) > 1e-9 {
-		t.Fatalf("total = %v, want %v", a.TotalStopDistance, want)
 	}
 }
 

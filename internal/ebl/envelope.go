@@ -1,10 +1,6 @@
 package ebl
 
-import (
-	"math"
-
-	"vanetsim/internal/sim"
-)
+import "vanetsim/internal/sim"
 
 // Braking kinematics for the feasibility envelope. The paper's §III.E
 // notes that whether the EBL warning suffices "may or may not leave the
@@ -53,33 +49,6 @@ func (m BrakingModel) decelGap() float64 {
 // (the classic worst-case leader-braking bound).
 func (m BrakingModel) MinSafeGap(speedMS float64, indication sim.Time) float64 {
 	return speedMS*m.blindTime(indication) + speedMS*speedMS*m.decelGap() + m.Margin
-}
-
-// MaxSafeSpeed returns the highest speed, in m/s, at which the given
-// following gap is still collision-free for the given indication delay.
-// It returns 0 if even a crawl is unsafe (gap below the margin), and
-// +Inf is never returned: equal-or-better follower braking makes the
-// bound linear in v, which still caps the speed for any finite gap
-// whenever blind time is positive; with zero blind time and no decel gap
-// the answer is +Inf conceptually, reported as math.MaxFloat64.
-func (m BrakingModel) MaxSafeSpeed(gapM float64, indication sim.Time) float64 {
-	avail := gapM - m.Margin
-	if avail <= 0 {
-		return 0
-	}
-	k := m.decelGap()
-	d := m.blindTime(indication)
-	switch {
-	case k <= 0 && d <= 0:
-		return math.MaxFloat64
-	case k <= 0:
-		// Follower brakes at least as hard as the lead: only the blind
-		// distance matters. (For k<0 this is conservative.)
-		return avail / d
-	default:
-		// k·v² + d·v − avail = 0, positive root.
-		return (-d + math.Sqrt(d*d+4*k*avail)) / (2 * k)
-	}
 }
 
 // EnvelopeRow is one speed's verdict for the two MACs' indication delays.

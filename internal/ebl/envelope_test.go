@@ -28,39 +28,6 @@ func TestMinSafeGapEqualBraking(t *testing.T) {
 	}
 }
 
-func TestMaxSafeSpeedInvertsMinSafeGap(t *testing.T) {
-	m := ebl.DefaultBrakingModel()
-	for _, v := range []float64{5, 15, 22.4, 35} {
-		gap := m.MinSafeGap(v, 0.1)
-		back := m.MaxSafeSpeed(gap, 0.1)
-		if math.Abs(back-v) > 1e-6 {
-			t.Fatalf("round trip at v=%v: gap=%v -> v=%v", v, gap, back)
-		}
-	}
-}
-
-func TestMaxSafeSpeedInvertsWithDecelGap(t *testing.T) {
-	m := ebl.BrakingModel{LeadDecel: 8, FollowerDecel: 5, Reaction: 0.6, Margin: 4}
-	for _, v := range []float64{10, 20, 30} {
-		gap := m.MinSafeGap(v, 0.05)
-		back := m.MaxSafeSpeed(gap, 0.05)
-		if math.Abs(back-v) > 1e-6 {
-			t.Fatalf("round trip at v=%v failed: %v", v, back)
-		}
-	}
-}
-
-func TestMaxSafeSpeedDegenerate(t *testing.T) {
-	m := ebl.DefaultBrakingModel()
-	if got := m.MaxSafeSpeed(m.Margin-1, 0.1); got != 0 {
-		t.Fatalf("gap below margin should be unsafe at any speed: %v", got)
-	}
-	zero := ebl.BrakingModel{LeadDecel: 7, FollowerDecel: 7, Reaction: 0, Margin: 0}
-	if got := zero.MaxSafeSpeed(10, 0); got != math.MaxFloat64 {
-		t.Fatalf("no blind time, equal braking: any speed is safe, got %v", got)
-	}
-}
-
 func TestEnvelopeTDMAvs80211(t *testing.T) {
 	// With the measured indication delays, the envelope must show 802.11
 	// tolerating strictly higher speeds at the paper's 25 m gap.
@@ -88,21 +55,16 @@ func TestEnvelopeTDMAvs80211(t *testing.T) {
 	}
 }
 
-// Property: MinSafeGap is monotone in speed, indication delay and
-// reaction, and MaxSafeSpeed is monotone in gap.
+// Property: MinSafeGap is monotone in speed and indication delay.
 func TestEnvelopeMonotonicityProperty(t *testing.T) {
-	f := func(vRaw, dRaw uint8, gapRaw uint16) bool {
+	f := func(vRaw, dRaw uint8) bool {
 		m := ebl.DefaultBrakingModel()
 		v := float64(vRaw%40) + 1
 		d := sim.Time(dRaw%100) / 100
 		if m.MinSafeGap(v+1, d) <= m.MinSafeGap(v, d) {
 			return false
 		}
-		if m.MinSafeGap(v, d+0.1) <= m.MinSafeGap(v, d) {
-			return false
-		}
-		gap := float64(gapRaw%200) + 6
-		return m.MaxSafeSpeed(gap+1, d) >= m.MaxSafeSpeed(gap, d)
+		return m.MinSafeGap(v, d+0.1) > m.MinSafeGap(v, d)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)

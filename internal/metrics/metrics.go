@@ -61,16 +61,6 @@ func (s *DelaySeries) First() (sim.Time, bool) {
 	return s.points[0].Delay, true
 }
 
-// SplitAt divides the series into transient (IDs < cut) and steady parts.
-func (s *DelaySeries) SplitAt(cut int) (transient, steady []DelayPoint) {
-	for i, p := range s.points {
-		if p.ID >= cut {
-			return s.points[:i], s.points[i:]
-		}
-	}
-	return s.points, nil
-}
-
 const (
 	// mserBatch is MSER-5's batch size.
 	mserBatch = 5

@@ -39,24 +39,6 @@ func TestDelaySeriesFirstEmpty(t *testing.T) {
 	}
 }
 
-func TestSplitAt(t *testing.T) {
-	var s metrics.DelaySeries
-	for i := 1; i <= 10; i++ {
-		s.Add(i, sim.Time(i))
-	}
-	tr, st := s.SplitAt(4)
-	if len(tr) != 3 || len(st) != 7 {
-		t.Fatalf("split = %d/%d, want 3/7", len(tr), len(st))
-	}
-	if st[0].ID != 4 {
-		t.Fatalf("steady starts at ID %d", st[0].ID)
-	}
-	tr, st = s.SplitAt(100)
-	if len(tr) != 10 || st != nil {
-		t.Fatal("split beyond end should put everything in transient")
-	}
-}
-
 func TestTruncationIndexFindsWarmup(t *testing.T) {
 	// A clear warm-up ramp followed by flat steady state.
 	var s metrics.DelaySeries
@@ -475,8 +457,8 @@ func TestTruncationIndexMatchesReference(t *testing.T) {
 				}
 				r := scenario.RunTrial(cfg)
 				for pi, p := range []*scenario.PlatoonResult{r.Platoon1, r.Platoon2} {
-					for fi, s := range p.AllDelays() {
-						truncationMatches(t, fmt.Sprintf("%s/seed%d/platoon%d/flow%d", cfg.Name, seed, pi+1, fi), s)
+					for fi, f := range p.Comms.Flows() {
+						truncationMatches(t, fmt.Sprintf("%s/seed%d/platoon%d/flow%d", cfg.Name, seed, pi+1, fi), f.Delays)
 					}
 				}
 			}

@@ -117,16 +117,6 @@ func (p *PlatoonResult) TrailingDelays() *metrics.DelaySeries {
 	return flows[len(flows)-1].Delays
 }
 
-// AllDelays returns every flow's delays concatenated in arrival order per
-// flow (middle first) — used for platoon-level delay summaries.
-func (p *PlatoonResult) AllDelays() []*metrics.DelaySeries {
-	out := make([]*metrics.DelaySeries, 0, len(p.Comms.Flows()))
-	for _, f := range p.Comms.Flows() {
-		out = append(out, f.Delays)
-	}
-	return out
-}
-
 // Throughput returns the platoon-aggregate throughput sampler.
 func (p *PlatoonResult) Throughput() *metrics.Throughput { return p.Comms.Throughput() }
 

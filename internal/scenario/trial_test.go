@@ -247,13 +247,6 @@ func TestTrialResultAccessors(t *testing.T) {
 	if got := r.Platoon1.TrailingDelays(); got == nil || got.Len() == 0 {
 		t.Fatal("TrailingDelays empty")
 	}
-	all := r.Platoon1.AllDelays()
-	if len(all) != 2 {
-		t.Fatalf("AllDelays = %d series, want 2", len(all))
-	}
-	if all[0] != r.Platoon1.MiddleDelays() || all[1] != r.Platoon1.TrailingDelays() {
-		t.Fatal("AllDelays order wrong")
-	}
 	if s := r.Config.String(); s != "trial1{mac=TDMA pkt=1000B}" {
 		t.Fatalf("TrialConfig.String = %q", s)
 	}

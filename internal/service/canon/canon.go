@@ -44,10 +44,12 @@ import (
 	"reflect"
 	"sort"
 
+	"vanetsim"
 	"vanetsim/internal/fault"
 	"vanetsim/internal/packet"
 	"vanetsim/internal/scenario"
 	"vanetsim/internal/sim"
+	"vanetsim/internal/stats/seqstop"
 )
 
 // Version tags the canonical encoding and the artifact schema derived
@@ -457,11 +459,9 @@ func canonDegradation(gr DegradationRequest) (*Canonical, error) {
 	if err != nil {
 		return nil, fmt.Errorf("canon: %w", err)
 	}
-	base := scenario.Trial1()
-	if mac == scenario.MAC80211 {
-		base = scenario.Trial3()
-	}
-	d, err := duration("degradation.duration_s", gr.DurationS, 80)
+	def := vanetsim.DefaultDegradation(mac)
+	base := def.Base
+	d, err := duration("degradation.duration_s", gr.DurationS, base.Duration)
 	if err != nil {
 		return nil, err
 	}
@@ -486,10 +486,7 @@ func canonDegradation(gr DegradationRequest) (*Canonical, error) {
 		return nil, fmt.Errorf("canon: degradation.shadow_db = %v is negative", gr.ShadowDB)
 	}
 	if len(gr.LossProbs) == 0 {
-		// The paper grid, as in DefaultDegradation: a copy, so hashing
-		// does not import the facade; internal/service's
-		// TestDegradationDefaultsMatchLibrary keeps the two equal.
-		spec.LossProbs = []float64{0, 0.01, 0.02, 0.05, 0.1, 0.2, 0.3}
+		spec.LossProbs = def.LossProbs
 	} else {
 		for i, p := range gr.LossProbs {
 			if err := finite(fmt.Sprintf("degradation.loss_probs[%d]", i), p); err != nil {
@@ -530,25 +527,18 @@ func canonReplication(rr ReplicationRequest) (*Canonical, error) {
 	if rr.Tolerance <= 0 || rr.Tolerance >= 1 {
 		return nil, fmt.Errorf("canon: replication.tolerance = %v outside (0, 1) — a relative half-width fraction, e.g. 0.05 for ±5%%", rr.Tolerance)
 	}
-	minReps := rr.MinReps
-	if minReps == 0 {
-		minReps = 4
-	}
-	if minReps < 2 {
-		return nil, fmt.Errorf("canon: replication.min_reps = %d needs at least 2 (no interval exists on fewer)", rr.MinReps)
-	}
-	maxReps := rr.MaxReps
-	if maxReps == 0 {
-		maxReps = 64
-	}
-	if maxReps < minReps {
-		return nil, fmt.Errorf("canon: replication.max_reps = %d below min_reps %d", maxReps, minReps)
+	// The library's own rule resolves the defaults and the remaining
+	// checks, so the service accepts exactly the studies the library can
+	// run.
+	rule, err := seqstop.Config{Tolerance: rr.Tolerance, MinReps: rr.MinReps, MaxReps: rr.MaxReps}.Resolve()
+	if err != nil {
+		return nil, fmt.Errorf("canon: replication: %w", err)
 	}
 	return &Canonical{Kind: "replication", Rep: ReplicationSpec{
 		Base:      base.Trial,
-		Tolerance: rr.Tolerance,
-		MinReps:   minReps,
-		MaxReps:   maxReps,
+		Tolerance: rule.Tolerance,
+		MinReps:   rule.MinReps,
+		MaxReps:   rule.MaxReps,
 	}}, nil
 }
 

@@ -2,7 +2,8 @@ package service
 
 import (
 	"bytes"
-	"reflect"
+	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -143,14 +144,13 @@ func TestDegradationArtifact(t *testing.T) {
 	}
 }
 
-// TestDegradationDefaultsMatchLibrary: canon keeps its own copy of the
-// degradation defaults so the hashing layer does not import the facade.
-// An empty request must still resolve to exactly DefaultDegradation's
-// base trial, loss grid and 80 s duration on each MAC; the one permitted
-// difference is Telemetry, which RunDegradation forces on per run.
+// TestDegradationDefaultsMatchLibrary: canon takes the base trial and
+// loss grid from DefaultDegradation itself; what it adds on top is
+// telemetry forced on (the sweep reads fault counters), and the default
+// point stays 80 s on each MAC.
 func TestDegradationDefaultsMatchLibrary(t *testing.T) {
-	for name, mac := range map[string]vanetsim.MACType{"tdma": vanetsim.MACTDMA, "802.11": vanetsim.MAC80211} {
-		req, err := canon.Decode(strings.NewReader(`{"kind":"degradation","degradation":{"mac":"` + name + `"}}`))
+	for _, mac := range []string{"tdma", "802.11"} {
+		req, err := canon.Decode(strings.NewReader(`{"kind":"degradation","degradation":{"mac":"` + mac + `"}}`))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -158,23 +158,52 @@ func TestDegradationDefaultsMatchLibrary(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := vanetsim.DefaultDegradation(mac)
-		got := c.Deg
-		if got.Base.Duration != 80 || want.Base.Duration != 80 {
-			t.Errorf("%s: duration canon %v, library %v, want 80 s", name, got.Base.Duration, want.Base.Duration)
+		if c.Deg.Base.Duration != 80 {
+			t.Errorf("%s: duration %v, want 80 s", mac, c.Deg.Base.Duration)
 		}
-		if !got.Base.Telemetry {
-			t.Errorf("%s: canon base has telemetry off", name)
+		if !c.Deg.Base.Telemetry {
+			t.Errorf("%s: canon base has telemetry off", mac)
 		}
-		got.Base.Telemetry = want.Base.Telemetry
-		if !reflect.DeepEqual(got.Base, want.Base) {
-			t.Errorf("%s: base trial differs:\ncanon   %+v\nlibrary %+v", name, got.Base, want.Base)
-		}
-		if !reflect.DeepEqual(got.LossProbs, want.LossProbs) {
-			t.Errorf("%s: loss grid canon %v, library %v", name, got.LossProbs, want.LossProbs)
-		}
-		if got.BurstLen != want.BurstLen || got.ShadowDB != want.ShadowSigmaDB || len(got.Outages) != 0 || want.Outage.Duration != 0 {
-			t.Errorf("%s: impairments differ: canon %+v, library %+v", name, got, want)
+	}
+}
+
+// TestReplicationRuleMatchesLibrary: canon resolves a study's stopping
+// parameters through the library's rule, so wherever its own (0, 1)
+// tolerance policy does not apply it rejects exactly the specs
+// RunReplicationsTolerance rejects. The library side recalls constant
+// replications through Lookup, so nothing is simulated.
+func TestReplicationRuleMatchesLibrary(t *testing.T) {
+	recall := func(seed uint64) (vanetsim.Replication, bool) {
+		return vanetsim.Replication{Seed: seed, AvgDelayS: 1, SteadyS: 1, FirstS: 1, AvgTputMbps: 1}, true
+	}
+	reps := []struct{ min, max int }{
+		{0, 0}, {1, 0}, {2, 0}, {-1, 0}, // min_reps default, 1, 2, negative
+		{0, 1}, {2, 1}, {0, 3}, {8, 4}, {2, 2}, // max_reps 1, below min_reps, equal
+	}
+	tols := []struct {
+		v float64
+		// policy marks a tolerance the library accepts and canon's
+		// (0, 1) policy rejects.
+		policy bool
+	}{{0.05, false}, {0, false}, {-0.05, false}, {math.NaN(), false}, {math.Inf(1), false}, {5, true}}
+	for _, tol := range tols {
+		for _, r := range reps {
+			name := fmt.Sprintf("tolerance %v, min_reps %d, max_reps %d", tol.v, r.min, r.max)
+			_, canonErr := canon.Canonicalize(canon.Request{Kind: "replication", Replication: &canon.ReplicationRequest{
+				Trial: &canon.TrialRequest{Trial: 1}, Tolerance: tol.v, MinReps: r.min, MaxReps: r.max,
+			}})
+			_, libErr := vanetsim.RunReplicationsTolerance(vanetsim.Trial1(), tol.v, vanetsim.ToleranceOptions{
+				MinReps: r.min, MaxReps: r.max, Lookup: recall,
+			})
+			if tol.policy {
+				if canonErr == nil {
+					t.Errorf("%s: canon accepted a tolerance outside (0, 1)", name)
+				}
+				continue
+			}
+			if (canonErr == nil) != (libErr == nil) {
+				t.Errorf("%s: canon error %v, library error %v", name, canonErr, libErr)
+			}
 		}
 	}
 }

@@ -3,7 +3,6 @@ package sim
 import (
 	"math"
 	"testing"
-	"testing/quick"
 )
 
 func TestRNGDeterminism(t *testing.T) {
@@ -139,27 +138,5 @@ func TestRNGRange(t *testing.T) {
 	d := r.Duration(1, 2)
 	if d < 1 || d >= 2 {
 		t.Fatalf("Duration out of [1,2): %v", d)
-	}
-}
-
-// Property: Perm always returns a permutation of [0, n).
-func TestRNGPermProperty(t *testing.T) {
-	r := NewRNG(19)
-	f := func(n uint8) bool {
-		p := r.Perm(int(n))
-		if len(p) != int(n) {
-			return false
-		}
-		seen := make([]bool, n)
-		for _, v := range p {
-			if v < 0 || v >= int(n) || seen[v] {
-				return false
-			}
-			seen[v] = true
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -45,10 +45,10 @@ const (
 	BatchSize = 4
 )
 
-// Defaults applied by Run for zero-valued Config fields.
+// Defaults Resolve applies to zero-valued Config fields.
 const (
-	DefaultMinReps = 4
-	DefaultMaxReps = 64
+	defaultMinReps = 4
+	defaultMaxReps = 64
 )
 
 // Config controls a sequential-stopping run.
@@ -109,22 +109,9 @@ func Run(cfg Config, rep func(i int) ([]float64, error)) (*Result, error) {
 	if len(cfg.Metrics) == 0 {
 		return nil, fmt.Errorf("seqstop: no metrics to watch")
 	}
-	if !(cfg.Tolerance > 0) || math.IsInf(cfg.Tolerance, 1) {
-		return nil, fmt.Errorf("seqstop: tolerance %v is not a positive finite relative half-width", cfg.Tolerance)
-	}
-	minReps := cfg.MinReps
-	if minReps == 0 {
-		minReps = DefaultMinReps
-	}
-	if minReps < 2 {
-		return nil, fmt.Errorf("seqstop: MinReps %d < 2: no confidence interval exists on fewer than two replications", minReps)
-	}
-	maxReps := cfg.MaxReps
-	if maxReps == 0 {
-		maxReps = DefaultMaxReps
-	}
-	if maxReps < minReps {
-		return nil, fmt.Errorf("seqstop: MaxReps %d < MinReps %d", maxReps, minReps)
+	cfg, err := cfg.Resolve()
+	if err != nil {
+		return nil, err
 	}
 	progress := cfg.Progress
 	if progress == nil {
@@ -139,13 +126,13 @@ func Run(cfg Config, rep func(i int) ([]float64, error)) (*Result, error) {
 		return true
 	}
 
-	samples := make([][]float64, 0, maxReps)
+	samples := make([][]float64, 0, cfg.MaxReps)
 	executed := 0
-	scanFrom := minReps
-	for executed < maxReps {
+	scanFrom := cfg.MinReps
+	for executed < cfg.MaxReps {
 		n := BatchSize
-		if executed+n > maxReps {
-			n = maxReps - executed
+		if executed+n > cfg.MaxReps {
+			n = cfg.MaxReps - executed
 		}
 		base := executed
 		out, err := runner.Map(cfg.Pool, n, func(k int) ([]float64, error) {
@@ -176,15 +163,41 @@ func Run(cfg Config, rep func(i int) ([]float64, error)) (*Result, error) {
 		if executed+1 > scanFrom {
 			scanFrom = executed + 1
 		}
-		if executed < maxReps {
+		if executed < cfg.MaxReps {
 			ms := Evaluate(cfg.Metrics, samples)
 			progress(fmt.Sprintf("replications %d/%d: tolerance ±%g%% not met yet (worst: %s)",
-				executed, maxReps, 100*cfg.Tolerance, worst(ms)))
+				executed, cfg.MaxReps, 100*cfg.Tolerance, worst(ms)))
 		}
 	}
 	// Budget exhausted: report the achieved bound over the full budget.
 	ms := Evaluate(cfg.Metrics, samples)
 	return &Result{N: executed, Executed: executed, Met: allMet(ms), Metrics: ms, Samples: samples}, nil
+}
+
+// Resolve returns cfg with the defaults (4 and 64) in place of a zero
+// MinReps or MaxReps, or an error if no study can satisfy the
+// rule: a tolerance that is not a positive finite relative half-width,
+// MinReps below 2 (no interval exists on fewer samples) or MaxReps below
+// MinReps. It is the one home of the stopping-rule defaults and checks;
+// Run applies it, and callers that must know the resolved budget before
+// running (the seed stream, the service's cache key) call it directly.
+func (cfg Config) Resolve() (Config, error) {
+	if !(cfg.Tolerance > 0) || math.IsInf(cfg.Tolerance, 1) {
+		return Config{}, fmt.Errorf("seqstop: tolerance %v is not a positive finite relative half-width", cfg.Tolerance)
+	}
+	if cfg.MinReps == 0 {
+		cfg.MinReps = defaultMinReps
+	}
+	if cfg.MinReps < 2 {
+		return Config{}, fmt.Errorf("seqstop: MinReps %d < 2: no confidence interval exists on fewer than two replications", cfg.MinReps)
+	}
+	if cfg.MaxReps == 0 {
+		cfg.MaxReps = defaultMaxReps
+	}
+	if cfg.MaxReps < cfg.MinReps {
+		return Config{}, fmt.Errorf("seqstop: MaxReps %d < MinReps %d", cfg.MaxReps, cfg.MinReps)
+	}
+	return cfg, nil
 }
 
 // Evaluate computes each named metric's Level CI over the observed

@@ -210,6 +210,30 @@ func TestRunErrorPropagation(t *testing.T) {
 	}
 }
 
+// TestResolveDefaults: a zero MinReps or MaxReps resolves to 4 or 64, an
+// explicit value is kept, and the resolved rule is what Run executes.
+func TestResolveDefaults(t *testing.T) {
+	for _, c := range []struct{ min, max, wantMin, wantMax int }{
+		{0, 0, 4, 64}, {2, 0, 2, 64}, {0, 8, 4, 8}, {3, 3, 3, 3},
+	} {
+		got, err := Config{Tolerance: 0.1, MinReps: c.min, MaxReps: c.max}.Resolve()
+		if err != nil {
+			t.Fatalf("min %d max %d: %v", c.min, c.max, err)
+		}
+		if got.MinReps != c.wantMin || got.MaxReps != c.wantMax {
+			t.Fatalf("min %d max %d resolved to %d/%d, want %d/%d", c.min, c.max, got.MinReps, got.MaxReps, c.wantMin, c.wantMax)
+		}
+	}
+	res, err := Run(Config{Metrics: []string{"m"}, Tolerance: 1e-9},
+		func(i int) ([]float64, error) { return []float64{float64(i)}, nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Met || res.Executed != 64 {
+		t.Fatalf("met=%v executed=%d, want the default budget of 64 exhausted", res.Met, res.Executed)
+	}
+}
+
 func TestRunConfigValidation(t *testing.T) {
 	rep := func(i int) ([]float64, error) { return []float64{1}, nil }
 	cases := []Config{

@@ -32,17 +32,44 @@ const (
 // and missing-sample count.
 type MetricPrecision = seqstop.MetricResult
 
+// stoppingMetric is one stopping metric: its name, display unit and the
+// replication measurement it reads.
+type stoppingMetric struct {
+	name, unit string
+	of         func(Replication) float64
+}
+
+// stoppingMetrics is the one table of stopping metrics, in report order.
+var stoppingMetrics = []stoppingMetric{
+	{MetricDelay, "s", func(r Replication) float64 { return r.AvgDelayS }},
+	{MetricSteady, "s", func(r Replication) float64 { return r.SteadyS }},
+	{MetricFirst, "s", func(r Replication) float64 { return r.FirstS }},
+	{MetricTput, "Mbps", func(r Replication) float64 { return r.AvgTputMbps }},
+}
+
 // allMetrics is the default stopping-metric set, in report order.
 func allMetrics() []string {
-	return []string{MetricDelay, MetricSteady, MetricFirst, MetricTput}
+	names := make([]string, len(stoppingMetrics))
+	for i, m := range stoppingMetrics {
+		names[i] = m.name
+	}
+	return names
+}
+
+// metricNamed looks a stopping metric up by name.
+func metricNamed(name string) (stoppingMetric, bool) {
+	for _, m := range stoppingMetrics {
+		if m.name == name {
+			return m, true
+		}
+	}
+	return stoppingMetric{}, false
 }
 
 // metricUnit returns the display unit for a stopping metric.
 func metricUnit(name string) string {
-	if name == MetricTput {
-		return "Mbps"
-	}
-	return "s"
+	m, _ := metricNamed(name)
+	return m.unit
 }
 
 // measure extracts one finished run's headline measurements.
@@ -68,31 +95,20 @@ func measure(seed uint64, r *TrialResult) Replication {
 }
 
 // sampleVector maps a replication's measurements onto the chosen
-// stopping metrics, in order.
+// (validated) stopping metrics, in order.
 func sampleVector(metrics []string, rep Replication) []float64 {
 	out := make([]float64, len(metrics))
-	for j, m := range metrics {
-		switch m {
-		case MetricDelay:
-			out[j] = rep.AvgDelayS
-		case MetricSteady:
-			out[j] = rep.SteadyS
-		case MetricFirst:
-			out[j] = rep.FirstS
-		case MetricTput:
-			out[j] = rep.AvgTputMbps
-		}
+	for j, name := range metrics {
+		m, _ := metricNamed(name)
+		out[j] = m.of(rep)
 	}
 	return out
 }
 
 func validateMetrics(metrics []string) error {
-	for _, m := range metrics {
-		switch m {
-		case MetricDelay, MetricSteady, MetricFirst, MetricTput:
-		default:
-			return fmt.Errorf("vanetsim: unknown stopping metric %q (valid: %q, %q, %q, %q)",
-				m, MetricDelay, MetricSteady, MetricFirst, MetricTput)
+	for _, name := range metrics {
+		if _, ok := metricNamed(name); !ok {
+			return fmt.Errorf("vanetsim: unknown stopping metric %q (valid: %q)", name, allMetrics())
 		}
 	}
 	return nil
@@ -105,28 +121,25 @@ func validateMetrics(metrics []string) error {
 type ReplicationStudy struct {
 	Config TrialConfig
 	Runs   []Replication
-
-	DelayCI  stats.CI
-	SteadyCI stats.CI
-	FirstCI  stats.CI
-	TputCI   stats.CI
-	// FirstMissing counts replications whose trailing vehicle never
-	// received a packet; FirstCI covers the observed remainder (and is
-	// the explicit NaN/+Inf marker if every replication missed).
-	FirstMissing int
+	// Metrics holds one 95% CI per stopping metric over Runs: every
+	// metric in report order for a fixed-seed study, the watched metrics
+	// in the requested order for a ToleranceStudy. A metric's CI covers
+	// the replications that observed it and Missing counts the others;
+	// only the initial-packet delay can be missing, when the trailing
+	// vehicle never received a packet (all missing: the CI is the
+	// explicit NaN/+Inf marker).
+	Metrics []MetricPrecision
 }
 
-// aggregate recomputes the study's confidence intervals from Runs,
-// through the same evaluator sequential-stopping studies use.
+// aggregate computes every stopping metric's CI over Runs, through the
+// same evaluator sequential-stopping studies use.
 func (s *ReplicationStudy) aggregate() {
 	metrics := allMetrics()
 	rows := make([][]float64, len(s.Runs))
 	for i, rep := range s.Runs {
 		rows[i] = sampleVector(metrics, rep)
 	}
-	ms := seqstop.Evaluate(metrics, rows)
-	s.DelayCI, s.SteadyCI, s.FirstCI, s.TputCI = ms[0].CI, ms[1].CI, ms[2].CI, ms[3].CI
-	s.FirstMissing = ms[2].Missing
+	s.Metrics = seqstop.Evaluate(metrics, rows)
 }
 
 // RunReplicationsPool executes cfg once per seed on a bounded worker pool
@@ -134,7 +147,9 @@ func (s *ReplicationStudy) aggregate() {
 // and CIs are reduced in seed order, so every pool size produces
 // identical output. It returns an error if fewer than two seeds are
 // given (no interval exists) or any seed repeats (a duplicate
-// double-counts a run and artificially narrows every interval).
+// double-counts a run and artificially narrows every interval), and,
+// like RunReplicationsTolerance, if a run that arms cfg.Check violates
+// an invariant.
 func RunReplicationsPool(cfg TrialConfig, seeds []uint64, p runner.Pool) (*ReplicationStudy, error) {
 	if len(seeds) < 2 {
 		return nil, fmt.Errorf("vanetsim: replication study needs at least two seeds, got %d", len(seeds))
@@ -147,9 +162,7 @@ func RunReplicationsPool(cfg TrialConfig, seeds []uint64, p runner.Pool) (*Repli
 		seen[s] = struct{}{}
 	}
 	runs, err := runner.Map(p, len(seeds), func(i int) (Replication, error) {
-		c := cfg
-		c.Seed = seeds[i]
-		return measure(seeds[i], RunTrial(c)), nil
+		return runReplication(cfg, seeds[i], ToleranceOptions{})
 	})
 	if err != nil {
 		return nil, err
@@ -163,17 +176,13 @@ func RunReplicationsPool(cfg TrialConfig, seeds []uint64, p runner.Pool) (*Repli
 func (s *ReplicationStudy) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%v over %d replications (95%% CIs):\n", s.Config, len(s.Runs))
-	row := func(name string, ci stats.CI, unit string, missing int) {
-		fmt.Fprintf(&b, "  %-14s %.4f ± %.4f %s", name, ci.Mean, ci.HalfWidth, unit)
-		if missing > 0 {
-			fmt.Fprintf(&b, "  (missing in %d/%d replications)", missing, len(s.Runs))
+	for _, m := range s.Metrics {
+		fmt.Fprintf(&b, "  %-14s %.4f ± %.4f %s", m.Name, m.CI.Mean, m.CI.HalfWidth, metricUnit(m.Name))
+		if m.Missing > 0 {
+			fmt.Fprintf(&b, "  (missing in %d/%d replications)", m.Missing, len(s.Runs))
 		}
 		b.WriteByte('\n')
 	}
-	row(MetricDelay, s.DelayCI, "s", 0)
-	row(MetricSteady, s.SteadyCI, "s", 0)
-	row(MetricFirst, s.FirstCI, "s", s.FirstMissing)
-	row(MetricTput, s.TputCI, "Mbps", 0)
 	return b.String()
 }
 
@@ -207,20 +216,17 @@ type ToleranceOptions struct {
 }
 
 // ToleranceStudy is a sequential-stopping study's outcome: a
-// ReplicationStudy over exactly the replications the verdict uses, plus
-// the requested tolerance and the achieved precision per stopping
-// metric.
+// ReplicationStudy over exactly the replications the verdict uses, whose
+// Metrics are the achieved precision per watched stopping metric, plus
+// the requested tolerance.
 type ToleranceStudy struct {
 	ReplicationStudy
 	// Tolerance is the requested relative half-width (0.05 = ±5%).
 	Tolerance float64
 	// Met reports whether every stopping metric reached the tolerance;
-	// false means the MaxReps budget was exhausted, and Precision still
+	// false means the MaxReps budget was exhausted, and Metrics still
 	// carries the achieved bounds.
 	Met bool
-	// Precision holds each stopping metric's achieved CI over the used
-	// replications, in the order the metrics were requested.
-	Precision []MetricPrecision
 	// Executed counts replications actually simulated (or recalled from
 	// a cache), including batch overshoot past the stopping point — an
 	// execution detail for cost accounting, deliberately excluded from
@@ -255,16 +261,16 @@ func RunReplicationsTolerance(cfg TrialConfig, tol float64, opts ToleranceOption
 	if err != nil {
 		return nil, err
 	}
-	st := &ToleranceStudy{
+	return &ToleranceStudy{
+		ReplicationStudy: ReplicationStudy{
+			Config:  cfg,
+			Runs:    append([]Replication(nil), reps[:res.N]...),
+			Metrics: res.Metrics,
+		},
 		Tolerance: tol,
 		Met:       res.Met,
-		Precision: res.Metrics,
 		Executed:  res.Executed,
-	}
-	st.Config = cfg
-	st.Runs = append([]Replication(nil), reps[:res.N]...)
-	st.aggregate()
-	return st, nil
+	}, nil
 }
 
 // stoppingRule resolves opts into the sequential-stopping configuration
@@ -278,21 +284,18 @@ func (opts ToleranceOptions) stoppingRule(tol float64, base uint64) (seqstop.Con
 	if err := validateMetrics(metrics); err != nil {
 		return seqstop.Config{}, nil, err
 	}
-	maxReps := opts.MaxReps
-	if maxReps == 0 {
-		maxReps = seqstop.DefaultMaxReps
-	}
-	if maxReps < 2 {
-		return seqstop.Config{}, nil, fmt.Errorf("vanetsim: MaxReps %d < 2: no confidence interval exists", maxReps)
-	}
-	return seqstop.Config{
+	rule, err := seqstop.Config{
 		Metrics:   metrics,
 		Tolerance: tol,
 		MinReps:   opts.MinReps,
-		MaxReps:   maxReps,
+		MaxReps:   opts.MaxReps,
 		Pool:      opts.Pool,
 		Progress:  opts.Progress,
-	}, seqstop.Seeds(base, maxReps), nil
+	}.Resolve()
+	if err != nil {
+		return seqstop.Config{}, nil, err
+	}
+	return rule, seqstop.Seeds(base, rule.MaxReps), nil
 }
 
 // runReplication produces one replication: from the cache hooks when
@@ -327,7 +330,7 @@ func (s *ToleranceStudy) String() string {
 	}
 	fmt.Fprintf(&b, "%v adaptive study — tolerance ±%g%% %s after %d replications (95%% CIs):\n",
 		s.Config, 100*s.Tolerance, verdict, len(s.Runs))
-	for _, m := range s.Precision {
+	for _, m := range s.Metrics {
 		fmt.Fprintf(&b, "  %-14s %.4f ± %.4f %-4s (achieved ±%s", m.Name, m.CI.Mean, m.CI.HalfWidth, metricUnit(m.Name), relPct(m.CI))
 		if m.Missing > 0 {
 			fmt.Fprintf(&b, ", missing in %d/%d replications", m.Missing, len(s.Runs))
@@ -457,10 +460,10 @@ func pairedMetrics(metrics []string, res *seqstop.Result, runs []PairedReplicati
 	out := make([]PairedMetric, len(metrics))
 	for j, name := range metrics {
 		pm := PairedMetric{Name: name, DiffCI: res.Metrics[j].CI, Missing: res.Metrics[j].Missing}
+		m, _ := metricNamed(name)
 		var as, bs []float64
 		for _, pr := range runs {
-			a := sampleVector([]string{name}, pr.A)[0]
-			b := sampleVector([]string{name}, pr.B)[0]
+			a, b := m.of(pr.A), m.of(pr.B)
 			if math.IsNaN(a) || math.IsNaN(b) {
 				continue
 			}

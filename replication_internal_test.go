@@ -17,18 +17,21 @@ func TestAggregateFirstCIOverObservedSamples(t *testing.T) {
 		{Seed: 3, AvgDelayS: 0.7, SteadyS: 0.6, FirstS: 3.0, AvgTputMbps: 1.2},
 	}}
 	st.aggregate()
-	if st.FirstMissing != 1 {
-		t.Fatalf("FirstMissing = %d, want 1", st.FirstMissing)
+	delay, steady, first, tput := st.Metrics[0], st.Metrics[1], st.Metrics[2], st.Metrics[3]
+	if first.Name != MetricFirst || first.Missing != 1 {
+		t.Fatalf("%s missing = %d, want %s missing 1", first.Name, first.Missing, MetricFirst)
 	}
-	if math.IsNaN(st.FirstCI.Mean) || st.FirstCI.Mean != 2.0 || st.FirstCI.N != 2 {
-		t.Fatalf("FirstCI = %+v, want mean 2.0 over the 2 observed samples", st.FirstCI)
+	if math.IsNaN(first.CI.Mean) || first.CI.Mean != 2.0 || first.CI.N != 2 {
+		t.Fatalf("initial-packet CI = %+v, want mean 2.0 over the 2 observed samples", first.CI)
 	}
-	if math.IsNaN(st.FirstCI.HalfWidth) || math.IsInf(st.FirstCI.HalfWidth, 1) {
-		t.Fatalf("FirstCI half-width = %v, want finite", st.FirstCI.HalfWidth)
+	if math.IsNaN(first.CI.HalfWidth) || math.IsInf(first.CI.HalfWidth, 1) {
+		t.Fatalf("initial-packet half-width = %v, want finite", first.CI.HalfWidth)
 	}
 	// The other rows are unaffected by the missing first-packet sample.
-	if st.DelayCI.N != 3 || st.TputCI.N != 3 {
-		t.Fatalf("full-sample CIs shrank: delay N=%d tput N=%d", st.DelayCI.N, st.TputCI.N)
+	for _, m := range []MetricPrecision{delay, steady, tput} {
+		if m.CI.N != 3 || m.Missing != 0 {
+			t.Fatalf("%s: N=%d missing=%d, want the full 3 samples", m.Name, m.CI.N, m.Missing)
+		}
 	}
 	out := st.String()
 	if strings.Contains(out, "NaN") {

@@ -8,6 +8,18 @@ import (
 	"vanetsim"
 )
 
+// studyMetric returns the study's result for the named stopping metric.
+func studyMetric(tb testing.TB, st *vanetsim.ReplicationStudy, name string) vanetsim.MetricPrecision {
+	tb.Helper()
+	for _, m := range st.Metrics {
+		if m.Name == name {
+			return m
+		}
+	}
+	tb.Fatalf("study has no %q metric: %+v", name, st.Metrics)
+	return vanetsim.MetricPrecision{}
+}
+
 func TestReplicationStudy80211(t *testing.T) {
 	cfg := vanetsim.Trial3()
 	cfg.Duration = vanetsim.Seconds(60)
@@ -29,13 +41,14 @@ func TestReplicationStudy80211(t *testing.T) {
 		t.Fatal("different seeds produced identical delay means")
 	}
 	// ...but only slightly: the CI should be tight around a stable value.
-	if st.DelayCI.HalfWidth <= 0 || math.IsInf(st.DelayCI.HalfWidth, 1) {
-		t.Fatalf("degenerate delay CI: %+v", st.DelayCI)
+	delay := studyMetric(t, st, vanetsim.MetricDelay).CI
+	if delay.HalfWidth <= 0 || math.IsInf(delay.HalfWidth, 1) {
+		t.Fatalf("degenerate delay CI: %+v", delay)
 	}
-	if st.DelayCI.RelPrecision() > 0.5 {
-		t.Fatalf("delay CI implausibly wide: %+v", st.DelayCI)
+	if delay.RelPrecision() > 0.5 {
+		t.Fatalf("delay CI implausibly wide: %+v", delay)
 	}
-	if st.TputCI.Mean <= 0 {
+	if studyMetric(t, st, vanetsim.MetricTput).CI.Mean <= 0 {
 		t.Fatal("throughput CI mean must be positive")
 	}
 	out := st.String()
@@ -56,8 +69,8 @@ func TestReplicationStudyTDMADeterministicLayersAgree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.SteadyCI.HalfWidth > 1e-9 {
-		t.Fatalf("TDMA replications should agree exactly; CI half-width = %v", st.SteadyCI.HalfWidth)
+	if hw := studyMetric(t, st, vanetsim.MetricSteady).CI.HalfWidth; hw > 1e-9 {
+		t.Fatalf("TDMA replications should agree exactly; CI half-width = %v", hw)
 	}
 }
 
@@ -88,13 +101,14 @@ func TestReplicationStudyMissingFirstIsNaN(t *testing.T) {
 			t.Fatalf("seed %d: FirstS = %v, want NaN", r.Seed, r.FirstS)
 		}
 	}
-	if !math.IsNaN(st.FirstCI.Mean) {
-		t.Fatalf("FirstCI.Mean = %v, want NaN", st.FirstCI.Mean)
+	first := studyMetric(t, st, vanetsim.MetricFirst)
+	if !math.IsNaN(first.CI.Mean) {
+		t.Fatalf("initial-packet CI mean = %v, want NaN", first.CI.Mean)
 	}
 	// The all-missing case is also counted explicitly, and the report
 	// says so instead of printing a bare NaN row.
-	if st.FirstMissing != 2 {
-		t.Fatalf("FirstMissing = %d, want 2", st.FirstMissing)
+	if first.Missing != 2 {
+		t.Fatalf("initial-packet missing = %d, want 2", first.Missing)
 	}
 	if out := st.String(); !strings.Contains(out, "missing in 2/2 replications") {
 		t.Fatalf("report does not state the missing count:\n%s", out)

@@ -73,7 +73,7 @@ func TestToleranceHitTDMA(t *testing.T) {
 	if st.Executed != 4 {
 		t.Fatalf("executed = %d, want 4 (one batch)", st.Executed)
 	}
-	for _, m := range st.Precision {
+	for _, m := range st.Metrics {
 		if !m.CI.Met(0.01) {
 			t.Fatalf("metric %s not met in a met study: %+v", m.Name, m.CI)
 		}
@@ -106,8 +106,8 @@ func TestToleranceBudgetHit(t *testing.T) {
 	if len(st.Runs) != 3 || st.Executed != 3 {
 		t.Fatalf("runs=%d executed=%d, want the full budget of 3", len(st.Runs), st.Executed)
 	}
-	if st.FirstMissing != 3 {
-		t.Fatalf("FirstMissing = %d, want 3", st.FirstMissing)
+	if first := studyMetric(t, &st.ReplicationStudy, vanetsim.MetricFirst); first.Missing != 3 {
+		t.Fatalf("initial-packet missing = %d, want 3", first.Missing)
 	}
 	out := st.String()
 	if !strings.Contains(out, "NOT met (budget exhausted)") {
