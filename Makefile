@@ -86,14 +86,17 @@ fuzz:
 # full-stack topology-conservation target, the service's JSON config
 # canonicaliser (hash stable under field reordering, and injective on
 # hashed fields: perturbing any `canon`-keyed field of the resolved
-# config moves it), and the O(n) MSER-5 against the exact O(n²) scan
-# (identical cut on any series), a couple of minutes each.
+# config moves it), the O(n) MSER-5 against the exact O(n²) scan
+# (identical cut on any series), and the interface queues' own books
+# (accepted = dequeued + evicted + queued, drops = rejected + evicted,
+# hook events matching every call), a couple of minutes each.
 FUZZTIME ?= 2m
 fuzz-nightly:
 	$(GO) test -run='^$$' -fuzz=FuzzParseLine -fuzztime=$(FUZZTIME) ./internal/trace
 	$(GO) test -tags=checkall -run='^$$' -fuzz=FuzzTopologyConservation -fuzztime=$(FUZZTIME) ./internal/scenario
 	$(GO) test -run='^$$' -fuzz=FuzzCanonicalRoundTrip -fuzztime=$(FUZZTIME) ./internal/service/canon
 	$(GO) test -run='^$$' -fuzz=FuzzTruncationIndex -fuzztime=$(FUZZTIME) ./internal/metrics
+	$(GO) test -run='^$$' -fuzz=FuzzQueueAccounting -fuzztime=$(FUZZTIME) ./internal/queue
 
 # lint runs the static analyzers CI uses; tools are expected on PATH
 # (CI installs them, see .github/workflows/ci.yml).

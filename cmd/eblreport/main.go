@@ -51,7 +51,7 @@ func run(args []string, out io.Writer) error {
 		checkInv  = fs.Bool("check", false, "arm the runtime invariant checker on every run; non-zero exit on any violation")
 		latency   = fs.Bool("latency-breakdown", false, "print only the span-derived latency decomposition (TDMA vs 802.11)")
 		tolerance = fs.Float64("tolerance", 0, "print only the adaptive-precision report: replicate until every 95% CI is within this relative half-width (e.g. 0.05 = ±5%)")
-		maxReps   = fs.Int("max-reps", 0, "replication budget for -tolerance (0 = 64); the achieved bound is reported if the budget is hit")
+		maxReps   = fs.Int("max-reps", 0, "replication budget for -tolerance (0 = 64, otherwise at least 4); the achieved bound is reported if the budget is hit")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -104,9 +104,12 @@ var modeRejects = map[string][]string{
 func toleranceReport(out io.Writer, jobs int, tol float64, maxReps int, check bool) error {
 	// Values the first study's rule accepts, the other two accept too, so
 	// checking it first reports a bad -tolerance or -max-reps before any
-	// output.
+	// output, naming the flag at fault.
+	if _, err := (seqstop.Config{Tolerance: tol}).Resolve(); err != nil {
+		return fmt.Errorf("-tolerance %v: %w", tol, err)
+	}
 	if _, err := (seqstop.Config{Tolerance: tol, MaxReps: maxReps}).Resolve(); err != nil {
-		return err
+		return fmt.Errorf("-max-reps %d: %w", maxReps, err)
 	}
 	fmt.Fprintln(out, "Adaptive-precision replication — run until the CI bound is met")
 	fmt.Fprintln(out, "==============================================================")

@@ -72,17 +72,26 @@ func TestToleranceReport(t *testing.T) {
 // no study can run is an error before any output. A bad -tolerance or
 // -max-reps once printed the report title and first section header.
 func TestToleranceFlagValidation(t *testing.T) {
-	for _, args := range [][]string{
-		{"-max-reps", "8"},
-		{"-tolerance", "-0.1"},
-		{"-tolerance", "0.05", "-max-reps", "1"},
+	for _, tc := range []struct {
+		args []string
+		flag string // the flag the error must name, if any
+	}{
+		{[]string{"-max-reps", "8"}, ""},
+		{[]string{"-tolerance", "-0.1"}, "-tolerance"},
+		{[]string{"-tolerance", "0.05", "-max-reps", "1"}, "-max-reps"},
+		// A budget below the stopping rule's 4-replication minimum can
+		// never run.
+		{[]string{"-tolerance", "0.05", "-max-reps", "3"}, "-max-reps"},
 	} {
 		var sb strings.Builder
-		if err := run(args, &sb); err == nil {
-			t.Errorf("args %v accepted", args)
+		err := run(tc.args, &sb)
+		if err == nil {
+			t.Errorf("args %v accepted", tc.args)
+		} else if !strings.Contains(err.Error(), tc.flag) {
+			t.Errorf("args %v: error %q does not name %s", tc.args, err, tc.flag)
 		}
 		if sb.Len() > 0 {
-			t.Errorf("args %v printed before failing:\n%s", args, sb.String())
+			t.Errorf("args %v printed before failing:\n%s", tc.args, sb.String())
 		}
 	}
 }

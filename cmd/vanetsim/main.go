@@ -67,7 +67,7 @@ func run(args []string, out io.Writer) (err error) {
 		loss     = fs.Float64("loss", 0, "independent per-frame loss probability")
 		ber      = fs.Float64("ber", 0, "independent per-bit error rate")
 		burstP   = fs.Float64("burst-loss", 0, "stationary loss probability of the bursty (Gilbert–Elliott) model")
-		burstLen = fs.Float64("burst-len", 4, "mean burst length in frames for -burst-loss")
+		burstLen = fs.Float64("burst-len", 4, "mean burst length in frames for -burst-loss (finite, at least 1)")
 		shadow   = fs.Float64("shadow", 0, "log-normal shadowing standard deviation in dB")
 		outages  outageList
 		o        outputs
@@ -169,6 +169,9 @@ func run(args []string, out io.Writer) (err error) {
 	cfg.Spans = o.spanned()
 	if *burstP < 0 || *burstP > 1 {
 		return fmt.Errorf("-burst-loss %v outside [0, 1]", *burstP)
+	}
+	if *burstP > 0 && !(*burstLen >= 1 && !math.IsInf(*burstLen, 1)) {
+		return fmt.Errorf("-burst-len %v: want a finite mean burst length of at least 1 frame", *burstLen)
 	}
 	cfg.Faults = vanetsim.FaultPlan{
 		Bernoulli:     vanetsim.FaultBernoulli{LossProb: *loss, BitErrorRate: *ber},

@@ -125,6 +125,14 @@ func TestRunErrors(t *testing.T) {
 		{"-beacon-jitter", "0.1"},
 		{"-safety-depth", "2"},
 		{"-dense", "-3"},
+		// A mean burst length below 1 frame once ran silently as 1, and
+		// an infinite one injected no loss at all.
+		{"-trial", "1", "-duration", "40", "-burst-loss", "0.1", "-burst-len", "0.5"},
+		{"-trial", "1", "-duration", "40", "-burst-loss", "0.1", "-burst-len", "0"},
+		{"-trial", "1", "-duration", "40", "-burst-loss", "0.1", "-burst-len", "-2"},
+		{"-trial", "1", "-duration", "40", "-burst-loss", "0.1", "-burst-len", "NaN"},
+		{"-trial", "1", "-duration", "40", "-burst-loss", "0.1", "-burst-len", "Inf"},
+		{"-trial", "1", "-duration", "40", "-burst-loss", "0.1", "-burst-len", "-Inf"},
 	}
 	for _, args := range cases {
 		var sb strings.Builder

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"vanetsim/internal/packet"
-	"vanetsim/internal/queue"
 	"vanetsim/internal/sim"
 )
 
@@ -235,60 +234,6 @@ func TestEnvelopeBadSample(t *testing.T) {
 type errSentinel struct{}
 
 func (errSentinel) Error() string { return "bad sample" }
-
-func TestCountingQueueConservation(t *testing.T) {
-	cq := Count(queue.NewDropTail(2, nil))
-	p := func() *packet.Packet { return &packet.Packet{} }
-	if !cq.Enqueue(p()) || !cq.Enqueue(p()) {
-		t.Fatal("enqueue into empty queue failed")
-	}
-	if cq.Enqueue(p()) {
-		t.Fatal("enqueue beyond capacity succeeded")
-	}
-	if cq.Dequeue() == nil {
-		t.Fatal("dequeue from non-empty queue failed")
-	}
-	if cq.Len() != 1 || cq.Cap() != 2 || cq.Drops() != 1 {
-		t.Fatalf("Len/Cap/Drops = %d/%d/%d", cq.Len(), cq.Cap(), cq.Drops())
-	}
-	if cq.Peek() == nil {
-		t.Fatal("peek at non-empty queue failed")
-	}
-	r := New()
-	cq.Audit(r, 100, "node 1")
-	if r.Total() != 0 {
-		t.Fatalf("balanced queue flagged: %v", r.Violations())
-	}
-}
-
-func TestCountingQueueAuditFlagsImbalance(t *testing.T) {
-	cq := Count(queue.NewDropTail(4, nil))
-	cq.Enqueue(&packet.Packet{})
-	cq.dequeued = 5 // corrupt the books: more out than in
-	r := New()
-	cq.Audit(r, 100, "node 1")
-	if r.Total() != 1 {
-		t.Fatal("imbalanced queue not flagged")
-	}
-	if v := r.Violations()[0]; v.Layer != "ifq" || v.Name != "conservation" {
-		t.Fatalf("violation = %+v", v)
-	}
-}
-
-func TestCountingQueueAuditFlagsDropMismatch(t *testing.T) {
-	cq := Count(queue.NewDropTail(1, nil))
-	cq.Enqueue(&packet.Packet{})
-	cq.Enqueue(&packet.Packet{}) // rejected by the inner queue
-	cq.rejected = 5              // claim more rejections than inner drops
-	r := New()
-	cq.Audit(r, 100, "node 1")
-	if r.Total() != 1 {
-		t.Fatal("negative eviction count not flagged")
-	}
-	if v := r.Violations()[0]; v.Name != "drop_accounting" {
-		t.Fatalf("violation = %+v", v)
-	}
-}
 
 func TestViolationUIDfCarriesTrail(t *testing.T) {
 	r := New()

@@ -12,7 +12,6 @@ package mobility
 
 import (
 	"fmt"
-	"math"
 	"sort"
 
 	"vanetsim/internal/geom"
@@ -278,15 +277,6 @@ func (v *Vehicle) Halt() {
 	v.cancelPending()
 	v.pushSegment(segment{start: now, pos: cur})
 	v.setPhase(Stopped)
-}
-
-// BrakingDistance returns the distance, in metres, a vehicle travelling at
-// speed m/s needs to stop at decel m/s²: v²/2a.
-func BrakingDistance(speed, decel float64) float64 {
-	if decel <= 0 {
-		return math.Inf(1)
-	}
-	return speed * speed / (2 * decel)
 }
 
 func (v *Vehicle) setPhase(p Phase) {

@@ -118,7 +118,7 @@ func TestBrakeKinematics(t *testing.T) {
 		t.Fatalf("did not stop: phase=%v speed=%v", v.Phase(), v.Speed())
 	}
 	stopDist := v.Position().Dist(posAtBrake)
-	want := BrakingDistance(22.4, 4)
+	want := brakingDistance(22.4, 4)
 	if math.Abs(stopDist-want) > 1e-6 {
 		t.Fatalf("stopping distance = %v, want %v", stopDist, want)
 	}
@@ -166,10 +166,10 @@ func TestPositionHistory(t *testing.T) {
 }
 
 func TestBrakingDistance(t *testing.T) {
-	if got := BrakingDistance(20, 5); got != 40 {
+	if got := brakingDistance(20, 5); got != 40 {
 		t.Fatalf("BrakingDistance = %v, want 40", got)
 	}
-	if !math.IsInf(BrakingDistance(20, 0), 1) {
+	if !math.IsInf(brakingDistance(20, 0), 1) {
 		t.Fatal("zero decel should give infinite distance")
 	}
 }
@@ -330,4 +330,14 @@ func TestSpeedBoundsProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// brakingDistance returns the distance, in metres, a vehicle travelling at
+// speed m/s needs to stop at decel m/s²: v²/2a. It is the closed-form
+// oracle the braking motion is checked against.
+func brakingDistance(speed, decel float64) float64 {
+	if decel <= 0 {
+		return math.Inf(1)
+	}
+	return speed * speed / (2 * decel)
 }

@@ -10,19 +10,40 @@ package queue
 
 import "vanetsim/internal/packet"
 
-// DropReason explains why a queue rejected a packet, for traces.
-type DropReason string
+// Event is what a queue reports to its Hook.
+type Event uint8
 
-// Drop reasons.
+// Queue events. A packet that is rejected produces exactly one drop event
+// and no EventEnqueue; an eviction reports EventEvicted for the evicted
+// packet before the EventEnqueue of the packet that displaced it.
 const (
-	DropFull    DropReason = "IFQ" // arriving packet found the queue full
-	DropEvicted DropReason = "IFQ-EVICT"
-	DropEarly   DropReason = "IFQ-RED" // probabilistic early drop
+	EventEnqueue   Event = iota // packet accepted into the queue
+	EventDequeue                // packet left the queue toward the MAC
+	EventDropFull               // arriving packet found the queue full
+	EventEvicted                // queued data packet evicted by arriving control traffic
+	EventDropEarly              // RED dropped the arriving packet probabilistically
 )
 
-// DropFn observes dropped packets (for tracing and statistics). A nil DropFn
-// is valid and means "discard silently".
-type DropFn func(p *packet.Packet, reason DropReason)
+// Hook observes a queue's events as they happen, after the queue's state
+// has changed (so Len is already the new occupancy, except during an
+// eviction's EventEvicted). A nil Hook is valid and is the disarmed state:
+// the queue then pays one nil check per event.
+type Hook func(ev Event, p *packet.Packet)
+
+// Stats are a queue's lifetime counts, kept whether or not a Hook is set.
+// Accepted, Rejected and Dequeued are counted where Enqueue and Dequeue
+// return; Drops counts every packet dropped, at the point of the drop.
+// A consistent queue therefore satisfies
+//
+//	Accepted == Dequeued + Evicted + Len()
+//	Drops    == Rejected + Evicted
+type Stats struct {
+	Accepted int // Enqueue calls that returned true
+	Rejected int // Enqueue calls that returned false
+	Evicted  int // queued packets displaced to admit control traffic
+	Dequeued int // Dequeue calls that returned a packet
+	Drops    int // packets dropped, rejected or evicted
+}
 
 // Queue is a bounded interface queue. Implementations are not safe for
 // concurrent use; the simulator is single-threaded.
@@ -39,9 +60,91 @@ type Queue interface {
 	Len() int
 	// Cap returns the capacity in packets.
 	Cap() int
-	// Drops returns how many packets this queue has dropped so far.
+	// Stats returns the queue's lifetime counts.
+	Stats() Stats
+	// Drops returns Stats().Drops; the benchmark harness reads it.
 	Drops() int
 }
+
+// core is the state and behaviour the three queues share: a control ring
+// serviced ahead of a data ring (only PriQueue ever fills the control
+// ring), the lifetime Stats and the optional Hook. Each queue type
+// supplies only its Enqueue policy.
+type core struct {
+	control ring
+	data    ring
+	stats   Stats
+	hook    Hook
+}
+
+func newCore(capacity int, hook Hook) core {
+	if capacity <= 0 {
+		panic("queue: capacity must be positive")
+	}
+	return core{control: newRing(capacity), data: newRing(capacity), hook: hook}
+}
+
+// accept pushes p onto r and records the acceptance.
+func (c *core) accept(r *ring, p *packet.Packet) bool {
+	r.push(p)
+	c.stats.Accepted++
+	if c.hook != nil {
+		c.hook(EventEnqueue, p)
+	}
+	return true
+}
+
+// drop records one dropped packet; ev is its drop event.
+func (c *core) drop(p *packet.Packet, ev Event) {
+	c.stats.Drops++
+	if c.hook != nil {
+		c.hook(ev, p)
+	}
+}
+
+// reject records an Enqueue that returns false.
+func (c *core) reject() bool {
+	c.stats.Rejected++
+	return false
+}
+
+// full reports whether the queue holds its capacity.
+func (c *core) full() bool { return c.Len() >= c.data.cap }
+
+// Dequeue implements Queue.
+func (c *core) Dequeue() *packet.Packet {
+	var p *packet.Packet
+	if c.control.n > 0 {
+		p = c.control.pop()
+	} else if p = c.data.pop(); p == nil {
+		return nil
+	}
+	c.stats.Dequeued++
+	if c.hook != nil {
+		c.hook(EventDequeue, p)
+	}
+	return p
+}
+
+// Peek implements Queue.
+func (c *core) Peek() *packet.Packet {
+	if c.control.n > 0 {
+		return c.control.peek()
+	}
+	return c.data.peek()
+}
+
+// Len implements Queue.
+func (c *core) Len() int { return c.control.n + c.data.n }
+
+// Cap implements Queue.
+func (c *core) Cap() int { return c.data.cap }
+
+// Stats implements Queue.
+func (c *core) Stats() Stats { return c.stats }
+
+// Drops implements Queue.
+func (c *core) Drops() int { return c.stats.Drops }
 
 // ring is a fixed-capacity FIFO of packets. Its backing array is made on
 // the first push and reused for the queue's lifetime, so steady-state
@@ -98,53 +201,23 @@ func (r *ring) peek() *packet.Packet {
 
 // DropTail is a FIFO queue that drops the arriving packet when full,
 // matching ns-2's Queue/DropTail.
-type DropTail struct {
-	items  ring
-	drops  int
-	onDrop DropFn
-}
+type DropTail struct{ core }
 
 var _ Queue = (*DropTail)(nil)
 
 // NewDropTail returns a drop-tail queue holding at most capacity packets.
 // ns-2's default ifq length, used by the paper, is 50.
-func NewDropTail(capacity int, onDrop DropFn) *DropTail {
-	if capacity <= 0 {
-		panic("queue: capacity must be positive")
-	}
-	return &DropTail{items: newRing(capacity), onDrop: onDrop}
+func NewDropTail(capacity int, hook Hook) *DropTail {
+	return &DropTail{newCore(capacity, hook)}
 }
 
 // Enqueue implements Queue.
 func (q *DropTail) Enqueue(p *packet.Packet) bool {
-	if q.items.n >= q.items.cap {
-		q.drop(p, DropFull)
-		return false
+	if q.full() {
+		q.drop(p, EventDropFull)
+		return q.reject()
 	}
-	q.items.push(p)
-	return true
-}
-
-// Dequeue implements Queue.
-func (q *DropTail) Dequeue() *packet.Packet { return q.items.pop() }
-
-// Peek implements Queue.
-func (q *DropTail) Peek() *packet.Packet { return q.items.peek() }
-
-// Len implements Queue.
-func (q *DropTail) Len() int { return q.items.n }
-
-// Cap implements Queue.
-func (q *DropTail) Cap() int { return q.items.cap }
-
-// Drops implements Queue.
-func (q *DropTail) Drops() int { return q.drops }
-
-func (q *DropTail) drop(p *packet.Packet, r DropReason) {
-	q.drops++
-	if q.onDrop != nil {
-		q.onDrop(p, r)
-	}
+	return q.accept(&q.data, p)
 }
 
 // PriQueue is a drop-tail queue that services routing-protocol control
@@ -153,74 +226,32 @@ func (q *DropTail) drop(p *packet.Packet, r DropReason) {
 // arrives at a full queue it evicts the most recently queued data packet;
 // a data packet arriving at a full queue is dropped. Each class has its own
 // ring of the full capacity, since either may hold every slot.
-type PriQueue struct {
-	control ring
-	data    ring
-	cap     int
-	drops   int
-	onDrop  DropFn
-}
+type PriQueue struct{ core }
 
 var _ Queue = (*PriQueue)(nil)
 
 // NewPriQueue returns a priority interface queue with the given total
 // capacity.
-func NewPriQueue(capacity int, onDrop DropFn) *PriQueue {
-	if capacity <= 0 {
-		panic("queue: capacity must be positive")
-	}
-	return &PriQueue{control: newRing(capacity), data: newRing(capacity), cap: capacity, onDrop: onDrop}
+func NewPriQueue(capacity int, hook Hook) *PriQueue {
+	return &PriQueue{newCore(capacity, hook)}
 }
 
 // Enqueue implements Queue.
 func (q *PriQueue) Enqueue(p *packet.Packet) bool {
-	if p.Type.IsControl() {
-		if q.Len() >= q.cap {
-			if q.data.n == 0 {
-				q.drop(p, DropFull)
-				return false
-			}
-			q.drop(q.data.popNewest(), DropEvicted)
+	if !p.Type.IsControl() {
+		if q.full() {
+			q.drop(p, EventDropFull)
+			return q.reject()
 		}
-		q.control.push(p)
-		return true
+		return q.accept(&q.data, p)
 	}
-	if q.Len() >= q.cap {
-		q.drop(p, DropFull)
-		return false
+	if q.full() {
+		if q.data.n == 0 {
+			q.drop(p, EventDropFull)
+			return q.reject()
+		}
+		q.drop(q.data.popNewest(), EventEvicted)
+		q.stats.Evicted++
 	}
-	q.data.push(p)
-	return true
-}
-
-// Dequeue implements Queue.
-func (q *PriQueue) Dequeue() *packet.Packet {
-	if q.control.n > 0 {
-		return q.control.pop()
-	}
-	return q.data.pop()
-}
-
-// Peek implements Queue.
-func (q *PriQueue) Peek() *packet.Packet {
-	if q.control.n > 0 {
-		return q.control.peek()
-	}
-	return q.data.peek()
-}
-
-// Len implements Queue.
-func (q *PriQueue) Len() int { return q.control.n + q.data.n }
-
-// Cap implements Queue.
-func (q *PriQueue) Cap() int { return q.cap }
-
-// Drops implements Queue.
-func (q *PriQueue) Drops() int { return q.drops }
-
-func (q *PriQueue) drop(p *packet.Packet, r DropReason) {
-	q.drops++
-	if q.onDrop != nil {
-		q.onDrop(p, r)
-	}
+	return q.accept(&q.control, p)
 }

@@ -39,11 +39,14 @@ func TestDropTailFIFO(t *testing.T) {
 func TestDropTailDropsArrivingWhenFull(t *testing.T) {
 	var f packet.Factory
 	var dropped []*packet.Packet
-	q := NewDropTail(2, func(p *packet.Packet, r DropReason) {
-		if r != DropFull {
-			t.Fatalf("reason = %v, want %v", r, DropFull)
+	q := NewDropTail(2, func(ev Event, p *packet.Packet) {
+		switch ev {
+		case EventDropFull:
+			dropped = append(dropped, p)
+		case EventEnqueue, EventDequeue:
+		default:
+			t.Fatalf("event = %v, want %v", ev, EventDropFull)
 		}
-		dropped = append(dropped, p)
 	})
 	a, b, c := mkData(&f), mkData(&f), mkData(&f)
 	q.Enqueue(a)
@@ -51,8 +54,8 @@ func TestDropTailDropsArrivingWhenFull(t *testing.T) {
 	if q.Enqueue(c) {
 		t.Fatal("enqueue at capacity should fail")
 	}
-	if q.Drops() != 1 || len(dropped) != 1 || dropped[0] != c {
-		t.Fatalf("the arriving packet must be the one dropped; drops=%d", q.Drops())
+	if q.Stats().Drops != 1 || len(dropped) != 1 || dropped[0] != c {
+		t.Fatalf("the arriving packet must be the one dropped; drops=%d", q.Stats().Drops)
 	}
 	// The queued packets are intact.
 	if q.Dequeue() != a || q.Dequeue() != b {
@@ -107,8 +110,8 @@ func TestPriQueueControlFirst(t *testing.T) {
 func TestPriQueueControlEvictsData(t *testing.T) {
 	var f packet.Factory
 	var evicted []*packet.Packet
-	q := NewPriQueue(2, func(p *packet.Packet, r DropReason) {
-		if r == DropEvicted {
+	q := NewPriQueue(2, func(ev Event, p *packet.Packet) {
+		if ev == EventEvicted {
 			evicted = append(evicted, p)
 		}
 	})
@@ -137,8 +140,8 @@ func TestPriQueueDataDroppedWhenFull(t *testing.T) {
 	if q.Enqueue(mkData(&f)) {
 		t.Fatal("data packet must be dropped when queue is full")
 	}
-	if q.Drops() != 1 {
-		t.Fatalf("Drops = %d, want 1", q.Drops())
+	if q.Stats().Drops != 1 {
+		t.Fatalf("Drops = %d, want 1", q.Stats().Drops)
 	}
 }
 
@@ -194,7 +197,7 @@ func TestDropTailProperty(t *testing.T) {
 				return false
 			}
 		}
-		return q.Drops() == dropped && accepted+dropped == int(pf.Allocated())
+		return q.Stats().Drops == dropped && accepted+dropped == int(pf.Allocated())
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
@@ -271,14 +274,14 @@ type sliceModel struct {
 }
 
 type dropEvent struct {
-	uid    uint64
-	reason DropReason
+	uid uint64
+	ev  Event
 }
 
 func (m *sliceModel) enqueue(p *packet.Packet) bool {
 	if !m.pri || !p.Type.IsControl() {
 		if len(m.control)+len(m.data) >= m.cap {
-			m.drops = append(m.drops, dropEvent{p.UID, DropFull})
+			m.drops = append(m.drops, dropEvent{p.UID, EventDropFull})
 			return false
 		}
 		m.data = append(m.data, p)
@@ -286,12 +289,12 @@ func (m *sliceModel) enqueue(p *packet.Packet) bool {
 	}
 	if len(m.control)+len(m.data) >= m.cap {
 		if len(m.data) == 0 {
-			m.drops = append(m.drops, dropEvent{p.UID, DropFull})
+			m.drops = append(m.drops, dropEvent{p.UID, EventDropFull})
 			return false
 		}
 		last := m.data[len(m.data)-1]
 		m.data = m.data[:len(m.data)-1]
-		m.drops = append(m.drops, dropEvent{last.UID, DropEvicted})
+		m.drops = append(m.drops, dropEvent{last.UID, EventEvicted})
 	}
 	m.control = append(m.control, p)
 	return true
@@ -332,7 +335,11 @@ func TestQueuesMatchSliceModel(t *testing.T) {
 		capN := int(capacity%6) + 1
 		m := &sliceModel{pri: kind%3 == 1, cap: capN}
 		var drops []dropEvent
-		onDrop := func(p *packet.Packet, r DropReason) { drops = append(drops, dropEvent{p.UID, r}) }
+		onDrop := func(ev Event, p *packet.Packet) {
+			if ev != EventEnqueue && ev != EventDequeue {
+				drops = append(drops, dropEvent{p.UID, ev})
+			}
+		}
 		var q Queue
 		switch kind % 3 {
 		case 0:
@@ -370,8 +377,8 @@ func TestQueuesMatchSliceModel(t *testing.T) {
 					return false
 				}
 			}
-			if q.Len() != len(m.control)+len(m.data) || q.Drops() != len(m.drops) {
-				t.Logf("op %d: Len %d Drops %d, model %d %d", i, q.Len(), q.Drops(), len(m.control)+len(m.data), len(m.drops))
+			if q.Len() != len(m.control)+len(m.data) || q.Stats().Drops != len(m.drops) {
+				t.Logf("op %d: Len %d Drops %d, model %d %d", i, q.Len(), q.Stats().Drops, len(m.control)+len(m.data), len(m.drops))
 				return false
 			}
 		}

@@ -35,30 +35,26 @@ func DefaultREDConfig() REDConfig {
 // congestion here and losing them stalls everything), but still respect
 // the hard capacity.
 type RED struct {
-	cfg    REDConfig
-	items  ring
-	rng    *sim.RNG
-	onDrop DropFn
+	core
+	cfg REDConfig
+	rng *sim.RNG
 
 	avg   float64
 	count int // packets since the last early drop
-	drops int
 }
 
 var _ Queue = (*RED)(nil)
 
 // NewRED returns a RED queue with hard capacity and the given parameters.
-func NewRED(capacity int, cfg REDConfig, rng *sim.RNG, onDrop DropFn) *RED {
-	if capacity <= 0 {
-		panic("queue: capacity must be positive")
-	}
+func NewRED(capacity int, cfg REDConfig, rng *sim.RNG, hook Hook) *RED {
+	c := newCore(capacity, hook)
 	if cfg.MinThresh <= 0 || cfg.MaxThresh <= cfg.MinThresh || cfg.Weight <= 0 || cfg.Weight > 1 || cfg.MaxP <= 0 || cfg.MaxP > 1 {
 		panic("queue: invalid RED parameters")
 	}
 	if rng == nil {
 		panic("queue: RED needs a random source")
 	}
-	return &RED{cfg: cfg, items: newRing(capacity), rng: rng, onDrop: onDrop, count: -1}
+	return &RED{core: c, cfg: cfg, rng: rng, count: -1}
 }
 
 // AvgQueue returns the current EWMA queue-length estimate.
@@ -66,20 +62,19 @@ func (q *RED) AvgQueue() float64 { return q.avg }
 
 // Enqueue implements Queue.
 func (q *RED) Enqueue(p *packet.Packet) bool {
-	q.avg = (1-q.cfg.Weight)*q.avg + q.cfg.Weight*float64(q.items.n)
-	if q.items.n >= q.items.cap {
-		q.drop(p, DropFull)
-		return false
+	q.avg = (1-q.cfg.Weight)*q.avg + q.cfg.Weight*float64(q.data.n)
+	if q.full() {
+		q.drop(p, EventDropFull)
+		return q.reject()
 	}
 	if !p.Type.IsControl() && q.earlyDrop() {
-		q.drop(p, DropEarly)
-		return false
+		q.drop(p, EventDropEarly)
+		return q.reject()
 	}
-	q.items.push(p)
 	if q.count >= 0 {
 		q.count++
 	}
-	return true
+	return q.accept(&q.data, p)
 }
 
 // earlyDrop applies the RED drop decision against the average occupancy.
@@ -103,27 +98,5 @@ func (q *RED) earlyDrop() bool {
 			return true
 		}
 		return false
-	}
-}
-
-// Dequeue implements Queue.
-func (q *RED) Dequeue() *packet.Packet { return q.items.pop() }
-
-// Peek implements Queue.
-func (q *RED) Peek() *packet.Packet { return q.items.peek() }
-
-// Len implements Queue.
-func (q *RED) Len() int { return q.items.n }
-
-// Cap implements Queue.
-func (q *RED) Cap() int { return q.items.cap }
-
-// Drops implements Queue.
-func (q *RED) Drops() int { return q.drops }
-
-func (q *RED) drop(p *packet.Packet, r DropReason) {
-	q.drops++
-	if q.onDrop != nil {
-		q.onDrop(p, r)
 	}
 }

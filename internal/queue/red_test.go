@@ -24,8 +24,8 @@ func TestREDNoDropsBelowMinThresh(t *testing.T) {
 			q.Dequeue()
 		}
 	}
-	if q.Drops() != 0 {
-		t.Fatalf("drops = %d below min threshold", q.Drops())
+	if q.Stats().Drops != 0 {
+		t.Fatalf("drops = %d below min threshold", q.Stats().Drops)
 	}
 }
 
@@ -46,13 +46,13 @@ func TestREDDropsAllAboveMaxThresh(t *testing.T) {
 	if q.AvgQueue() < q.cfg.MaxThresh {
 		t.Fatalf("avg = %v never exceeded maxthresh", q.AvgQueue())
 	}
-	before := q.Drops()
+	before := q.Stats().Drops
 	for i := 0; i < 50; i++ {
 		if q.Enqueue(mkData(&f)) {
 			t.Fatalf("enqueue accepted with avg %v above maxthresh", q.AvgQueue())
 		}
 	}
-	if q.Drops() != before+50 {
+	if q.Stats().Drops != before+50 {
 		t.Fatal("drops not counted")
 	}
 }

@@ -1,9 +1,10 @@
 package scenario
 
 import (
-	"fmt"
-
 	"vanetsim/internal/check"
+	"vanetsim/internal/packet"
+	"vanetsim/internal/queue"
+	"vanetsim/internal/sim"
 )
 
 // audit runs the end-of-run conservation audits against the world's
@@ -59,9 +60,10 @@ func (w *World) audit() []check.Violation {
 			"channel delivered %d arrivals but only %d were offered", cs.Delivered, cs.Offered)
 	}
 
-	// Interface-queue conservation per node.
-	for _, lq := range w.chkQueues {
-		lq.q.Audit(w.check, now, fmt.Sprintf("node %v", lq.id))
+	// Interface-queue conservation per node, from the counts every queue
+	// keeps.
+	for _, n := range w.Nodes {
+		auditQueue(w.check, now, n.ID, n.Ifq.Stats(), n.Ifq.Len())
 	}
 
 	// TCP accounting. Equalities on transmit counts are unsound here —
@@ -98,4 +100,23 @@ func (w *World) audit() []check.Violation {
 	}
 
 	return w.check.Violations()
+}
+
+// auditQueue checks one interface queue's books at the end of a run. Its
+// drops, counted where packets are dropped, must equal its rejections
+// plus evictions, counted where Enqueue returns and where control traffic
+// displaces data; and every packet it accepted must have been dequeued,
+// evicted, or still be queued.
+func auditQueue(reg *check.Registry, at sim.Time, id packet.NodeID, st queue.Stats, queued int) {
+	if st.Drops != st.Rejected+st.Evicted {
+		reg.Violationf(at, "ifq", "drop_accounting",
+			"node %v: queue reports %d drops but %d rejections and %d evictions were observed",
+			id, st.Drops, st.Rejected, st.Evicted)
+		return
+	}
+	if st.Accepted != st.Dequeued+st.Evicted+queued {
+		reg.Violationf(at, "ifq", "conservation",
+			"node %v: accepted %d != dequeued %d + evicted %d + queued %d",
+			id, st.Accepted, st.Dequeued, st.Evicted, queued)
+	}
 }

@@ -28,14 +28,13 @@ const occupancyBin = sim.Time(0.5)
 
 // liveInstruments holds the event-level instruments a world wires into its
 // stacks. Every field is a nil-safe no-op when telemetry is disabled, so
-// the wiring is unconditional and only the queue decorator is gated.
+// the wiring is unconditional; only the interface-queue hook is gated.
 type liveInstruments struct {
 	dcfBackoffWait *obs.Histogram
 	dcfRetries     *obs.Histogram
 	dcfService     *obs.Histogram
 	tdmaSlotWait   *obs.Histogram
 	ifqOccupancy   *obs.Gauge
-	ifqEnqueued    *obs.Counter
 	ifqOccSeries   *obs.Series
 }
 
@@ -43,8 +42,6 @@ func newLiveInstruments(r *obs.Registry, mac MACType) liveInstruments {
 	li := liveInstruments{
 		ifqOccupancy: r.Gauge("ifq/occupancy_pkts",
 			"interface-queue occupancy across all nodes"),
-		ifqEnqueued: r.Counter("ifq/enqueued_total",
-			"packets accepted by interface queues"),
 		ifqOccSeries: r.Series("ifq/occupancy_series",
 			"time-binned interface-queue occupancy", occupancyBin),
 	}
@@ -95,7 +92,9 @@ func (w *World) harvestTelemetry() *obs.Snapshot {
 		add("phy/rx_below_thresh", "arrivals below the receive threshold", ps.RxBelowThresh)
 		add("phy/rx_aborted_by_tx", "in-progress receptions destroyed by own transmission", ps.RxAbortedByTx)
 
-		add("ifq/dropped_total", "packets dropped by interface queues", n.Ifq.Drops())
+		qs := n.Ifq.Stats()
+		add("ifq/enqueued_total", "packets accepted by interface queues", qs.Accepted)
+		add("ifq/dropped_total", "packets dropped by interface queues", qs.Drops)
 
 		ns := n.Net.Stats()
 		add("net/sent", "locally originated packets handed to routing", ns.Sent)

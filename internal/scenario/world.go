@@ -160,18 +160,10 @@ type World struct {
 	comms     []*ebl.PlatoonComms
 	wallStart time.Time
 
-	// Invariant-checking state (all nil/empty when checking is disarmed).
+	// Invariant-checking state (all nil when checking is disarmed).
 	check      *check.Registry
-	chkQueues  []labeledQueue
 	slotGuard  *check.SlotGuard  // TDMA worlds only
 	routeGuard *check.RouteGuard // shared across all agents
-}
-
-// labeledQueue pairs a conservation-counting queue with its owner for
-// end-of-run audit messages.
-type labeledQueue struct {
-	id packet.NodeID
-	q  *check.CountingQueue
 }
 
 // fullScan keeps every new world on the channel's full-receiver scan.
@@ -211,7 +203,7 @@ func NewWorld(cfg StackConfig, seed uint64) *World {
 	w.live = newLiveInstruments(w.obs, cfg.MAC)
 	if cfg.Spans {
 		// The recorder carries the run's clock so clockless layers
-		// (netlayer, queue taps) can stamp events.
+		// (netlayer, interface queues) can stamp events.
 		w.spans = span.NewRecorder()
 		w.spans.Bind(s)
 	}
@@ -311,33 +303,15 @@ func (w *World) AddNode(id packet.NodeID, pos phy.PositionFn) *Node {
 	}
 	w.scheduleOutages(n.Radio)
 	n.Net = netlayer.New(id, w.PF)
-	// IfqDropFn is nil when spans are disarmed, preserving the queues'
-	// silent-discard fast path.
-	onDrop := w.spans.IfqDropFn(id)
+	hook := w.ifqHook(n)
 	switch w.cfg.Queue {
 	case QueuePri:
-		n.Ifq = queue.NewPriQueue(w.cfg.QueueCap, onDrop)
+		n.Ifq = queue.NewPriQueue(w.cfg.QueueCap, hook)
 	case QueueRED:
-		n.Ifq = queue.NewRED(w.cfg.QueueCap, queue.DefaultREDConfig(), w.RNG.Fork(fmt.Sprintf("red-%d", id)), onDrop)
+		n.Ifq = queue.NewRED(w.cfg.QueueCap, queue.DefaultREDConfig(), w.RNG.Fork(fmt.Sprintf("red-%d", id)), hook)
 	default:
-		n.Ifq = queue.NewDropTail(w.cfg.QueueCap, onDrop)
+		n.Ifq = queue.NewDropTail(w.cfg.QueueCap, hook)
 	}
-	if w.check != nil {
-		// Transparent conservation counter under the telemetry decorator so
-		// it sees exactly what the MAC and network layer exchange.
-		cq := check.Count(n.Ifq)
-		w.chkQueues = append(w.chkQueues, labeledQueue{id: id, q: cq})
-		n.Ifq = cq
-	}
-	if w.obs.Enabled() {
-		// Transparent decorator: an unwrapped queue pays nothing when
-		// telemetry is off.
-		n.Ifq = queue.Instrument(n.Ifq, w.Sched, w.live.ifqOccupancy, w.live.ifqEnqueued, w.live.ifqOccSeries)
-	}
-	// Span tap outermost, so enq/deq events reflect exactly what the
-	// network layer and MAC exchange. TapQueue is the identity when
-	// tracing is disarmed.
-	n.Ifq = span.TapQueue(n.Ifq, w.spans, id)
 	n.Radio.SetSpans(w.spans)
 	switch w.cfg.MAC {
 	case MACTDMA:
@@ -362,6 +336,39 @@ func (w *World) AddNode(id packet.NodeID, pos phy.PositionFn) *Node {
 	n.AODV.SetSpans(w.spans)
 	w.Nodes = append(w.Nodes, n)
 	return n
+}
+
+// ifqHook returns node n's interface-queue hook: it records the queue's
+// span events and observes its occupancy for telemetry. It is nil when
+// spans and telemetry are both disarmed, so the queue pays one nil check.
+// The checker needs no hook; it audits the queue's Stats after the run.
+func (w *World) ifqHook(n *Node) queue.Hook {
+	if w.spans == nil && !w.obs.Enabled() {
+		return nil
+	}
+	rec, sched, occupancy, series := w.spans, w.Sched, w.live.ifqOccupancy, w.live.ifqOccSeries
+	return func(ev queue.Event, p *packet.Packet) {
+		switch ev {
+		case queue.EventEnqueue:
+			rec.Record(span.OpEnq, span.CauseNone, n.ID, p)
+		case queue.EventDequeue:
+			rec.Record(span.OpDeq, span.CauseNone, n.ID, p)
+		case queue.EventDropFull:
+			rec.Record(span.OpIfqDrop, span.CauseIfqFull, n.ID, p)
+		case queue.EventDropEarly:
+			rec.Record(span.OpIfqDrop, span.CauseRedEarly, n.ID, p)
+		case queue.EventEvicted:
+			// The enqueue that caused the eviction follows and observes
+			// the occupancy; the length in between is not a sample.
+			rec.Record(span.OpIfqDrop, span.CauseIfqEvict, n.ID, p)
+			return
+		}
+		// Telemetry samples the occupancy after every Enqueue call and
+		// every dequeued packet.
+		occ := float64(n.Ifq.Len())
+		occupancy.Set(occ)
+		series.Observe(sched.Now(), occ)
+	}
 }
 
 // AddVehicleNode assembles a stack for a mobile vehicle and gives the

@@ -171,18 +171,13 @@ func NewRecorder() *Recorder { return &Recorder{} }
 
 // Bind attaches the run's clock. The recorder stamps every event with the
 // scheduler's current time, so layers without their own clock (netlayer,
-// queue taps) need no extra plumbing.
+// interface queues) need no extra plumbing.
 func (r *Recorder) Bind(s *sim.Scheduler) {
 	if r == nil {
 		return
 	}
 	r.sched = s
 }
-
-// Enabled reports whether the recorder is armed. Instrumented code uses it
-// only where arming changes construction (queue taps); per-event sites call
-// Record directly and rely on the nil fast path.
-func (r *Recorder) Enabled() bool { return r != nil }
 
 // Record appends one instantaneous event for p at node.
 func (r *Recorder) Record(op Op, cause Cause, node packet.NodeID, p *packet.Packet) {

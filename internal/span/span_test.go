@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"vanetsim/internal/packet"
-	"vanetsim/internal/queue"
 	"vanetsim/internal/sim"
 )
 
@@ -44,9 +43,6 @@ func pkt(uid uint64, t packet.Type, size int) *packet.Packet {
 func TestNilRecorderIsSafe(t *testing.T) {
 	var r *Recorder
 	r.Bind(nil)
-	if r.Enabled() {
-		t.Fatal("nil recorder reports enabled")
-	}
 	r.Record(OpEmit, CauseNone, 0, pkt(1, packet.TypeEBL, 100))
 	r.RecordDur(OpTx, CauseNone, 0, pkt(1, packet.TypeEBL, 100), 0.001)
 	if r.Events() != nil {
@@ -57,13 +53,6 @@ func TestNilRecorderIsSafe(t *testing.T) {
 	}
 	if r.TrailFn() != nil {
 		t.Fatal("nil recorder returned a trail function")
-	}
-	if r.IfqDropFn(0) != nil {
-		t.Fatal("nil recorder returned a drop function")
-	}
-	q := queue.NewDropTail(4, nil)
-	if TapQueue(q, r, 0) != queue.Queue(q) {
-		t.Fatal("nil recorder wrapped the queue")
 	}
 }
 
@@ -126,48 +115,6 @@ func TestFlightRecorderTrail(t *testing.T) {
 	}
 	if f.rec.Trail(99) != nil {
 		t.Fatal("unseen uid returned a trail")
-	}
-}
-
-func TestTapQueueRecordsEnqDeqAndDrops(t *testing.T) {
-	f := newFixture()
-	base := queue.NewDropTail(1, f.rec.IfqDropFn(4))
-	q := TapQueue(base, f.rec, 4)
-	p1, p2 := pkt(1, packet.TypeEBL, 10), pkt(2, packet.TypeEBL, 10)
-	if !q.Enqueue(p1) {
-		t.Fatal("first enqueue rejected")
-	}
-	if q.Enqueue(p2) {
-		t.Fatal("second enqueue accepted past capacity")
-	}
-	if got := q.Dequeue(); got != p1 {
-		t.Fatalf("dequeued %v", got)
-	}
-	evs := f.rec.Events()
-	if len(evs) != 3 {
-		t.Fatalf("got %d events, want 3: %v", len(evs), evs)
-	}
-	if evs[0].Op != OpEnq || evs[1].Op != OpIfqDrop || evs[1].Cause != CauseIfqFull || evs[2].Op != OpDeq {
-		t.Fatalf("bad op sequence: %v", evs)
-	}
-	if evs[1].UID != 2 || evs[2].UID != 1 || evs[0].Node != 4 {
-		t.Fatalf("bad attribution: %v", evs)
-	}
-}
-
-func TestDropReasonMapping(t *testing.T) {
-	f := newFixture()
-	fn := f.rec.IfqDropFn(0)
-	p := pkt(1, packet.TypeEBL, 10)
-	fn(p, queue.DropFull)
-	fn(p, queue.DropEvicted)
-	fn(p, queue.DropEarly)
-	evs := f.rec.Events()
-	want := []Cause{CauseIfqFull, CauseIfqEvict, CauseRedEarly}
-	for i, c := range want {
-		if evs[i].Cause != c {
-			t.Fatalf("drop %d mapped to %v, want %v", i, evs[i].Cause, c)
-		}
 	}
 }
 
