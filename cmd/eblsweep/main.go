@@ -280,7 +280,7 @@ func safetyMatrix(out io.Writer, duration float64, opts sweepOpts) error {
 type degradeAxes struct {
 	losses []float64
 	bursts []float64
-	outage vanetsim.FaultOutage // Duration 0 = none
+	outage vanetsim.FaultOutage // zero value = none
 	mac    vanetsim.MACType
 }
 
@@ -295,13 +295,6 @@ func parseDegradeAxes(loss, burst, outage, mac string) (degradeAxes, error) {
 	}
 	if len(a.losses) == 0 || len(a.bursts) == 0 {
 		return a, fmt.Errorf("-degrade-loss and -degrade-burst need at least one value")
-	}
-	// Each burst value is its own RunDegradation (which checks the loss
-	// grid), so a bad one must be caught before the first prints rows.
-	for _, b := range a.bursts {
-		if !(b >= 0 && b < math.Inf(1)) {
-			return a, fmt.Errorf("-degrade-burst: %v is not a finite non-negative burst length", b)
-		}
 	}
 	if outage != "" {
 		if a.outage, err = vanetsim.ParseFaultOutage(outage); err != nil {
@@ -335,8 +328,22 @@ func parseFloats(s string) ([]float64, error) {
 // braking-safety margin degrade. Each burst length is one RunDegradation
 // over the loss grid.
 func degradeSweep(out io.Writer, duration float64, axes degradeAxes, opts sweepOpts) error {
+	cfg := vanetsim.DefaultDegradation(axes.mac)
+	cfg.Base.Duration = vanetsim.Seconds(duration)
+	cfg.Base.Check = opts.check
+	cfg.LossProbs = axes.losses
+	cfg.Outage = axes.outage
+	cfg.Jobs = opts.jobs
+	// Each burst length is its own RunDegradation, so every one is judged
+	// before the first prints rows.
+	for _, burst := range axes.bursts {
+		cfg.BurstLen = burst
+		if err := cfg.Validate(); err != nil {
+			return err
+		}
+	}
 	fmt.Fprintf(out, "Degradation sweep: %v MAC, loss x burst length", axes.mac)
-	if axes.outage.Duration > 0 {
+	if axes.outage != (vanetsim.FaultOutage{}) {
 		fmt.Fprintf(out, ", node %v down [%g s, %g s)", axes.outage.Node,
 			float64(axes.outage.Start), float64(axes.outage.Start+axes.outage.Duration))
 	}
@@ -344,12 +351,6 @@ func degradeSweep(out io.Writer, duration float64, axes degradeAxes, opts sweepO
 	fmt.Fprintf(out, "%6s %8s %10s %10s %10s %8s %9s %10s %5s\n",
 		"burst", "loss", "avg_dly_s", "first_s", "mbps", "rtx", "injected", "margin_m", "safe")
 
-	cfg := vanetsim.DefaultDegradation(axes.mac)
-	cfg.Base.Duration = vanetsim.Seconds(duration)
-	cfg.Base.Check = opts.check
-	cfg.LossProbs = axes.losses
-	cfg.Outage = axes.outage
-	cfg.Jobs = opts.jobs
 	for _, burst := range axes.bursts {
 		cfg.BurstLen = burst
 		cfg.OnPoint = func(_ int, p vanetsim.DegradationPoint, r *vanetsim.TrialResult) error {

@@ -22,19 +22,24 @@
 //	vanetsim -trial 3 -burst-loss 0.1 -burst-len 4  # bursty Gilbert–Elliott loss
 //	vanetsim -trial 1 -shadow 6               # 6 dB log-normal shadowing
 //	vanetsim -trial 1 -outage 1:22:5 -outage 4:10:3  # radios down (node:start:dur)
+//
+// The flags become a canon.Request, and canon.Canonicalize resolves and
+// validates it exactly as it does vanetsimd's JSON requests: the command
+// line and the service accept the same configurations, and an accepted
+// pair with equal canon.Hash runs identically.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"strings"
 
 	"vanetsim"
 	"vanetsim/internal/cliflag"
 	"vanetsim/internal/prof"
+	"vanetsim/internal/service/canon"
 	"vanetsim/internal/trace"
 )
 
@@ -46,67 +51,11 @@ func main() {
 }
 
 func run(args []string, out io.Writer) (err error) {
-	fs := flag.NewFlagSet("vanetsim", flag.ContinueOnError)
-	var (
-		cpuProf  = fs.String("cpuprofile", "", "write a CPU profile to this path")
-		memProf  = fs.String("memprofile", "", "write an allocation profile to this path")
-		trial    = fs.Int("trial", 1, "paper trial to run (1, 2 or 3); 0 to build from -mac/-packet")
-		macName  = fs.String("mac", "tdma", "MAC type for -trial 0 and -dense: tdma or 802.11")
-		pktSize  = fs.Int("packet", 1000, "packet size in bytes for -trial 0")
-		duration = fs.Float64("duration", 0, "override simulated seconds (0 = paper default)")
-		seed     = fs.Uint64("seed", 0, "override RNG seed (0 = default)")
-		csvFig   = fs.String("csv", "", "print one figure as CSV (Fig5..Fig15)")
-		asciiFig = fs.String("ascii", "", "print one figure as an ASCII plot (Fig5..Fig15)")
-		animate  = fs.Bool("anim", false, "play an ASCII animation of vehicle motion (nam's role)")
-		dense    = fs.Int("dense", 0, "run the dense multi-lane highway with this many vehicles (200–2000 typical) instead of a paper trial")
-		lanes    = fs.Int("lanes", 4, "lane count for -dense")
-		platoon  = fs.Int("platoon-len", 10, "vehicles per platoon for -dense")
-		beaconFr = fs.Float64("beacon-frac", 0.25, "fraction of vehicles sourcing beacon traffic for -dense")
-		beaconJt = fs.Float64("beacon-jitter", 0, "per-vehicle beacon-interval jitter fraction in [0,1) for -dense (0 = lockstep intervals)")
-		safDepth = fs.Int("safety-depth", 0, "followers per platoon on the lead's safety stream for -dense (0 = all)")
-		loss     = fs.Float64("loss", 0, "independent per-frame loss probability")
-		ber      = fs.Float64("ber", 0, "independent per-bit error rate")
-		burstP   = fs.Float64("burst-loss", 0, "stationary loss probability of the bursty (Gilbert–Elliott) model")
-		burstLen = fs.Float64("burst-len", 4, "mean burst length in frames for -burst-loss (finite, at least 1)")
-		shadow   = fs.Float64("shadow", 0, "log-normal shadowing standard deviation in dB")
-		outages  outageList
-		o        outputs
-	)
-	fs.Var(&outages, "outage", "radio outage as node:start:duration seconds (repeatable)")
-	fs.StringVar(&o.trace, "trace", "", "write an agent-level trace file to this path")
-	fs.BoolVar(&o.stats, "stats", false, "print the cross-layer telemetry summary after the run")
-	fs.BoolVar(&o.check, "check", false, "arm the runtime invariant checker; non-zero exit on any violation")
-	fs.StringVar(&o.spans, "spans", "", "write causal per-packet span events as NDJSON to this path")
-	fs.StringVar(&o.spansChrome, "spans-chrome", "", "write span events as Chrome trace-event JSON to this path")
-	fs.StringVar(&o.statsJSON, "stats-json", "", "write run telemetry as NDJSON to this path")
-	fs.StringVar(&o.statsProm, "stats-prom", "", "write run telemetry in Prometheus text format to this path")
-	if err := fs.Parse(args); err != nil {
+	cl, err := parse(args)
+	if err != nil {
 		return err
 	}
-	if d := *duration; math.IsNaN(d) || math.IsInf(d, 0) || d < 0 {
-		return fmt.Errorf("invalid -duration %v: want finite seconds >= 0 (0 = paper default)", d)
-	}
-	if *dense < 0 {
-		return fmt.Errorf("invalid -dense %d: want a vehicle count (0 = run a paper trial)", *dense)
-	}
-	if *dense > 0 {
-		if set := cliflag.Set(fs, denseRejects...); len(set) > 0 {
-			return fmt.Errorf("-dense does not take %s", strings.Join(set, ", "))
-		}
-	} else {
-		if set := cliflag.Set(fs, denseOnly...); len(set) > 0 {
-			return fmt.Errorf("%s: only valid with -dense", strings.Join(set, ", "))
-		}
-		if *trial >= 1 && *trial <= 3 {
-			if set := cliflag.Set(fs, customOnly...); len(set) > 0 {
-				return fmt.Errorf("-trial %d does not take %s: -packet and -mac configure -trial 0", *trial, strings.Join(set, ", "))
-			}
-		}
-		if *trial == 0 && *pktSize <= 0 {
-			return fmt.Errorf("invalid -packet %d: want a positive size in bytes", *pktSize)
-		}
-	}
-	stopProf, err := prof.Start(*cpuProf, *memProf)
+	stopProf, err := prof.Start(cl.cpuProf, cl.memProf)
 	if err != nil {
 		return err
 	}
@@ -116,95 +65,40 @@ func run(args []string, out io.Writer) (err error) {
 		}
 	}()
 
-	if *dense > 0 {
-		mac, err := vanetsim.ParseMAC(*macName)
-		if err != nil {
-			return err
-		}
-		dcfg := vanetsim.DefaultDenseHighway(mac, *dense)
-		dcfg.Lanes = *lanes
-		dcfg.PlatoonLen = *platoon
-		dcfg.BeaconFraction = *beaconFr
-		dcfg.BeaconJitter = *beaconJt
-		dcfg.SafetyDepth = *safDepth
-		dcfg.Telemetry = o.telemetry()
-		dcfg.Check = o.check
-		dcfg.Spans = o.spanned()
-		if *duration > 0 {
-			dcfg.Duration = vanetsim.Seconds(*duration)
-		}
-		if *seed != 0 {
-			dcfg.Seed = *seed
-		}
-		return runDense(dcfg, o, out)
+	// Only the canon:"-" knobs, which cannot change result bytes, are set
+	// past canonicalisation.
+	o := cl.o
+	if cl.c.Kind == canon.KindDense {
+		cfg := cl.c.Dense
+		cfg.Spans = o.spanned()
+		return runDense(cfg, o, out)
 	}
-
-	var cfg vanetsim.TrialConfig
-	switch *trial {
-	case 1:
-		cfg = vanetsim.Trial1()
-	case 2:
-		cfg = vanetsim.Trial2()
-	case 3:
-		cfg = vanetsim.Trial3()
-	case 0:
-		cfg = vanetsim.Trial1()
-		cfg.Name = "custom"
-		cfg.PacketSize = *pktSize
-		if cfg.MAC, err = vanetsim.ParseMAC(*macName); err != nil {
-			return err
-		}
-	default:
-		return fmt.Errorf("unknown trial %d", *trial)
-	}
-	if *duration > 0 {
-		cfg.Duration = vanetsim.Seconds(*duration)
-	}
-	if *seed != 0 {
-		cfg.Seed = *seed
-	}
+	cfg := cl.c.Trial
 	cfg.CollectTrace = o.trace != ""
-	cfg.Telemetry = o.telemetry()
-	cfg.Check = o.check
 	cfg.Spans = o.spanned()
-	if *burstP < 0 || *burstP > 1 {
-		return fmt.Errorf("-burst-loss %v outside [0, 1]", *burstP)
-	}
-	if *burstP > 0 && !(*burstLen >= 1 && !math.IsInf(*burstLen, 1)) {
-		return fmt.Errorf("-burst-len %v: want a finite mean burst length of at least 1 frame", *burstLen)
-	}
-	cfg.Faults = vanetsim.FaultPlan{
-		Bernoulli:     vanetsim.FaultBernoulli{LossProb: *loss, BitErrorRate: *ber},
-		Burst:         vanetsim.BurstFault(*burstP, *burstLen),
-		ShadowSigmaDB: *shadow,
-		Outages:       outages,
-	}
-	if err := cfg.Faults.Validate(); err != nil {
-		return err
-	}
-	if *animate {
+	if cl.animate {
 		cfg.AnimInterval = 2 // seconds per frame
 	}
 
 	r := vanetsim.RunTrial(cfg)
 	return o.emit(&r.Observations, cfg.Name, out, func() error {
-		if *csvFig != "" {
-			f, err := figureByName(r, *csvFig)
+		if cl.csvFig != "" {
+			f, err := figureByName(r, cl.csvFig)
 			if err != nil {
 				return err
 			}
 			fmt.Fprint(out, f.CSV())
 			return nil
 		}
-		if *asciiFig != "" {
-			f, err := figureByName(r, *asciiFig)
+		if cl.asciiFig != "" {
+			f, err := figureByName(r, cl.asciiFig)
 			if err != nil {
 				return err
 			}
 			fmt.Fprint(out, f.ASCII(70, 16))
 			return nil
 		}
-		if *animate && r.Anim != nil {
+		if cl.animate && r.Anim != nil {
 			vp := r.Anim.AutoViewport(30)
 			if err := r.Anim.Play(out, vp, 72, 18, 2); err != nil {
 				return err
@@ -222,6 +116,120 @@ func run(args []string, out io.Writer) (err error) {
 		fmt.Fprint(out, vanetsim.FormatStoppingTable(vanetsim.StoppingTable(r)))
 		return nil
 	})
+}
+
+// cmdline is a parsed command line: the canonical run and what the
+// command does around it.
+type cmdline struct {
+	c                *canon.Canonical
+	o                outputs
+	cpuProf, memProf string
+	csvFig, asciiFig string
+	animate          bool
+}
+
+// parse turns a command line into a canonical run. Every error comes
+// before anything runs.
+func parse(args []string) (*cmdline, error) {
+	def := vanetsim.DefaultDenseHighway(vanetsim.MACTDMA, 0)
+	fs := flag.NewFlagSet("vanetsim", flag.ContinueOnError)
+	var (
+		cl       cmdline
+		trial    = fs.Int("trial", 1, "paper trial to run (1, 2 or 3); 0 to build from -mac/-packet")
+		macName  = fs.String("mac", "tdma", "MAC type for -trial 0 and -dense: tdma or 802.11")
+		pktSize  = fs.Int("packet", 1000, "packet size in bytes for -trial 0")
+		duration = fs.Float64("duration", 0, "override simulated seconds (0 = paper default)")
+		seed     = fs.Uint64("seed", 0, "override RNG seed (0 = default)")
+		dense    = fs.Int("dense", 0, "run the dense multi-lane highway with this many vehicles (200–2000 typical) instead of a paper trial")
+		lanes    = fs.Int("lanes", def.Lanes, "lane count for -dense")
+		platoon  = fs.Int("platoon-len", def.PlatoonLen, "vehicles per platoon for -dense")
+		beaconFr = fs.Float64("beacon-frac", def.BeaconFraction, "fraction of vehicles sourcing beacon traffic for -dense")
+		beaconJt = fs.Float64("beacon-jitter", 0, "per-vehicle beacon-interval jitter fraction in [0,1) for -dense (0 = lockstep intervals)")
+		safDepth = fs.Int("safety-depth", 0, "followers per platoon on the lead's safety stream for -dense (0 = all)")
+		loss     = fs.Float64("loss", 0, "independent per-frame loss probability")
+		ber      = fs.Float64("ber", 0, "independent per-bit error rate")
+		burstP   = fs.Float64("burst-loss", 0, "stationary loss probability of the bursty (Gilbert–Elliott) model")
+		burstLen = fs.Float64("burst-len", 4, "mean burst length in frames for -burst-loss (finite, at least 1)")
+		shadow   = fs.Float64("shadow", 0, "log-normal shadowing standard deviation in dB")
+		outages  outageList
+	)
+	fs.StringVar(&cl.cpuProf, "cpuprofile", "", "write a CPU profile to this path")
+	fs.StringVar(&cl.memProf, "memprofile", "", "write an allocation profile to this path")
+	fs.StringVar(&cl.csvFig, "csv", "", "print one figure as CSV (Fig5..Fig15)")
+	fs.StringVar(&cl.asciiFig, "ascii", "", "print one figure as an ASCII plot (Fig5..Fig15)")
+	fs.BoolVar(&cl.animate, "anim", false, "play an ASCII animation of vehicle motion (nam's role)")
+	fs.Var(&outages, "outage", "radio outage as node:start:duration seconds (repeatable)")
+	o := &cl.o
+	fs.StringVar(&o.trace, "trace", "", "write an agent-level trace file to this path")
+	fs.BoolVar(&o.stats, "stats", false, "print the cross-layer telemetry summary after the run")
+	fs.BoolVar(&o.check, "check", false, "arm the runtime invariant checker; non-zero exit on any violation")
+	fs.StringVar(&o.spans, "spans", "", "write causal per-packet span events as NDJSON to this path")
+	fs.StringVar(&o.spansChrome, "spans-chrome", "", "write span events as Chrome trace-event JSON to this path")
+	fs.StringVar(&o.statsJSON, "stats-json", "", "write run telemetry as NDJSON to this path")
+	fs.StringVar(&o.statsProm, "stats-prom", "", "write run telemetry in Prometheus text format to this path")
+	if err := fs.Parse(args); err != nil {
+		return nil, err
+	}
+	var req canon.Request
+	if *dense != 0 {
+		if set := cliflag.Set(fs, denseRejects...); len(set) > 0 {
+			return nil, fmt.Errorf("-dense does not take %s", strings.Join(set, ", "))
+		}
+		req = canon.Request{Kind: canon.KindDense, Dense: &canon.DenseRequest{
+			Vehicles:     *dense,
+			MAC:          *macName,
+			Lanes:        *lanes,
+			PlatoonLen:   *platoon,
+			BeaconJitter: *beaconJt,
+			SafetyDepth:  *safDepth,
+			DurationS:    *duration,
+			Seed:         *seed,
+			Telemetry:    o.telemetry(),
+			Check:        o.check,
+		}}
+		// An explicit fraction, even 0, differs from the default.
+		if len(cliflag.Set(fs, "beacon-frac")) > 0 {
+			req.Dense.BeaconFraction = beaconFr
+		}
+	} else {
+		if set := cliflag.Set(fs, denseOnly...); len(set) > 0 {
+			return nil, fmt.Errorf("%s: only valid with -dense", strings.Join(set, ", "))
+		}
+		if *trial >= 1 && *trial <= 3 {
+			if set := cliflag.Set(fs, customOnly...); len(set) > 0 {
+				return nil, fmt.Errorf("-trial %d does not take %s: -packet and -mac configure -trial 0", *trial, strings.Join(set, ", "))
+			}
+		}
+		req = canon.Request{Kind: canon.KindTrial, Trial: &canon.TrialRequest{
+			Trial:     *trial,
+			DurationS: *duration,
+			Seed:      *seed,
+			Faults: &canon.FaultRequest{
+				Loss: *loss, BER: *ber, BurstLoss: *burstP, BurstLen: *burstLen, ShadowDB: *shadow, Outages: outages,
+			},
+			Telemetry: o.telemetry(),
+			Check:     o.check,
+		}}
+		if *trial == 0 {
+			req.Trial.MAC, req.Trial.Packet = *macName, *pktSize
+		}
+	}
+	// In a canon request 0 means "the default". These flags never default
+	// to 0, so a 0 was typed and is refused rather than replaced.
+	for _, f := range []struct {
+		name string
+		zero bool
+	}{{"packet", *pktSize == 0}, {"lanes", *lanes == 0}, {"platoon-len", *platoon == 0}, {"burst-len", *burstLen == 0}} {
+		if f.zero {
+			return nil, fmt.Errorf("-%s 0: want a positive value", f.name)
+		}
+	}
+	var err error
+	cl.c, err = canon.Canonicalize(req)
+	if err != nil {
+		return nil, err
+	}
+	return &cl, nil
 }
 
 // denseRejects names the flags that configure a paper trial only; -dense
@@ -332,12 +340,12 @@ func (o outputs) emit(obs *vanetsim.Observations, label string, out io.Writer, b
 }
 
 // outageList collects repeated -outage flags.
-type outageList []vanetsim.FaultOutage
+type outageList []canon.OutageRequest
 
 func (l *outageList) String() string {
 	var parts []string
 	for _, o := range *l {
-		parts = append(parts, fmt.Sprintf("%v:%g:%g", o.Node, float64(o.Start), float64(o.Duration)))
+		parts = append(parts, fmt.Sprintf("%d:%g:%g", o.Node, o.StartS, o.DurationS))
 	}
 	return strings.Join(parts, ",")
 }
@@ -347,7 +355,7 @@ func (l *outageList) Set(s string) error {
 	if err != nil {
 		return err
 	}
-	*l = append(*l, o)
+	*l = append(*l, canon.OutageRequest{Node: int(o.Node), StartS: float64(o.Start), DurationS: float64(o.Duration)})
 	return nil
 }
 

@@ -1,10 +1,17 @@
 package main
 
 import (
+	"bytes"
+	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"vanetsim"
+	"vanetsim/internal/scenario"
+	"vanetsim/internal/service/canon"
 )
 
 func TestRunTrialTables(t *testing.T) {
@@ -214,5 +221,148 @@ func TestRunDense(t *testing.T) {
 	}
 	if data, err := os.ReadFile(path); err != nil || len(data) == 0 {
 		t.Fatalf("dense span file empty or unreadable (err %v)", err)
+	}
+}
+
+// TestFrontDoorAgrees: the command line and the service's JSON request
+// go through one canon.Canonicalize, so each flag list and the request
+// it spells either both fail or both succeed with one canon.Hash. The
+// request side is built in Go because JSON cannot carry NaN or Inf.
+func TestFrontDoorAgrees(t *testing.T) {
+	f := func(v float64) *float64 { return &v }
+	trial := func(tr canon.TrialRequest) canon.Request { return canon.Request{Kind: canon.KindTrial, Trial: &tr} }
+	faults := func(fr canon.FaultRequest) canon.Request {
+		return trial(canon.TrialRequest{Trial: 1, DurationS: 40, Faults: &fr})
+	}
+	outages := func(os ...canon.OutageRequest) canon.Request { return faults(canon.FaultRequest{Outages: os}) }
+	dense := func(dr canon.DenseRequest) canon.Request { return canon.Request{Kind: canon.KindDense, Dense: &dr} }
+	inf := math.Inf(1)
+	for _, c := range []struct {
+		args []string
+		req  canon.Request
+	}{
+		// Disagreements the command line once had with the service.
+		{[]string{"-dense", "10", "-beacon-frac", "NaN"}, dense(canon.DenseRequest{Vehicles: 10, BeaconFraction: f(math.NaN())})},
+		{[]string{"-dense", "10", "-safety-depth", "-1"}, dense(canon.DenseRequest{Vehicles: 10, SafetyDepth: -1})},
+		{[]string{"-duration", "40", "-shadow", "Inf"}, faults(canon.FaultRequest{ShadowDB: inf})},
+		{[]string{"-duration", "40", "-outage", "1:-5:3"}, outages(canon.OutageRequest{Node: 1, StartS: -5, DurationS: 3})},
+		{[]string{"-duration", "40", "-outage", "1:5:0"}, outages(canon.OutageRequest{Node: 1, StartS: 5})},
+		{[]string{"-duration", "40", "-outage", "1:10:5", "-outage", "1:15:5"},
+			outages(canon.OutageRequest{Node: 1, StartS: 10, DurationS: 5}, canon.OutageRequest{Node: 1, StartS: 15, DurationS: 5})},
+		{[]string{"-duration", "40", "-outage", "1:15:5", "-outage", "1:10:5"},
+			outages(canon.OutageRequest{Node: 1, StartS: 15, DurationS: 5}, canon.OutageRequest{Node: 1, StartS: 10, DurationS: 5})},
+		{[]string{"-duration", "40", "-outage", "1:10:10", "-outage", "1:12:3"},
+			outages(canon.OutageRequest{Node: 1, StartS: 10, DurationS: 10}, canon.OutageRequest{Node: 1, StartS: 12, DurationS: 3})},
+		{[]string{"-duration", "40", "-outage", "-1:5:3"}, outages(canon.OutageRequest{Node: -1, StartS: 5, DurationS: 3})},
+		// TestRunErrors' burst rows, bar the typed 0 the wire cannot spell.
+		{[]string{"-duration", "40", "-burst-loss", "0.1", "-burst-len", "0.5"}, faults(canon.FaultRequest{BurstLoss: 0.1, BurstLen: 0.5})},
+		{[]string{"-duration", "40", "-burst-loss", "0.1", "-burst-len", "-2"}, faults(canon.FaultRequest{BurstLoss: 0.1, BurstLen: -2})},
+		{[]string{"-duration", "40", "-burst-loss", "0.1", "-burst-len", "NaN"}, faults(canon.FaultRequest{BurstLoss: 0.1, BurstLen: math.NaN()})},
+		{[]string{"-duration", "40", "-burst-loss", "0.1", "-burst-len", "Inf"}, faults(canon.FaultRequest{BurstLoss: 0.1, BurstLen: inf})},
+		{[]string{"-duration", "40", "-burst-loss", "0.1", "-burst-len", "-Inf"}, faults(canon.FaultRequest{BurstLoss: 0.1, BurstLen: -inf})},
+		{[]string{"-burst-loss", "-0.1"}, trial(canon.TrialRequest{Trial: 1, Faults: &canon.FaultRequest{BurstLoss: -0.1}})},
+		{[]string{"-loss", "1.5"}, trial(canon.TrialRequest{Trial: 1, Faults: &canon.FaultRequest{Loss: 1.5}})},
+		// Run shapes and their limits.
+		{[]string{"-dense", "1"}, dense(canon.DenseRequest{Vehicles: 1})},
+		{[]string{"-dense", "-3"}, dense(canon.DenseRequest{Vehicles: -3})},
+		{[]string{"-dense", "48", "-beacon-jitter", "1"}, dense(canon.DenseRequest{Vehicles: 48, BeaconJitter: 1})},
+		{[]string{"-dense", "48", "-duration", "inf"}, dense(canon.DenseRequest{Vehicles: 48, DurationS: inf})},
+		{[]string{"-duration", "NaN"}, trial(canon.TrialRequest{Trial: 1, DurationS: math.NaN()})},
+		{[]string{"-duration", "-5"}, trial(canon.TrialRequest{Trial: 1, DurationS: -5})},
+		{[]string{"-trial", "9"}, trial(canon.TrialRequest{Trial: 9})},
+		{[]string{"-trial", "0", "-packet", "-5"}, trial(canon.TrialRequest{Packet: -5})},
+		{[]string{"-trial", "0"}, trial(canon.TrialRequest{})},
+		{[]string{"-trial", "0", "-packet", "500"}, trial(canon.TrialRequest{Packet: 500})},
+		{[]string{"-trial", "0", "-mac", "802.11", "-packet", "500", "-seed", "7"}, trial(canon.TrialRequest{MAC: "dcf", Packet: 500, Seed: 7})},
+		{[]string{"-trial", "3", "-stats", "-check"}, trial(canon.TrialRequest{Trial: 3, Telemetry: true, Check: true})},
+		{[]string{"-dense", "48"}, dense(canon.DenseRequest{Vehicles: 48})},
+		{[]string{"-dense", "48", "-beacon-frac", "0"}, dense(canon.DenseRequest{Vehicles: 48, BeaconFraction: f(0)})},
+		{[]string{"-dense", "48", "-beacon-frac", "0.25"}, dense(canon.DenseRequest{Vehicles: 48})},
+		{[]string{"-dense", "48", "-mac", "802.11", "-lanes", "3", "-platoon-len", "5", "-beacon-jitter", "0.1", "-safety-depth", "2", "-duration", "8", "-stats"},
+			dense(canon.DenseRequest{Vehicles: 48, MAC: "802.11", Lanes: 3, PlatoonLen: 5, BeaconJitter: 0.1, SafetyDepth: 2, DurationS: 8, Telemetry: true})},
+		// One accepted case per fault field.
+		{[]string{"-duration", "40"}, trial(canon.TrialRequest{Trial: 1, DurationS: 40})},
+		{[]string{"-duration", "40", "-loss", "0.05"}, faults(canon.FaultRequest{Loss: 0.05})},
+		{[]string{"-duration", "40", "-ber", "1e-6"}, faults(canon.FaultRequest{BER: 1e-6})},
+		{[]string{"-duration", "40", "-burst-loss", "0.1"}, faults(canon.FaultRequest{BurstLoss: 0.1})},
+		{[]string{"-duration", "40", "-burst-loss", "0.1", "-burst-len", "2"}, faults(canon.FaultRequest{BurstLoss: 0.1, BurstLen: 2})},
+		{[]string{"-duration", "40", "-shadow", "4"}, faults(canon.FaultRequest{ShadowDB: 4})},
+		{[]string{"-duration", "40", "-outage", "4:10:3", "-outage", "1:22:5"},
+			outages(canon.OutageRequest{Node: 1, StartS: 22, DurationS: 5}, canon.OutageRequest{Node: 4, StartS: 10, DurationS: 3})},
+	} {
+		cl, cliErr := parse(c.args)
+		want, reqErr := canon.Canonicalize(c.req)
+		switch {
+		case (cliErr == nil) != (reqErr == nil):
+			t.Errorf("%v: command line error %v, request error %v", c.args, cliErr, reqErr)
+		case cliErr == nil && cl.c.Hash() != want.Hash():
+			t.Errorf("%v: command line and request hash apart:\n%s\n%s", c.args, cl.c.AppendBinary(nil), want.AppendBinary(nil))
+		}
+	}
+	// A typed 0 for a flag that never defaults to 0 is refused, although
+	// the wire reads the same 0 as "the default".
+	for _, args := range [][]string{
+		{"-trial", "0", "-packet", "0"},
+		{"-duration", "40", "-burst-loss", "0.1", "-burst-len", "0"},
+		{"-dense", "48", "-lanes", "0"},
+		{"-dense", "48", "-platoon-len", "0"},
+	} {
+		if _, err := parse(args); err == nil {
+			t.Errorf("%v accepted", args)
+		}
+	}
+}
+
+// TestOutageWindowsSound: two windows on one node that touch or overlap
+// are refused at every door, and an accepted plan runs the same whatever
+// the order of its -outage flags.
+func TestOutageWindowsSound(t *testing.T) {
+	for _, pair := range [][2]string{{"1:10:5", "1:15:5"}, {"1:10:10", "1:12:3"}} {
+		if err := run([]string{"-duration", "40", "-outage", pair[0], "-outage", pair[1]}, io.Discard); err == nil {
+			t.Errorf("vanetsim accepted outages %v", pair)
+		}
+		var stack = scenario.DefaultStackConfig(scenario.MACTDMA)
+		for _, s := range pair {
+			o, err := vanetsim.ParseFaultOutage(s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			stack.Faults.Outages = append(stack.Faults.Outages, o)
+		}
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("NewWorld accepted outages %v", pair)
+				}
+			}()
+			scenario.NewWorld(stack, 1)
+		}()
+	}
+
+	// These windows' lengths round differently when summed in another
+	// order, so the outage_seconds gauge would see the flag order if the
+	// plan kept it.
+	ndjson := func(outages ...string) []byte {
+		path := filepath.Join(t.TempDir(), "m.ndjson")
+		args := []string{"-duration", "30", "-stats-json", path}
+		for _, o := range outages {
+			args = append(args, "-outage", o)
+		}
+		if err := run(args, io.Discard); err != nil {
+			t.Fatal(err)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	a := ndjson("1:0:0.1", "4:0:0.1", "1:3:0.1", "4:12:1.3")
+	b := ndjson("4:12:1.3", "1:3:0.1", "4:0:0.1", "1:0:0.1")
+	if !bytes.Contains(a, []byte("fault/outage_seconds")) {
+		t.Fatal("outage telemetry missing")
+	}
+	if !bytes.Equal(a, b) {
+		t.Fatalf("flag order changed the run's telemetry:\n%s\n---\n%s", a, b)
 	}
 }

@@ -34,15 +34,13 @@ func BurstFault(lossProb, meanBurstLen float64) FaultGilbertElliott {
 }
 
 // ParseFaultOutage parses the CLI outage syntax "node:start:duration"
-// (node ID, then seconds) shared by cmd/vanetsim and cmd/eblsweep.
+// (node ID, then seconds) shared by cmd/vanetsim and cmd/eblsweep. It
+// checks syntax only; FaultPlan.Validate judges the window.
 func ParseFaultOutage(s string) (FaultOutage, error) {
 	var node int
 	var start, dur float64
 	if n, err := fmt.Sscanf(s, "%d:%g:%g", &node, &start, &dur); n != 3 || err != nil {
 		return FaultOutage{}, fmt.Errorf("bad outage %q (want node:start:duration, e.g. 1:22:5)", s)
-	}
-	if node < 0 || dur < 0 {
-		return FaultOutage{}, fmt.Errorf("bad outage %q: negative node or duration", s)
 	}
 	return FaultOutage{Node: packet.NodeID(node), Start: Seconds(start), Duration: Seconds(dur)}, nil
 }
@@ -61,8 +59,8 @@ type DegradationConfig struct {
 	BurstLen float64
 	// ShadowSigmaDB adds log-normal shadowing at every point (0 = off).
 	ShadowSigmaDB float64
-	// Outage, when Duration > 0, is applied verbatim at every point so the
-	// sweep degrades an already-impaired network.
+	// Outage, unless it is the zero value, is applied verbatim at every
+	// point so the sweep degrades an already-impaired network.
 	Outage FaultOutage
 	// Jobs bounds concurrent runs (<= 0 = one per CPU). Results are
 	// reduced in sweep order, so output is identical at every width.
@@ -88,19 +86,21 @@ func DefaultDegradation(mac MACType) DegradationConfig {
 	}
 }
 
-// plan builds one sweep point's impairment recipe.
-func (c DegradationConfig) plan(lossProb float64) FaultPlan {
-	p := FaultPlan{ShadowSigmaDB: c.ShadowSigmaDB}
+// point returns the trial one sweep point runs: the base with telemetry on
+// and the point's impairment recipe.
+func (c DegradationConfig) point(lossProb float64) TrialConfig {
+	tc := c.Base
+	tc.Telemetry = true
+	tc.Faults = FaultPlan{ShadowSigmaDB: c.ShadowSigmaDB}
 	if c.BurstLen <= 1 {
-		p.Bernoulli = fault.Bernoulli{LossProb: lossProb}
+		tc.Faults.Bernoulli = fault.Bernoulli{LossProb: lossProb}
 	} else {
-		// A NaN burst length lands here and fails FaultPlan.Validate.
-		p.Burst = fault.Burst(lossProb, c.BurstLen)
+		tc.Faults.Burst = fault.Burst(lossProb, c.BurstLen)
 	}
-	if c.Outage.Duration > 0 {
-		p.Outages = []FaultOutage{c.Outage}
+	if c.Outage != (FaultOutage{}) {
+		tc.Faults.Outages = []FaultOutage{c.Outage}
 	}
-	return p
+	return tc
 }
 
 // DegradationPoint is one loss-rate step's measured outcome.
@@ -128,32 +128,36 @@ type DegradationPoint struct {
 	Violations int
 }
 
-// RunDegradation executes the sweep and returns one point per loss rate,
-// in order. The whole grid is validated before anything runs: every loss
-// rate must lie in [0, 1] and every point's plan must pass
-// FaultPlan.Validate.
-func RunDegradation(cfg DegradationConfig) ([]DegradationPoint, error) {
-	plans := make([]FaultPlan, len(cfg.LossProbs))
-	for i, p := range cfg.LossProbs {
-		if !(p >= 0 && p <= 1) {
-			return nil, fmt.Errorf("vanetsim: degradation loss rate %v outside [0, 1]", p)
-		}
-		plans[i] = cfg.plan(p)
-		if err := plans[i].Validate(); err != nil {
-			return nil, fmt.Errorf("vanetsim: degradation point %d (loss %v): %w", i, p, err)
+// Validate reports whether the sweep can run, before anything does: a
+// finite non-negative burst length, and every point's trial passing
+// TrialConfig.Validate, which judges the base, the loss rate, the
+// shadowing and the outage.
+func (c DegradationConfig) Validate() error {
+	if !(c.BurstLen >= 0 && c.BurstLen < math.Inf(1)) {
+		return fmt.Errorf("vanetsim: degradation burst length %v: want finite and >= 0", c.BurstLen)
+	}
+	for i, p := range c.LossProbs {
+		if err := c.point(p).Validate(); err != nil {
+			return fmt.Errorf("vanetsim: degradation point %d (loss %v): %w", i, p, err)
 		}
 	}
-	if len(plans) == 0 {
+	return nil
+}
+
+// RunDegradation executes the sweep and returns one point per loss rate,
+// in order. It returns cfg.Validate's error without running anything.
+func RunDegradation(cfg DegradationConfig) ([]DegradationPoint, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	if len(cfg.LossProbs) == 0 {
 		return nil, nil
 	}
 	model := DefaultBrakingModel()
-	points := make([]DegradationPoint, len(plans))
-	err := runner.Each(runner.Pool{Workers: cfg.Jobs}, len(plans),
+	points := make([]DegradationPoint, len(cfg.LossProbs))
+	err := runner.Each(runner.Pool{Workers: cfg.Jobs}, len(cfg.LossProbs),
 		func(i int) (*TrialResult, error) {
-			tc := cfg.Base
-			tc.Telemetry = true
-			tc.Faults = plans[i]
-			return RunTrial(tc), nil
+			return RunTrial(cfg.point(cfg.LossProbs[i])), nil
 		},
 		func(i int, r *TrialResult) error {
 			points[i] = degradationPoint(cfg.Base, cfg.LossProbs[i], model, r)

@@ -71,10 +71,11 @@ func TestDistanceScalingPreservesDelivery(t *testing.T) {
 
 // TestNullFaultPlanIsIdentity pins the second relation: a fault plan
 // with every knob at its no-effect value (loss probability 0, a burst
-// chain built for 0 stationary loss, a zero-duration outage) must
-// produce byte-identical traces and telemetry to no plan at all. This
-// is the fault layer's "zero effect when off" contract, checked through
-// the renderers rather than trusted at the gate.
+// chain built for 0 stationary loss, no outage) must produce
+// byte-identical traces and telemetry to no plan at all. This is the
+// fault layer's "zero effect when off" contract, checked through the
+// renderers rather than trusted at the gate. A zero-duration outage is
+// no knob value at all: Plan.Validate rejects it.
 func TestNullFaultPlanIsIdentity(t *testing.T) {
 	run := func(plan fault.Plan) (traceBytes, ndjson []byte) {
 		cfg := vanetsim.Trial1()
@@ -100,7 +101,9 @@ func TestNullFaultPlanIsIdentity(t *testing.T) {
 	nullPlan := fault.Plan{
 		Bernoulli: fault.Bernoulli{LossProb: 0, BitErrorRate: 0},
 		Burst:     fault.Burst(0, 4),
-		Outages:   []fault.Outage{{Node: 1, Start: 5, Duration: 0}},
+	}
+	if err := (fault.Plan{Outages: []fault.Outage{{Node: 1, Start: 5, Duration: 0}}}).Validate(); err == nil {
+		t.Error("Plan.Validate accepted a zero-duration outage")
 	}
 	nullTrace, nullTel := run(nullPlan)
 	if !bytes.Equal(baseTrace, nullTrace) {

@@ -97,17 +97,18 @@ func (g GilbertElliott) StationaryLossProb() float64 {
 // loss probability and mean bad-burst length in frames, using the classic
 // parameterisation (no loss in good, total loss in bad). It is the
 // convenient entry point for the loss-probability × burst-length sweep axes.
+// It repairs nothing: a loss probability outside [0, 1], or a mean burst
+// length that is not finite and at least one frame, yields a model that
+// Plan.Validate rejects. Total loss (lossProb 1) is the absorbing all-bad
+// chain, whatever the burst length.
 func Burst(lossProb, meanBurstLen float64) GilbertElliott {
-	if lossProb <= 0 {
+	if lossProb == 0 {
 		return GilbertElliott{}
 	}
-	if meanBurstLen < 1 {
-		meanBurstLen = 1
-	}
-	pBG := 1 / meanBurstLen
-	if lossProb >= 1 {
+	if lossProb == 1 {
 		return GilbertElliott{PGoodBad: 1, PBadGood: 0, LossBad: 1}
 	}
+	pBG := 1 / meanBurstLen
 	pGB := lossProb * pBG / (1 - lossProb)
 	if pGB > 1 {
 		pGB = 1
@@ -122,12 +123,11 @@ func Burst(lossProb, meanBurstLen float64) GilbertElliott {
 // retransmission, not a cold boot.
 type Outage struct {
 	Node packet.NodeID
-	// Start is the absolute simulated time the radio goes down (clamped
-	// to 0 if negative).
+	// Start is the absolute simulated time the radio goes down (>= 0).
 	Start sim.Time
-	// Duration is how long the radio stays down. A non-positive duration is
-	// a no-op outage; a window extending past the end of the run simply
-	// never recovers (the trial ends mid-outage).
+	// Duration is how long the radio stays down (> 0). A window extending
+	// past the end of the run simply never recovers (the trial ends
+	// mid-outage).
 	Duration sim.Time
 }
 
@@ -166,15 +166,15 @@ func (p Plan) Enabled() bool {
 	return false
 }
 
-// Validate checks every probability and window for sanity.
+// Validate is the one home of the fault rules: every probability in
+// [0, 1], a burst model's mean burst length finite and at least one frame,
+// a finite non-negative shadowing sigma, and outages with a node ID >= 0, a
+// finite start >= 0 and a finite duration > 0. Two windows on one node may
+// neither overlap nor touch: the radio's down and up edges would then share
+// a timestamp or nest, and the outcome would hang on the plan's order. It
+// allocates nothing on success.
 func (p Plan) Validate() error {
-	inUnit := func(name string, v float64) error {
-		if v < 0 || v > 1 || math.IsNaN(v) {
-			return fmt.Errorf("fault: %s = %v outside [0, 1]", name, v)
-		}
-		return nil
-	}
-	checks := []struct {
+	checks := [...]struct {
 		name string
 		v    float64
 	}{
@@ -185,17 +185,29 @@ func (p Plan) Validate() error {
 		{"Burst.LossGood", p.Burst.LossGood},
 		{"Burst.LossBad", p.Burst.LossBad},
 	}
+	// A bad state that loses frames needs bursts that end after at least
+	// one frame. The absorbing all-bad chain (total loss) is the exception.
+	if g := p.Burst; g.LossBad > 0 && !(g.PBadGood > 0 && g.PBadGood <= 1) && !(g.PGoodBad == 1 && g.PBadGood == 0) {
+		return fmt.Errorf("fault: Burst mean burst length %v frames: want finite and at least 1", 1/g.PBadGood)
+	}
 	for _, c := range checks {
-		if err := inUnit(c.name, c.v); err != nil {
-			return err
+		if !(c.v >= 0 && c.v <= 1) {
+			return fmt.Errorf("fault: %s = %v outside [0, 1]", c.name, c.v)
 		}
 	}
-	if p.ShadowSigmaDB < 0 || math.IsNaN(p.ShadowSigmaDB) {
-		return fmt.Errorf("fault: ShadowSigmaDB = %v is negative", p.ShadowSigmaDB)
+	if s := p.ShadowSigmaDB; !(s >= 0 && s < math.Inf(1)) {
+		return fmt.Errorf("fault: ShadowSigmaDB = %v: want finite and >= 0", s)
 	}
 	for i, o := range p.Outages {
-		if math.IsNaN(float64(o.Start)) || math.IsNaN(float64(o.Duration)) {
-			return fmt.Errorf("fault: outage %d has NaN window", i)
+		inf := sim.Time(math.Inf(1))
+		if o.Node < 0 || !(o.Start >= 0 && o.Start < inf) || !(o.Duration > 0 && o.Duration < inf) {
+			return fmt.Errorf("fault: outage %d (node %v, start %v s, duration %v s): want node >= 0, finite start >= 0 and finite duration > 0",
+				i, o.Node, float64(o.Start), float64(o.Duration))
+		}
+		for j, q := range p.Outages[:i] {
+			if q.Node == o.Node && q.Start <= o.Start+o.Duration && o.Start <= q.Start+q.Duration {
+				return fmt.Errorf("fault: outages %d and %d on node %v overlap or touch: merge them into one window", j, i, o.Node)
+			}
 		}
 	}
 	return nil

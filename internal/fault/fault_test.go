@@ -2,6 +2,7 @@ package fault
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"vanetsim/internal/packet"
@@ -94,10 +95,17 @@ func TestBurstParameterisationEdges(t *testing.T) {
 	if g.StationaryLossProb() != 1 {
 		t.Fatalf("Burst(1, L) stationary loss = %v, want 1", g.StationaryLossProb())
 	}
-	// Sub-frame burst lengths clamp to one frame.
-	g = Burst(0.3, 0.1)
-	if g.PBadGood != 1 {
-		t.Fatalf("clamped burst length: PBadGood = %v, want 1", g.PBadGood)
+	// Burst repairs nothing: a mean burst length that is below one frame
+	// or not finite builds a chain that Plan.Validate names.
+	for _, l := range []float64{0.1, 0, -2, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		err := Plan{Burst: Burst(0.3, l)}.Validate()
+		if err == nil || !strings.Contains(err.Error(), "mean burst length") {
+			t.Errorf("Burst(0.3, %v): Validate = %v, want a mean burst length error", l, err)
+		}
+	}
+	// Total loss is the absorbing all-bad chain whatever the length.
+	if err := (Plan{Burst: Burst(1, 0.5)}).Validate(); err != nil {
+		t.Errorf("Burst(1, 0.5): %v", err)
 	}
 }
 
@@ -144,20 +152,47 @@ func TestPerLinkStreamsIndependentOfDiscoveryOrder(t *testing.T) {
 }
 
 func TestPlanValidate(t *testing.T) {
+	inf := sim.Time(math.Inf(1))
 	bad := []Plan{
 		{Bernoulli: Bernoulli{LossProb: -0.1}},
 		{Bernoulli: Bernoulli{BitErrorRate: 1.5}},
+		{Bernoulli: Bernoulli{LossProb: math.NaN()}},
 		{Burst: GilbertElliott{PGoodBad: 2}},
+		{Burst: Burst(-0.1, 4)},
+		{Burst: Burst(1.5, 4)},
 		{ShadowSigmaDB: -1},
-		{Outages: []Outage{{Node: 0, Start: sim.Time(math.NaN())}}},
+		{ShadowSigmaDB: math.Inf(1)},
+		{ShadowSigmaDB: math.NaN()},
+		{Outages: []Outage{{Node: 0, Start: sim.Time(math.NaN()), Duration: 1}}},
+		{Outages: []Outage{{Node: 0, Start: 1, Duration: sim.Time(math.NaN())}}},
+		{Outages: []Outage{{Node: 0, Start: inf, Duration: 1}}},
+		{Outages: []Outage{{Node: 0, Start: 1, Duration: inf}}},
+		{Outages: []Outage{{Node: -1, Start: 1, Duration: 1}}},
+		{Outages: []Outage{{Node: 0, Start: -5, Duration: 8}}},
+		{Outages: []Outage{{Node: 0, Start: 5, Duration: 0}}},
+		{Outages: []Outage{{Node: 0, Start: 5, Duration: -1}}},
+		// One node's windows may neither overlap nor touch, in any order.
+		{Outages: []Outage{{Node: 1, Start: 10, Duration: 5}, {Node: 1, Start: 15, Duration: 5}}},
+		{Outages: []Outage{{Node: 1, Start: 15, Duration: 5}, {Node: 1, Start: 10, Duration: 5}}},
+		{Outages: []Outage{{Node: 1, Start: 10, Duration: 10}, {Node: 1, Start: 12, Duration: 3}}},
+		{Outages: []Outage{{Node: 1, Start: 12, Duration: 3}, {Node: 1, Start: 10, Duration: 10}}},
 	}
 	for i, p := range bad {
 		if err := p.Validate(); err == nil {
 			t.Errorf("plan %d: Validate accepted %+v", i, p)
 		}
 	}
-	if err := (Plan{}).Validate(); err != nil {
-		t.Fatalf("zero plan rejected: %v", err)
+	for _, p := range []Plan{
+		{},
+		{Burst: Burst(0.1, 1)},
+		{Burst: Burst(1, 4)},
+		// Disjoint windows on one node, and the same window on two nodes.
+		{Outages: []Outage{{Node: 1, Start: 10, Duration: 5}, {Node: 1, Start: 15.5, Duration: 5}}},
+		{Outages: []Outage{{Node: 1, Start: 10, Duration: 5}, {Node: 2, Start: 10, Duration: 5}}},
+	} {
+		if err := p.Validate(); err != nil {
+			t.Errorf("valid plan %+v rejected: %v", p, err)
+		}
 	}
 	defer func() {
 		if recover() == nil {

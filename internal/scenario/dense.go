@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"fmt"
+	"math"
 
 	"vanetsim/internal/app"
 	"vanetsim/internal/ebl"
@@ -34,9 +35,10 @@ type DenseHighwayConfig struct {
 	CarLengthM float64 `canon:"car_len_m"`
 
 	// SafetyDepth is how many of each platoon's nearest followers receive
-	// the lead's brake-triggered safety stream; 0 or negative means every
-	// follower. Followers beyond the depth get no indication and brake
-	// only by luck — their collisions measure the coverage gap.
+	// the lead's brake-triggered safety stream; 0 means every follower, and
+	// a negative depth is invalid. Followers beyond the depth get no
+	// indication and brake only by luck — their collisions measure the
+	// coverage gap.
 	SafetyDepth int     `canon:"safety_depth"`
 	PacketSize  int     `canon:"packet"`   // safety segment payload bytes
 	RateBps     float64 `canon:"rate_bps"` // safety stream offered rate per flow
@@ -127,19 +129,36 @@ type densePlatoon struct {
 	comms   *ebl.PlatoonComms
 }
 
-// RunDenseHighway executes the dense multi-lane scaling scenario.
-func RunDenseHighway(cfg DenseHighwayConfig) (*DenseHighwayResult, error) {
+// Validate reports whether cfg describes a run RunDenseHighway can
+// execute: at least two vehicles, one lane and platoons of two, a beacon
+// fraction in [0, 1], a beacon jitter in [0, 1), a non-negative safety
+// depth and a finite non-negative duration. It allocates nothing on
+// success.
+func (cfg DenseHighwayConfig) Validate() error {
 	switch {
 	case cfg.Vehicles < 2:
-		return nil, fmt.Errorf("scenario: dense highway needs at least two vehicles, got %d", cfg.Vehicles)
+		return fmt.Errorf("scenario: dense highway needs at least two vehicles, got %d", cfg.Vehicles)
 	case cfg.Lanes < 1:
-		return nil, fmt.Errorf("scenario: dense highway needs at least one lane, got %d", cfg.Lanes)
+		return fmt.Errorf("scenario: dense highway needs at least one lane, got %d", cfg.Lanes)
 	case cfg.PlatoonLen < 2:
-		return nil, fmt.Errorf("scenario: dense highway needs platoons of at least two, got %d", cfg.PlatoonLen)
-	case cfg.BeaconFraction < 0 || cfg.BeaconFraction > 1:
-		return nil, fmt.Errorf("scenario: beacon fraction must be in [0,1], got %v", cfg.BeaconFraction)
-	case cfg.BeaconJitter < 0 || cfg.BeaconJitter >= 1:
-		return nil, fmt.Errorf("scenario: beacon jitter must be in [0,1), got %v", cfg.BeaconJitter)
+		return fmt.Errorf("scenario: dense highway needs platoons of at least two, got %d", cfg.PlatoonLen)
+	case !(cfg.BeaconFraction >= 0 && cfg.BeaconFraction <= 1):
+		return fmt.Errorf("scenario: beacon fraction must be in [0,1], got %v", cfg.BeaconFraction)
+	case !(cfg.BeaconJitter >= 0 && cfg.BeaconJitter < 1):
+		return fmt.Errorf("scenario: beacon jitter must be in [0,1), got %v", cfg.BeaconJitter)
+	case cfg.SafetyDepth < 0:
+		return fmt.Errorf("scenario: safety depth must be >= 0 (0 = every follower), got %d", cfg.SafetyDepth)
+	case !(cfg.Duration >= 0 && cfg.Duration < sim.Time(math.Inf(1))):
+		return fmt.Errorf("scenario: dense highway duration %v s: want finite and >= 0", float64(cfg.Duration))
+	}
+	return nil
+}
+
+// RunDenseHighway executes the dense multi-lane scaling scenario. It
+// returns cfg.Validate's error without running anything.
+func RunDenseHighway(cfg DenseHighwayConfig) (*DenseHighwayResult, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
 	}
 	stack := DefaultStackConfig(cfg.MAC)
 	stack.QueueCap = cfg.QueueCap
@@ -247,7 +266,7 @@ func RunDenseHighway(cfg DenseHighwayConfig) (*DenseHighwayResult, error) {
 		c.RateBps = cfg.RateBps
 		dp.comms = w.AddComms(dp.platoon, c)
 		depth := cfg.SafetyDepth
-		if depth <= 0 || depth > len(dp.comms.Flows()) {
+		if depth == 0 || depth > len(dp.comms.Flows()) {
 			depth = len(dp.comms.Flows())
 		}
 		if muted := dp.comms.Flows()[depth:]; len(muted) > 0 {

@@ -88,21 +88,26 @@ func TestFaultCountersAbsentWhenOff(t *testing.T) {
 	}
 }
 
-func TestZeroLengthOutageIsZeroEffect(t *testing.T) {
-	// A plan containing only no-op entries must be indistinguishable from no
-	// plan at all, byte for byte.
-	base := scenario.RunTrial(shortFaultTrial(scenario.MACTDMA, fault.Plan{}))
-	noop := scenario.RunTrial(shortFaultTrial(scenario.MACTDMA, fault.Plan{
-		Outages: []fault.Outage{
-			{Node: 1, Start: 10, Duration: 0},
-			{Node: 2, Start: 5, Duration: -1},
-		},
-	}))
-	if !bytes.Equal(traceBytes(t, base), traceBytes(t, noop)) {
-		t.Fatal("zero-length outages changed the trace")
-	}
-	if _, ok := noop.Telemetry.Counter("fault/rx_impaired"); ok {
-		t.Fatal("no-op plan registered fault telemetry")
+func TestNoOpOutageRejected(t *testing.T) {
+	// A window that never opens, or opened before the run, is no outage:
+	// the trial refuses it rather than run it as a no-op or clamp it.
+	for _, o := range []fault.Outage{
+		{Node: 1, Start: 10, Duration: 0},
+		{Node: 2, Start: 5, Duration: -1},
+		{Node: 0, Start: -5, Duration: 8},
+	} {
+		cfg := shortFaultTrial(scenario.MACTDMA, fault.Plan{Outages: []fault.Outage{o}})
+		if err := cfg.Validate(); err == nil {
+			t.Errorf("outage %+v: TrialConfig.Validate accepted it", o)
+		}
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("outage %+v: RunTrial ran it", o)
+				}
+			}()
+			scenario.RunTrial(cfg)
+		}()
 	}
 }
 
@@ -182,18 +187,19 @@ func TestWorldRejectsInvalidPlan(t *testing.T) {
 }
 
 func TestOutageStartClampedToNow(t *testing.T) {
-	// An outage whose window opened before the world was built drops the
-	// radio immediately at t=0 and recovers on schedule.
-	plan := fault.Plan{Outages: []fault.Outage{{Node: 0, Start: -5, Duration: 8}}}
+	// A node added after its outage window opened drops its radio at once
+	// and recovers on schedule.
 	cfg := scenario.DefaultStackConfig(scenario.MACTDMA)
-	cfg.Faults = plan
+	cfg.Faults = fault.Plan{Outages: []fault.Outage{{Node: 0, Start: 1, Duration: 4}}}
 	w := scenario.NewWorld(cfg, 1)
+	w.Sched.RunUntil(2)
 	n := w.AddNode(0, func() geom.Vec2 { return geom.V(0, 0) })
+	w.Sched.RunUntil(3)
+	if !n.Radio.Down() {
+		t.Fatal("radio up although its window opened before the node was added")
+	}
 	w.Sched.RunUntil(10)
 	if n.Radio.Down() {
 		t.Fatal("radio still down after the clamped window closed")
-	}
-	if plan.OutageSeconds(10) != 3 {
-		t.Fatalf("OutageSeconds = %v, want 3", plan.OutageSeconds(10))
 	}
 }

@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"fmt"
+	"math"
 
 	"vanetsim/internal/anim"
 	"vanetsim/internal/ebl"
@@ -138,9 +139,11 @@ type TrialResult struct {
 // cruise speed. When platoon 1 reaches the intersection it halts and
 // begins communicating; platoon 2 simultaneously departs horizontally and
 // stops communicating.
+//
+// It panics if cfg.Validate fails.
 func RunTrial(cfg TrialConfig) *TrialResult {
-	if cfg.PlatoonSize < 2 {
-		panic("scenario: platoon needs a lead and at least one follower")
+	if err := cfg.Validate(); err != nil {
+		panic(err)
 	}
 	stack := DefaultStackConfig(cfg.MAC)
 	stack.QueueCap = cfg.QueueCap
@@ -212,6 +215,22 @@ func RunTrial(cfg TrialConfig) *TrialResult {
 		Anim:         rec,
 		Observations: w.Finish(),
 	}
+}
+
+// Validate reports whether cfg describes a run RunTrial can execute: a
+// platoon with a lead and at least one follower, a positive packet size, a
+// finite non-negative duration and a valid fault plan. It allocates
+// nothing on success.
+func (c TrialConfig) Validate() error {
+	switch {
+	case c.PlatoonSize < 2:
+		return fmt.Errorf("scenario: platoon of %d needs a lead and at least one follower", c.PlatoonSize)
+	case c.PacketSize < 1:
+		return fmt.Errorf("scenario: packet size %d bytes is not positive", c.PacketSize)
+	case !(c.Duration >= 0 && c.Duration < sim.Time(math.Inf(1))):
+		return fmt.Errorf("scenario: duration %v s: want finite and >= 0", float64(c.Duration))
+	}
+	return c.Faults.Validate()
 }
 
 // String summarises the configuration.

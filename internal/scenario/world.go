@@ -419,12 +419,13 @@ func (w *World) AddUDPSink(n *Node, port int) *app.UDPSink {
 }
 
 // scheduleOutages arms the plan's outage windows targeting r's node: the
-// radio goes down at each window's start and recovers at its end. Windows
-// whose start lies in the past are clamped to now (the radio drops
-// immediately); non-positive durations are no-ops.
+// radio goes down at each window's start and recovers at its end. A node
+// added mid-run drops at once for a window already open and skips one
+// already closed. Plan.Validate keeps one node's windows apart, so no two
+// of its edges share a timestamp and plan order cannot matter.
 func (w *World) scheduleOutages(r *phy.Radio) {
 	for _, o := range w.cfg.Faults.Outages {
-		if o.Node != r.ID() || o.Duration <= 0 {
+		if o.Node != r.ID() {
 			continue
 		}
 		down, up := o.Start, o.Start+o.Duration

@@ -178,21 +178,11 @@ func replicationArtifact(b *strings.Builder, c *canon.Canonical, reps RepStore, 
 // degradation table plus its CSV form.
 func degradationArtifact(b *strings.Builder, c *canon.Canonical, progress func(string)) error {
 	spec := c.Deg
-	cfg := vanetsim.DegradationConfig{
-		Base:          spec.Base,
-		LossProbs:     spec.LossProbs,
-		BurstLen:      spec.BurstLen,
-		ShadowSigmaDB: spec.ShadowDB,
-		OnPoint: func(i int, p vanetsim.DegradationPoint, _ *vanetsim.TrialResult) error {
-			progress(fmt.Sprintf("degradation point %d/%d: loss=%.3f margin=%.2fm safe=%v",
-				i+1, len(spec.LossProbs), p.LossProb, p.SafetyMarginM, p.Safe))
-			return nil
-		},
-	}
-	if len(spec.Outages) > 0 {
-		// Canonicalisation admits at most one outage, always with a
-		// positive duration.
-		cfg.Outage = spec.Outages[0]
+	cfg := spec.Config()
+	cfg.OnPoint = func(i int, p vanetsim.DegradationPoint, _ *vanetsim.TrialResult) error {
+		progress(fmt.Sprintf("degradation point %d/%d: loss=%.3f margin=%.2fm safe=%v",
+			i+1, len(spec.LossProbs), p.LossProb, p.SafetyMarginM, p.Safe))
+		return nil
 	}
 	points, err := vanetsim.RunDegradation(cfg)
 	if err != nil {

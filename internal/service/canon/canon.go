@@ -40,7 +40,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 	"reflect"
 	"sort"
 
@@ -188,6 +187,20 @@ type DegradationSpec struct {
 	Outages   []fault.Outage       `canon:"deg.outage"` // at most one
 }
 
+// Config returns the library sweep the spec describes.
+func (s DegradationSpec) Config() vanetsim.DegradationConfig {
+	cfg := vanetsim.DegradationConfig{
+		Base:          s.Base,
+		LossProbs:     s.LossProbs,
+		BurstLen:      s.BurstLen,
+		ShadowSigmaDB: s.ShadowDB,
+	}
+	if len(s.Outages) > 0 {
+		cfg.Outage = s.Outages[0]
+	}
+	return cfg
+}
+
 // Canonical is a fully resolved request: defaults applied, fields
 // validated, execution-only knobs zeroed. Exactly one of Trial, Dense,
 // Deg is meaningful, selected by Kind.
@@ -255,72 +268,34 @@ func macName(m scenario.MACType) string {
 	return "tdma"
 }
 
-// finite rejects NaN and infinities, which would make a run
-// canonicalise but never behave.
-func finite(name string, v float64) error {
-	if math.IsNaN(v) || math.IsInf(v, 0) {
-		return fmt.Errorf("canon: %s = %v is not finite", name, v)
-	}
-	return nil
-}
-
-// duration resolves an optional duration override against a default,
-// rejecting non-finite and negative values.
-func duration(name string, overrideS float64, def sim.Time) (sim.Time, error) {
-	if err := finite(name, overrideS); err != nil {
-		return 0, err
-	}
-	if overrideS < 0 {
-		return 0, fmt.Errorf("canon: %s = %v is negative", name, overrideS)
-	}
+// duration resolves an optional duration override: 0 means def. The
+// config's Validate judges the result.
+func duration(overrideS float64, def sim.Time) sim.Time {
 	if overrideS == 0 {
-		return def, nil
+		return def
 	}
-	return sim.Time(overrideS), nil
+	return sim.Time(overrideS)
 }
 
-// canonFaults resolves an optional impairment recipe. Outages are
-// sorted by (node, start, duration): their order never changes the
-// plan's semantics, so two spellings of the same plan hash identically.
-func canonFaults(fr *FaultRequest) (fault.Plan, error) {
+// canonFaults resolves an optional impairment recipe; TrialConfig.Validate
+// judges it. Outages are sorted by (node, start, duration): Plan.Validate
+// keeps one node's windows apart, so their order never changes the run,
+// and two spellings of the same plan hash identically.
+func canonFaults(fr *FaultRequest) fault.Plan {
 	if fr == nil {
-		return fault.Plan{}, nil
+		return fault.Plan{}
 	}
-	for _, f := range []struct {
-		name string
-		v    float64
-	}{
-		{"faults.loss", fr.Loss}, {"faults.ber", fr.BER},
-		{"faults.burst_loss", fr.BurstLoss}, {"faults.burst_len", fr.BurstLen},
-		{"faults.shadow_db", fr.ShadowDB},
-	} {
-		if err := finite(f.name, f.v); err != nil {
-			return fault.Plan{}, err
-		}
-	}
-	if fr.BurstLoss < 0 || fr.BurstLoss > 1 {
-		return fault.Plan{}, fmt.Errorf("canon: faults.burst_loss = %v outside [0, 1]", fr.BurstLoss)
-	}
-	if fr.BurstLen < 0 {
-		return fault.Plan{}, fmt.Errorf("canon: faults.burst_len = %v is negative", fr.BurstLen)
+	burstLen := fr.BurstLen
+	if burstLen == 0 {
+		burstLen = 4 // the -burst-len default
 	}
 	plan := fault.Plan{
 		Bernoulli:     fault.Bernoulli{LossProb: fr.Loss, BitErrorRate: fr.BER},
+		Burst:         fault.Burst(fr.BurstLoss, burstLen),
 		ShadowSigmaDB: fr.ShadowDB,
 	}
-	if fr.BurstLoss > 0 {
-		burstLen := fr.BurstLen
-		if burstLen == 0 {
-			burstLen = 4 // the -burst-len default
-		}
-		plan.Burst = fault.Burst(fr.BurstLoss, burstLen)
-	}
-	for i, o := range fr.Outages {
-		fo, err := canonOutage(fmt.Sprintf("faults.outages[%d]", i), o)
-		if err != nil {
-			return fault.Plan{}, err
-		}
-		plan.Outages = append(plan.Outages, fo)
+	for _, o := range fr.Outages {
+		plan.Outages = append(plan.Outages, outage(o))
 	}
 	sort.Slice(plan.Outages, func(i, j int) bool {
 		a, b := plan.Outages[i], plan.Outages[j]
@@ -332,27 +307,15 @@ func canonFaults(fr *FaultRequest) (fault.Plan, error) {
 		}
 		return a.Duration < b.Duration
 	})
-	if err := plan.Validate(); err != nil {
-		return fault.Plan{}, fmt.Errorf("canon: %w", err)
-	}
-	return plan, nil
+	return plan
 }
 
-func canonOutage(name string, o OutageRequest) (fault.Outage, error) {
-	if err := finite(name+".start_s", o.StartS); err != nil {
-		return fault.Outage{}, err
-	}
-	if err := finite(name+".duration_s", o.DurationS); err != nil {
-		return fault.Outage{}, err
-	}
-	if o.Node < 0 || o.StartS < 0 || o.DurationS <= 0 {
-		return fault.Outage{}, fmt.Errorf("canon: %s needs node >= 0, start_s >= 0, duration_s > 0", name)
-	}
+func outage(o OutageRequest) fault.Outage {
 	return fault.Outage{
 		Node:     packet.NodeID(o.Node),
 		Start:    sim.Time(o.StartS),
 		Duration: sim.Time(o.DurationS),
-	}, nil
+	}
 }
 
 func canonTrial(tr TrialRequest) (*Canonical, error) {
@@ -373,9 +336,6 @@ func canonTrial(tr TrialRequest) (*Canonical, error) {
 		}
 		cfg.MAC = mac
 		if tr.Packet != 0 {
-			if tr.Packet < 1 {
-				return nil, fmt.Errorf("canon: packet = %d must be positive", tr.Packet)
-			}
 			cfg.PacketSize = tr.Packet
 		}
 	default:
@@ -384,19 +344,16 @@ func canonTrial(tr TrialRequest) (*Canonical, error) {
 	if tr.Trial != 0 && (tr.MAC != "" || tr.Packet != 0) {
 		return nil, fmt.Errorf("canon: mac/packet overrides need trial = 0 (trial %d fixes both)", tr.Trial)
 	}
-	d, err := duration("duration_s", tr.DurationS, cfg.Duration)
-	if err != nil {
-		return nil, err
-	}
-	cfg.Duration = d
+	cfg.Duration = duration(tr.DurationS, cfg.Duration)
 	if tr.Seed != 0 {
 		cfg.Seed = tr.Seed
 	}
-	if cfg.Faults, err = canonFaults(tr.Faults); err != nil {
-		return nil, err
-	}
+	cfg.Faults = canonFaults(tr.Faults)
 	cfg.Telemetry = tr.Telemetry
 	cfg.Check = tr.Check
+	if err := cfg.Validate(); err != nil {
+		return nil, fmt.Errorf("canon: %w", err)
+	}
 	return &Canonical{Kind: "trial", Trial: cfg}, nil
 }
 
@@ -405,52 +362,27 @@ func canonDense(dr DenseRequest) (*Canonical, error) {
 	if err != nil {
 		return nil, fmt.Errorf("canon: %w", err)
 	}
-	if dr.Vehicles < 2 {
-		return nil, fmt.Errorf("canon: dense.vehicles = %d needs at least 2", dr.Vehicles)
-	}
 	cfg := scenario.DefaultDenseHighway(mac, dr.Vehicles)
 	if dr.Lanes != 0 {
-		if dr.Lanes < 1 {
-			return nil, fmt.Errorf("canon: dense.lanes = %d needs at least 1", dr.Lanes)
-		}
 		cfg.Lanes = dr.Lanes
 	}
 	if dr.PlatoonLen != 0 {
-		if dr.PlatoonLen < 2 {
-			return nil, fmt.Errorf("canon: dense.platoon_len = %d needs at least 2", dr.PlatoonLen)
-		}
 		cfg.PlatoonLen = dr.PlatoonLen
 	}
 	if dr.BeaconFraction != nil {
-		if err := finite("dense.beacon_fraction", *dr.BeaconFraction); err != nil {
-			return nil, err
-		}
-		if *dr.BeaconFraction < 0 || *dr.BeaconFraction > 1 {
-			return nil, fmt.Errorf("canon: dense.beacon_fraction = %v outside [0, 1]", *dr.BeaconFraction)
-		}
 		cfg.BeaconFraction = *dr.BeaconFraction
 	}
-	if err := finite("dense.beacon_jitter", dr.BeaconJitter); err != nil {
-		return nil, err
-	}
-	if dr.BeaconJitter < 0 || dr.BeaconJitter >= 1 {
-		return nil, fmt.Errorf("canon: dense.beacon_jitter = %v outside [0, 1)", dr.BeaconJitter)
-	}
 	cfg.BeaconJitter = dr.BeaconJitter
-	if dr.SafetyDepth < 0 {
-		return nil, fmt.Errorf("canon: dense.safety_depth = %d is negative", dr.SafetyDepth)
-	}
 	cfg.SafetyDepth = dr.SafetyDepth
-	d, err := duration("dense.duration_s", dr.DurationS, cfg.Duration)
-	if err != nil {
-		return nil, err
-	}
-	cfg.Duration = d
+	cfg.Duration = duration(dr.DurationS, cfg.Duration)
 	if dr.Seed != 0 {
 		cfg.Seed = dr.Seed
 	}
 	cfg.Telemetry = dr.Telemetry
 	cfg.Check = dr.Check
+	if err := cfg.Validate(); err != nil {
+		return nil, fmt.Errorf("canon: %w", err)
+	}
 	return &Canonical{Kind: "dense", Dense: cfg}, nil
 }
 
@@ -461,49 +393,27 @@ func canonDegradation(gr DegradationRequest) (*Canonical, error) {
 	}
 	def := vanetsim.DefaultDegradation(mac)
 	base := def.Base
-	d, err := duration("degradation.duration_s", gr.DurationS, base.Duration)
-	if err != nil {
-		return nil, err
-	}
-	base.Duration = d
+	base.Duration = duration(gr.DurationS, base.Duration)
 	if gr.Seed != 0 {
 		base.Seed = gr.Seed
 	}
 	base.Telemetry = true // the sweep reads fault counters
 	base.Check = gr.Check
 
-	spec := DegradationSpec{Base: base, BurstLen: gr.BurstLen, ShadowDB: gr.ShadowDB}
-	if err := finite("degradation.burst_len", gr.BurstLen); err != nil {
-		return nil, err
-	}
-	if gr.BurstLen < 0 {
-		return nil, fmt.Errorf("canon: degradation.burst_len = %v is negative", gr.BurstLen)
-	}
-	if err := finite("degradation.shadow_db", gr.ShadowDB); err != nil {
-		return nil, err
-	}
-	if gr.ShadowDB < 0 {
-		return nil, fmt.Errorf("canon: degradation.shadow_db = %v is negative", gr.ShadowDB)
-	}
-	if len(gr.LossProbs) == 0 {
-		spec.LossProbs = def.LossProbs
-	} else {
-		for i, p := range gr.LossProbs {
-			if err := finite(fmt.Sprintf("degradation.loss_probs[%d]", i), p); err != nil {
-				return nil, err
-			}
-			if p < 0 || p > 1 {
-				return nil, fmt.Errorf("canon: degradation.loss_probs[%d] = %v outside [0, 1]", i, p)
-			}
-		}
+	spec := DegradationSpec{Base: base, LossProbs: def.LossProbs, BurstLen: gr.BurstLen, ShadowDB: gr.ShadowDB}
+	if len(gr.LossProbs) > 0 {
 		spec.LossProbs = append([]float64(nil), gr.LossProbs...)
 	}
 	if gr.Outage != nil {
-		o, err := canonOutage("degradation.outage", *gr.Outage)
-		if err != nil {
-			return nil, err
+		// The library reads a zero-value outage as "none", so an explicit
+		// one is judged as a window of its own.
+		spec.Outages = []fault.Outage{outage(*gr.Outage)}
+		if err := (fault.Plan{Outages: spec.Outages}).Validate(); err != nil {
+			return nil, fmt.Errorf("canon: degradation.outage: %w", err)
 		}
-		spec.Outages = []fault.Outage{o}
+	}
+	if err := spec.Config().Validate(); err != nil {
+		return nil, fmt.Errorf("canon: %w", err)
 	}
 	return &Canonical{Kind: "degradation", Deg: spec}, nil
 }
@@ -519,12 +429,10 @@ func canonReplication(rr ReplicationRequest) (*Canonical, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := finite("replication.tolerance", rr.Tolerance); err != nil {
-		return nil, err
-	}
 	// The open interval catches the classic unit mistake of sending 5
-	// for ±5% (tolerances are relative fractions, not percentages).
-	if rr.Tolerance <= 0 || rr.Tolerance >= 1 {
+	// for ±5% (tolerances are relative fractions, not percentages); NaN
+	// fails it too.
+	if !(rr.Tolerance > 0 && rr.Tolerance < 1) {
 		return nil, fmt.Errorf("canon: replication.tolerance = %v outside (0, 1) — a relative half-width fraction, e.g. 0.05 for ±5%%", rr.Tolerance)
 	}
 	// The library's own rule resolves the defaults and the remaining

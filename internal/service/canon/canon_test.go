@@ -196,12 +196,31 @@ func TestCanonicalizeRejects(t *testing.T) {
 		`{"kind":"trial","trial":{"trial":1,"faults":{"burst_loss":-0.1}}}`,
 		`{"kind":"trial","trial":{"trial":1,"faults":{"burst_loss":0.1,"burst_len":-3}}}`,
 		`{"kind":"trial","trial":{"trial":1,"faults":{"outages":[{"node":-1,"start_s":0,"duration_s":1}]}}}`,
+		`{"kind":"trial","trial":{"trial":1,"faults":{"outages":[{"node":1,"start_s":-5,"duration_s":3}]}}}`,
+		`{"kind":"trial","trial":{"trial":1,"faults":{"outages":[{"node":1,"start_s":5,"duration_s":0}]}}}`,
+		// One node's windows may neither touch nor overlap: the radio's
+		// edges would share a timestamp or nest, and order would matter.
+		`{"kind":"trial","trial":{"trial":1,"faults":{"outages":[{"node":1,"start_s":10,"duration_s":5},{"node":1,"start_s":15,"duration_s":5}]}}}`,
+		`{"kind":"trial","trial":{"trial":1,"faults":{"outages":[{"node":1,"start_s":10,"duration_s":10},{"node":1,"start_s":12,"duration_s":3}]}}}`,
+		// A mean burst below one frame once ran silently as one frame.
+		`{"kind":"trial","trial":{"trial":1,"faults":{"burst_loss":0.1,"burst_len":0.5}}}`,
+		`{"kind":"trial","trial":{"trial":1,"faults":{"burst_loss":1.5}}}`,
+		`{"kind":"trial","trial":{"trial":1,"faults":{"shadow_db":-1}}}`,
+		`{"kind":"trial","trial":{"trial":0,"packet":-5}}`,
 		`{"kind":"dense","dense":{"vehicles":1}}`,
 		`{"kind":"dense","dense":{"vehicles":48,"beacon_jitter":1}}`,
 		`{"kind":"dense","dense":{"vehicles":48,"beacon_fraction":2}}`,
 		`{"kind":"dense","dense":{"vehicles":48,"platoon_len":1}}`,
+		`{"kind":"dense","dense":{"vehicles":48,"lanes":-1}}`,
+		`{"kind":"dense","dense":{"vehicles":48,"safety_depth":-1}}`,
+		`{"kind":"dense","dense":{"vehicles":48,"duration_s":-1}}`,
 		`{"kind":"degradation","degradation":{"loss_probs":[2]}}`,
+		`{"kind":"degradation","degradation":{"loss_probs":[0,0.1,2],"burst_len":4}}`,
 		`{"kind":"degradation","degradation":{"burst_len":-1}}`,
+		`{"kind":"degradation","degradation":{"shadow_db":-1}}`,
+		`{"kind":"degradation","degradation":{"duration_s":-1}}`,
+		`{"kind":"degradation","degradation":{"outage":{"node":1,"start_s":5,"duration_s":0}}}`,
+		`{"kind":"degradation","degradation":{"outage":{"node":0,"start_s":0,"duration_s":0}}}`,
 		`{"kind":"replication"}`,
 		`{"kind":"replication","replication":{"tolerance":0.05}}`,
 		`{"kind":"replication","replication":{"trial":{"trial":1},"tolerance":0}}`,
