@@ -355,7 +355,7 @@ func (l *outageList) Set(s string) error {
 	if err != nil {
 		return err
 	}
-	*l = append(*l, canon.OutageRequest{Node: int(o.Node), StartS: float64(o.Start), DurationS: float64(o.Duration)})
+	*l = append(*l, canon.OutageRequest{Node: o.Node, StartS: float64(o.Start), DurationS: float64(o.Duration)})
 	return nil
 }
 

@@ -181,6 +181,9 @@ func TestRunFaultFlagErrors(t *testing.T) {
 		{"-outage", "x:1:2"},
 		{"-loss", "1.5"},
 		{"-burst-loss", "-0.1"},
+		{"-outage", "4294967297:10:5"},
+		{"-outage", "99:10:5"},
+		{"-burst-loss", "0.9", "-burst-len", "1"},
 	} {
 		var sb strings.Builder
 		if err := run(args, &sb); err == nil {
@@ -254,6 +257,9 @@ func TestFrontDoorAgrees(t *testing.T) {
 		{[]string{"-duration", "40", "-outage", "1:10:10", "-outage", "1:12:3"},
 			outages(canon.OutageRequest{Node: 1, StartS: 10, DurationS: 10}, canon.OutageRequest{Node: 1, StartS: 12, DurationS: 3})},
 		{[]string{"-duration", "40", "-outage", "-1:5:3"}, outages(canon.OutageRequest{Node: -1, StartS: 5, DurationS: 3})},
+		{[]string{"-duration", "40", "-outage", "99:10:5"}, outages(canon.OutageRequest{Node: 99, StartS: 10, DurationS: 5})},
+		{[]string{"-duration", "40", "-outage", "6:10:5"}, outages(canon.OutageRequest{Node: 6, StartS: 10, DurationS: 5})},
+		{[]string{"-duration", "40", "-burst-loss", "0.9", "-burst-len", "1"}, faults(canon.FaultRequest{BurstLoss: 0.9, BurstLen: 1})},
 		// TestRunErrors' burst rows, bar the typed 0 the wire cannot spell.
 		{[]string{"-duration", "40", "-burst-loss", "0.1", "-burst-len", "0.5"}, faults(canon.FaultRequest{BurstLoss: 0.1, BurstLen: 0.5})},
 		{[]string{"-duration", "40", "-burst-loss", "0.1", "-burst-len", "-2"}, faults(canon.FaultRequest{BurstLoss: 0.1, BurstLen: -2})},
@@ -289,6 +295,8 @@ func TestFrontDoorAgrees(t *testing.T) {
 		{[]string{"-duration", "40", "-shadow", "4"}, faults(canon.FaultRequest{ShadowDB: 4})},
 		{[]string{"-duration", "40", "-outage", "4:10:3", "-outage", "1:22:5"},
 			outages(canon.OutageRequest{Node: 1, StartS: 22, DurationS: 5}, canon.OutageRequest{Node: 4, StartS: 10, DurationS: 3})},
+		{[]string{"-duration", "40", "-outage", "5:10:5"}, outages(canon.OutageRequest{Node: 5, StartS: 10, DurationS: 5})},
+		{[]string{"-duration", "40", "-burst-loss", "0.5", "-burst-len", "1"}, faults(canon.FaultRequest{BurstLoss: 0.5, BurstLen: 1})},
 	} {
 		cl, cliErr := parse(c.args)
 		want, reqErr := canon.Canonicalize(c.req)
@@ -298,6 +306,14 @@ func TestFrontDoorAgrees(t *testing.T) {
 		case cliErr == nil && cl.c.Hash() != want.Hash():
 			t.Errorf("%v: command line and request hash apart:\n%s\n%s", c.args, cl.c.AppendBinary(nil), want.AppendBinary(nil))
 		}
+	}
+	// A node wider than packet.NodeID, which Go cannot spell in a request,
+	// fails at both doors instead of wrapping onto node 1.
+	if _, err := parse([]string{"-duration", "40", "-outage", "4294967297:10:5"}); err == nil {
+		t.Error("-outage 4294967297:10:5 accepted")
+	}
+	if _, err := canon.Decode(strings.NewReader(`{"kind":"trial","trial":{"trial":1,"duration_s":40,"faults":{"outages":[{"node":4294967297,"start_s":10,"duration_s":5}]}}}`)); err == nil {
+		t.Error("outage node 4294967297 decoded")
 	}
 	// A typed 0 for a flag that never defaults to 0 is refused, although
 	// the wire reads the same 0 as "the default".

@@ -37,12 +37,12 @@ func BurstFault(lossProb, meanBurstLen float64) FaultGilbertElliott {
 // (node ID, then seconds) shared by cmd/vanetsim and cmd/eblsweep. It
 // checks syntax only; FaultPlan.Validate judges the window.
 func ParseFaultOutage(s string) (FaultOutage, error) {
-	var node int
+	var node packet.NodeID
 	var start, dur float64
 	if n, err := fmt.Sscanf(s, "%d:%g:%g", &node, &start, &dur); n != 3 || err != nil {
-		return FaultOutage{}, fmt.Errorf("bad outage %q (want node:start:duration, e.g. 1:22:5)", s)
+		return FaultOutage{}, fmt.Errorf("bad outage %q (want node:start:duration, e.g. 1:22:5): %v", s, err)
 	}
-	return FaultOutage{Node: packet.NodeID(node), Start: Seconds(start), Duration: Seconds(dur)}, nil
+	return FaultOutage{Node: node, Start: Seconds(start), Duration: Seconds(dur)}, nil
 }
 
 // DegradationConfig sweeps one trial configuration across increasing

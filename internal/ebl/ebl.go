@@ -80,8 +80,6 @@ type Flow struct {
 	// Delays indexes one-way delay by TCP segment number — the packet-ID
 	// axis of the paper's delay figures.
 	Delays *metrics.DelaySeries
-
-	seen map[int]bool
 }
 
 // PlatoonComms runs the EBL application for one platoon: a TCP flow from
@@ -149,7 +147,6 @@ func NewPlatoonComms(sched *sim.Scheduler, platoon *mobility.Platoon, nets []*ne
 			Sink:     snk,
 			CBR:      app.NewCBR(sched, snd, cfg.PacketSize, cfg.RateBps),
 			Delays:   &metrics.DelaySeries{},
-			seen:     make(map[int]bool),
 		}
 		pc.observe(f, tcpCfg)
 		pc.flows = append(pc.flows, f)
@@ -162,14 +159,13 @@ func NewPlatoonComms(sched *sim.Scheduler, platoon *mobility.Platoon, nets []*ne
 // observe wires the measurement hooks for one flow.
 func (pc *PlatoonComms) observe(f *Flow, tcpCfg tcp.Config) {
 	rcvNode := f.Receiver
-	f.Sink.OnRecv(func(p *packet.Packet, at sim.Time) {
+	f.Sink.OnRecv(func(p *packet.Packet, at sim.Time, first bool) {
 		if pc.tracer != nil {
 			pc.tracer.Add(trace.FromPacket(trace.Recv, at, rcvNode, trace.LayerAgent, p))
 		}
-		if f.seen[p.TCP.Seq] {
+		if !first {
 			return // duplicate delivery: measured once, like the paper's per-ID analysis
 		}
-		f.seen[p.TCP.Seq] = true
 		pc.spans.Record(span.OpAppRecv, span.CauseNone, rcvNode, p)
 		pc.check.Delivery(at, p.SentAt, p.Size, p.UID)
 		f.Delays.Add(p.TCP.Seq, at-p.SentAt)

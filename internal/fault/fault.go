@@ -97,10 +97,12 @@ func (g GilbertElliott) StationaryLossProb() float64 {
 // loss probability and mean bad-burst length in frames, using the classic
 // parameterisation (no loss in good, total loss in bad). It is the
 // convenient entry point for the loss-probability × burst-length sweep axes.
-// It repairs nothing: a loss probability outside [0, 1], or a mean burst
-// length that is not finite and at least one frame, yields a model that
-// Plan.Validate rejects. Total loss (lossProb 1) is the absorbing all-bad
-// chain, whatever the burst length.
+// A stationary loss L below 1 needs a mean burst of at least L/(1−L)
+// frames, or the good state would have to leave with probability above 1.
+// Burst repairs nothing: a loss probability outside [0, 1], a mean burst
+// length that is not finite and at least one frame, or one too short for
+// the loss yields a model that Plan.Validate rejects. Total loss (lossProb
+// 1) is the absorbing all-bad chain, whatever the burst length.
 func Burst(lossProb, meanBurstLen float64) GilbertElliott {
 	if lossProb == 0 {
 		return GilbertElliott{}
@@ -110,9 +112,6 @@ func Burst(lossProb, meanBurstLen float64) GilbertElliott {
 	}
 	pBG := 1 / meanBurstLen
 	pGB := lossProb * pBG / (1 - lossProb)
-	if pGB > 1 {
-		pGB = 1
-	}
 	return GilbertElliott{PGoodBad: pGB, PBadGood: pBG, LossBad: 1}
 }
 

@@ -107,6 +107,16 @@ func TestBurstParameterisationEdges(t *testing.T) {
 	if err := (Plan{Burst: Burst(1, 0.5)}).Validate(); err != nil {
 		t.Errorf("Burst(1, 0.5): %v", err)
 	}
+	// A loss L needs a mean burst of at least L/(1−L) frames: 0.5 at one
+	// frame is the edge, and 0.9 at one frame is out of reach rather than
+	// run at some other loss.
+	if g := Burst(0.5, 1); g.PGoodBad != 1 || g.StationaryLossProb() != 0.5 || (Plan{Burst: g}).Validate() != nil {
+		t.Errorf("Burst(0.5, 1) = %+v, want PGoodBad 1 at stationary loss 0.5", g)
+	}
+	err := Plan{Burst: Burst(0.9, 1)}.Validate()
+	if err == nil || !strings.Contains(err.Error(), "PGoodBad") {
+		t.Errorf("Burst(0.9, 1): Validate = %v, want a PGoodBad range error", err)
+	}
 }
 
 func TestPerLinkStreamsIndependentOfDiscoveryOrder(t *testing.T) {

@@ -51,14 +51,10 @@ type ChannelStats struct {
 // have failed the received-power check anyway — so an indexed run is
 // byte-identical to a full-scan run.
 type Channel struct {
-	sched *sim.Scheduler
-	prop  Propagation
-	// propDist is prop's distance-based fast path, nil when prop does not
-	// provide one. offer needs the src–dst distance anyway for the
-	// propagation delay, so this avoids re-deriving it inside RxPower.
-	propDist DistPropagation
-	radios   []*Radio
-	idx      *neighborIndex // nil: broadcast full-scans
+	sched  *sim.Scheduler
+	prop   Propagation
+	radios []*Radio
+	idx    *neighborIndex // nil: broadcast full-scans
 
 	arriveFn func(any)
 	arrFree  []*arrival
@@ -73,7 +69,6 @@ type Channel struct {
 // packet factory of the run.
 func NewChannel(sched *sim.Scheduler, prop Propagation, pf *packet.Factory) *Channel {
 	c := &Channel{sched: sched, prop: prop, pf: pf}
-	c.propDist, _ = prop.(DistPropagation)
 	c.arriveFn = func(a any) {
 		ar := a.(*arrival)
 		dst, p, power, duration, freq, owned := ar.dst, ar.p, ar.power, ar.duration, ar.freq, ar.owned
@@ -176,20 +171,10 @@ func (c *Channel) offer(src, dst *Radio, srcPos geom.Vec2, p *packet.Packet, dur
 	if dst == src {
 		return
 	}
-	dstPos := dst.pos()
-	var pr float64
-	var dist float64
-	if c.propDist != nil {
-		dist = srcPos.Dist(dstPos)
-		pr = c.propDist.RxPowerDist(src.Params.TxPowerW, dist)
-	} else {
-		pr = c.prop.RxPower(src.Params.TxPowerW, srcPos, dstPos)
-	}
+	dist := srcPos.Dist(dst.pos())
+	pr := c.prop.RxPower(src.Params.TxPowerW, dist)
 	if pr < dst.Params.CSThreshW {
 		return // below the noise floor: invisible
-	}
-	if c.propDist == nil {
-		dist = srcPos.Dist(dstPos)
 	}
 	delay := sim.Time(dist / SpeedOfLight)
 	var ar *arrival

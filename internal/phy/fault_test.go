@@ -4,7 +4,6 @@ import (
 	"math"
 	"testing"
 
-	"vanetsim/internal/geom"
 	"vanetsim/internal/packet"
 	"vanetsim/internal/sim"
 )
@@ -158,13 +157,13 @@ func TestSetDownIdempotent(t *testing.T) {
 
 func TestShadowingMoments(t *testing.T) {
 	m := NewShadowing(DefaultPropagation(), 6, sim.NewRNG(42))
-	src, dst := geom.V(0, 0), geom.V(120, 0)
-	base := DefaultPropagation().RxPower(0.1, src, dst)
+	const d = 120
+	base := DefaultPropagation().RxPower(0.1, d)
 
 	const n = 50_000
 	var sum, sumSq float64
 	for i := 0; i < n; i++ {
-		p := m.RxPower(0.1, src, dst)
+		p := m.RxPower(0.1, d)
 		db := 10 * math.Log10(p/base)
 		sum += db
 		sumSq += db * db
@@ -195,14 +194,14 @@ func TestShadowingRangeIsMedian(t *testing.T) {
 
 func TestShadowingZeroSigmaAndZeroPower(t *testing.T) {
 	m := NewShadowing(DefaultPropagation(), 0, sim.NewRNG(1))
-	src, dst := geom.V(0, 0), geom.V(100, 0)
-	if got, want := m.RxPower(0.1, src, dst), DefaultPropagation().RxPower(0.1, src, dst); got != want {
+	const d = 100
+	if got, want := m.RxPower(0.1, d), DefaultPropagation().RxPower(0.1, d); got != want {
 		t.Fatal("sigma=0 must be a transparent passthrough")
 	}
 	if m.Samples() != 0 {
 		t.Fatal("sigma=0 must consume no randomness")
 	}
-	if got := m.RxPower(0, src, dst); got != 0 {
+	if got := m.RxPower(0, d); got != 0 {
 		t.Fatalf("zero tx power shadowed to %v", got)
 	}
 }

@@ -63,7 +63,7 @@ func TestCandidatesCoverAllAudibleRadios(t *testing.T) {
 			}
 		}
 		for slot, r := range radios {
-			audible := prop.RxPower(params.TxPowerW, src, r.pos()) >= params.CSThreshW
+			audible := prop.RxPower(params.TxPowerW, src.Dist(r.pos())) >= params.CSThreshW
 			if audible && !inSet[int32(slot)] {
 				t.Fatalf("radio %d at %v audible from %v (dist %.3f, cs range %.3f) but culled",
 					slot, r.pos(), src, src.Dist(r.pos()), csRange)

@@ -53,12 +53,12 @@ func mkPkt(f *packet.Factory, size int) *packet.Packet {
 
 func TestFreeSpaceInverseSquare(t *testing.T) {
 	m := DefaultPropagation().FreeSpace
-	p50 := m.RxPower(1, geom.V(0, 0), geom.V(50, 0))
-	p100 := m.RxPower(1, geom.V(0, 0), geom.V(100, 0))
+	p50 := m.RxPower(1, 50)
+	p100 := m.RxPower(1, 100)
 	if math.Abs(p50/p100-4) > 1e-9 {
 		t.Fatalf("free space should fall off as 1/d²: ratio = %v", p50/p100)
 	}
-	if got := m.RxPower(1, geom.V(0, 0), geom.V(0, 0)); got != 1 {
+	if got := m.RxPower(1, 0); got != 1 {
 		t.Fatalf("zero-distance power = %v, want txPower", got)
 	}
 }
@@ -69,8 +69,8 @@ func TestTwoRayInverseFourth(t *testing.T) {
 	if dc < 80 || dc > 95 {
 		t.Fatalf("crossover = %v m, want ~86 m for WaveLAN geometry", dc)
 	}
-	p200 := m.RxPower(1, geom.V(0, 0), geom.V(200, 0))
-	p400 := m.RxPower(1, geom.V(0, 0), geom.V(400, 0))
+	p200 := m.RxPower(1, 200)
+	p400 := m.RxPower(1, 400)
 	if math.Abs(p200/p400-16) > 1e-9 {
 		t.Fatalf("two-ray should fall off as 1/d⁴ beyond crossover: ratio = %v", p200/p400)
 	}
@@ -79,8 +79,8 @@ func TestTwoRayInverseFourth(t *testing.T) {
 func TestTwoRayMatchesFreeSpaceBelowCrossover(t *testing.T) {
 	m := DefaultPropagation()
 	d := m.Crossover() / 2
-	got := m.RxPower(1, geom.V(0, 0), geom.V(d, 0))
-	want := m.FreeSpace.RxPower(1, geom.V(0, 0), geom.V(d, 0))
+	got := m.RxPower(1, d)
+	want := m.FreeSpace.RxPower(1, d)
 	if got != want {
 		t.Fatalf("below crossover, two-ray (%v) must equal free space (%v)", got, want)
 	}
@@ -105,10 +105,10 @@ func TestMonotonicAttenuationProperty(t *testing.T) {
 	f := func(d1Raw, d2Raw uint16) bool {
 		d1 := float64(d1Raw%2000) + 1
 		d2 := d1 + float64(d2Raw%2000)
-		p1 := m.RxPower(0.1, geom.V(0, 0), geom.V(d1, 0))
-		p2 := m.RxPower(0.1, geom.V(0, 0), geom.V(d2, 0))
-		f1 := m.FreeSpace.RxPower(0.1, geom.V(0, 0), geom.V(d1, 0))
-		f2 := m.FreeSpace.RxPower(0.1, geom.V(0, 0), geom.V(d2, 0))
+		p1 := m.RxPower(0.1, d1)
+		p2 := m.RxPower(0.1, d2)
+		f1 := m.FreeSpace.RxPower(0.1, d1)
+		f2 := m.FreeSpace.RxPower(0.1, d2)
 		return p2 <= p1+1e-18 && f2 <= f1+1e-18
 	}
 	if err := quick.Check(f, nil); err != nil {

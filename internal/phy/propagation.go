@@ -8,7 +8,6 @@ package phy
 import (
 	"math"
 
-	"vanetsim/internal/geom"
 	"vanetsim/internal/sim"
 )
 
@@ -16,26 +15,14 @@ import (
 const SpeedOfLight = 3e8
 
 // Propagation computes received signal power as a function of transmit
-// power and geometry.
+// power and the transmitter–receiver distance.
 type Propagation interface {
-	// RxPower returns the received power in watts at dst for a
-	// transmission of txPower watts from src.
-	RxPower(txPower float64, src, dst geom.Vec2) float64
+	// RxPower returns the received power in watts at distance d metres
+	// from a transmission of txPower watts.
+	RxPower(txPower, d float64) float64
 	// Range returns the distance in metres at which received power falls
 	// to thresh watts — the radio's effective range for that threshold.
 	Range(txPower, thresh float64) float64
-}
-
-// DistPropagation is an optional fast path for models whose received power
-// depends on geometry only through the transmitter–receiver distance: the
-// channel computes that distance once per candidate (it also needs it for
-// the propagation delay) and passes it in, instead of having RxPower
-// re-derive it from the positions. Implementations must return bit-
-// identical results to RxPower evaluated at the same distance.
-type DistPropagation interface {
-	Propagation
-	// RxPowerDist is RxPower with the src–dst distance precomputed.
-	RxPowerDist(txPower, d float64) float64
 }
 
 // FreeSpace is the Friis free-space model: Pr = Pt·Gt·Gr·λ² / ((4πd)²·L).
@@ -48,16 +35,9 @@ type FreeSpace struct {
 	SystemLoss float64
 }
 
-var _ DistPropagation = FreeSpace{}
-
 // RxPower implements Propagation. At zero distance the transmit power is
 // returned unattenuated.
-func (m FreeSpace) RxPower(txPower float64, src, dst geom.Vec2) float64 {
-	return m.RxPowerDist(txPower, src.Dist(dst))
-}
-
-// RxPowerDist implements DistPropagation.
-func (m FreeSpace) RxPowerDist(txPower, d float64) float64 {
+func (m FreeSpace) RxPower(txPower, d float64) float64 {
 	if d == 0 {
 		return txPower
 	}
@@ -82,8 +62,6 @@ type TwoRayGround struct {
 	HeightTxM, HeightRxM float64
 }
 
-var _ DistPropagation = TwoRayGround{}
-
 // Crossover returns the distance at which the two-ray term takes over from
 // free space.
 func (m TwoRayGround) Crossover() float64 {
@@ -91,14 +69,9 @@ func (m TwoRayGround) Crossover() float64 {
 }
 
 // RxPower implements Propagation.
-func (m TwoRayGround) RxPower(txPower float64, src, dst geom.Vec2) float64 {
-	return m.RxPowerDist(txPower, src.Dist(dst))
-}
-
-// RxPowerDist implements DistPropagation.
-func (m TwoRayGround) RxPowerDist(txPower, d float64) float64 {
+func (m TwoRayGround) RxPower(txPower, d float64) float64 {
 	if d < m.Crossover() {
-		return m.FreeSpace.RxPowerDist(txPower, d)
+		return m.FreeSpace.RxPower(txPower, d)
 	}
 	num := txPower * m.GainTx * m.GainRx * m.HeightTxM * m.HeightTxM * m.HeightRxM * m.HeightRxM
 	return num / (d * d * d * d * m.SystemLoss)
@@ -157,8 +130,8 @@ func NewShadowing(base Propagation, sigmaDB float64, rng *sim.RNG) *Shadowing {
 
 // RxPower implements Propagation: the base model's power scaled by a fresh
 // log-normal draw.
-func (m *Shadowing) RxPower(txPower float64, src, dst geom.Vec2) float64 {
-	p := m.Base.RxPower(txPower, src, dst)
+func (m *Shadowing) RxPower(txPower, d float64) float64 {
+	p := m.Base.RxPower(txPower, d)
 	if p <= 0 || m.SigmaDB == 0 {
 		return p
 	}

@@ -468,12 +468,6 @@ func (r *Radio) extendBusy(t sim.Time) {
 		return
 	}
 	r.busyUntil = t
-	// Each overlapping arrival pushes the deadline back; postponing the
-	// pending timer in place avoids a heap remove + re-insert per frame.
-	if tm, ok := r.idleTimer.Postpone(t); ok {
-		r.idleTimer = tm
-		return
-	}
 	r.idleTimer.Cancel()
 	r.idleTimer = r.sched.AtKind(sim.KindPHY, t, r.idleFn)
 }

@@ -187,7 +187,7 @@ func (w *World) harvestTelemetry() *obs.Snapshot {
 		if n == 0 {
 			continue
 		}
-		r.Counter("sched/events_"+kindSlug(sim.EventKind(k)),
+		r.Counter("sched/events_"+sim.EventKind(k).String(),
 			"events fired, by scheduling layer").Add(n)
 	}
 	r.Gauge("sched/max_pending", "pending-heap high-water mark").
@@ -197,26 +197,4 @@ func (w *World) harvestTelemetry() *obs.Snapshot {
 		Set(float64(s.Now()))
 
 	return r.Snapshot()
-}
-
-// kindSlug lower-cases an EventKind for metric names.
-func kindSlug(k sim.EventKind) string {
-	switch k {
-	case sim.KindPHY:
-		return "phy"
-	case sim.KindMAC:
-		return "mac"
-	case sim.KindRouting:
-		return "routing"
-	case sim.KindTransport:
-		return "transport"
-	case sim.KindApp:
-		return "app"
-	case sim.KindMobility:
-		return "mobility"
-	case sim.KindObs:
-		return "obs"
-	default:
-		return "other"
-	}
 }

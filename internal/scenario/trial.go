@@ -219,8 +219,8 @@ func RunTrial(cfg TrialConfig) *TrialResult {
 
 // Validate reports whether cfg describes a run RunTrial can execute: a
 // platoon with a lead and at least one follower, a positive packet size, a
-// finite non-negative duration and a valid fault plan. It allocates
-// nothing on success.
+// finite non-negative duration and a valid fault plan whose outages name
+// the trial's 2×PlatoonSize vehicles. It allocates nothing on success.
 func (c TrialConfig) Validate() error {
 	switch {
 	case c.PlatoonSize < 2:
@@ -229,6 +229,11 @@ func (c TrialConfig) Validate() error {
 		return fmt.Errorf("scenario: packet size %d bytes is not positive", c.PacketSize)
 	case !(c.Duration >= 0 && c.Duration < sim.Time(math.Inf(1))):
 		return fmt.Errorf("scenario: duration %v s: want finite and >= 0", float64(c.Duration))
+	}
+	for _, o := range c.Faults.Outages {
+		if int(o.Node) >= 2*c.PlatoonSize {
+			return fmt.Errorf("scenario: outage on node %v: the trial's vehicles are nodes 0..%d", o.Node, 2*c.PlatoonSize-1)
+		}
 	}
 	return c.Faults.Validate()
 }

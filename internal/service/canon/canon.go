@@ -94,9 +94,9 @@ type FaultRequest struct {
 
 // OutageRequest schedules one node's radio off the air.
 type OutageRequest struct {
-	Node      int     `json:"node"`
-	StartS    float64 `json:"start_s"`
-	DurationS float64 `json:"duration_s"`
+	Node      packet.NodeID `json:"node"`
+	StartS    float64       `json:"start_s"`
+	DurationS float64       `json:"duration_s"`
 }
 
 // DenseRequest asks for one run of the dense multi-lane highway
@@ -312,7 +312,7 @@ func canonFaults(fr *FaultRequest) fault.Plan {
 
 func outage(o OutageRequest) fault.Outage {
 	return fault.Outage{
-		Node:     packet.NodeID(o.Node),
+		Node:     o.Node,
 		Start:    sim.Time(o.StartS),
 		Duration: sim.Time(o.DurationS),
 	}

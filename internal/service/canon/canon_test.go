@@ -198,6 +198,11 @@ func TestCanonicalizeRejects(t *testing.T) {
 		`{"kind":"trial","trial":{"trial":1,"faults":{"outages":[{"node":-1,"start_s":0,"duration_s":1}]}}}`,
 		`{"kind":"trial","trial":{"trial":1,"faults":{"outages":[{"node":1,"start_s":-5,"duration_s":3}]}}}`,
 		`{"kind":"trial","trial":{"trial":1,"faults":{"outages":[{"node":1,"start_s":5,"duration_s":0}]}}}`,
+		// A node wider than packet.NodeID once wrapped onto node 1, and a
+		// node the trial does not have once ran as radio-down time.
+		`{"kind":"trial","trial":{"trial":1,"faults":{"outages":[{"node":4294967297,"start_s":10,"duration_s":5}]}}}`,
+		`{"kind":"trial","trial":{"trial":1,"faults":{"outages":[{"node":6,"start_s":10,"duration_s":5}]}}}`,
+		`{"kind":"trial","trial":{"trial":3,"faults":{"outages":[{"node":99,"start_s":10,"duration_s":5}]}}}`,
 		// One node's windows may neither touch nor overlap: the radio's
 		// edges would share a timestamp or nest, and order would matter.
 		`{"kind":"trial","trial":{"trial":1,"faults":{"outages":[{"node":1,"start_s":10,"duration_s":5},{"node":1,"start_s":15,"duration_s":5}]}}}`,
@@ -205,6 +210,8 @@ func TestCanonicalizeRejects(t *testing.T) {
 		// A mean burst below one frame once ran silently as one frame.
 		`{"kind":"trial","trial":{"trial":1,"faults":{"burst_loss":0.1,"burst_len":0.5}}}`,
 		`{"kind":"trial","trial":{"trial":1,"faults":{"burst_loss":1.5}}}`,
+		// A loss out of reach at this burst length once ran at loss 0.5.
+		`{"kind":"trial","trial":{"trial":1,"faults":{"burst_loss":0.9,"burst_len":1}}}`,
 		`{"kind":"trial","trial":{"trial":1,"faults":{"shadow_db":-1}}}`,
 		`{"kind":"trial","trial":{"trial":0,"packet":-5}}`,
 		`{"kind":"dense","dense":{"vehicles":1}}`,
@@ -221,6 +228,7 @@ func TestCanonicalizeRejects(t *testing.T) {
 		`{"kind":"degradation","degradation":{"duration_s":-1}}`,
 		`{"kind":"degradation","degradation":{"outage":{"node":1,"start_s":5,"duration_s":0}}}`,
 		`{"kind":"degradation","degradation":{"outage":{"node":0,"start_s":0,"duration_s":0}}}`,
+		`{"kind":"degradation","degradation":{"outage":{"node":99,"start_s":10,"duration_s":5}}}`,
 		`{"kind":"replication"}`,
 		`{"kind":"replication","replication":{"tolerance":0.05}}`,
 		`{"kind":"replication","replication":{"trial":{"trial":1},"tolerance":0}}`,

@@ -120,34 +120,6 @@ func (t Timer) Cancel() {
 	n.owner.remove(n)
 }
 
-// Postpone moves a pending timer's deadline later, in place, and returns
-// the replacement handle with ok true. It consumes a fresh sequence
-// number, so the firing order is exactly what Cancel followed by
-// re-scheduling the same callback at the new time would produce — but the
-// node's key grows in place and it sifts down, instead of being removed and
-// re-inserted, which is markedly cheaper for the extend-busy pattern where
-// a deadline is pushed back many times per firing. Unlike the
-// cancel-and-reschedule it replaces, outstanding copies of the old handle
-// stay valid and refer to the postponed event.
-//
-// Postpone declines (ok false, timer untouched) when the event already
-// fired or was cancelled, or when at precedes the current deadline; the
-// caller then falls back to Cancel plus a fresh schedule.
-func (t Timer) Postpone(at Time) (Timer, bool) {
-	n := t.n
-	if n == nil || n.gen != t.gen || at < n.at || math.IsNaN(float64(at)) {
-		return t, false
-	}
-	s := n.owner
-	n.at = at
-	n.seq = s.seq
-	s.seq++
-	// The key only grew, so the entry can only move toward the leaves.
-	s.heap[n.index] = heapEntry{at: at, seq: n.seq, n: n}
-	s.siftDown(n.index)
-	return Timer{n: n, gen: n.gen, at: at}, true
-}
-
 // Active reports whether the timer is still pending (not fired, not
 // cancelled).
 func (t Timer) Active() bool { return t.n != nil && t.n.gen == t.gen }

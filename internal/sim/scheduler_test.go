@@ -2,7 +2,6 @@ package sim
 
 import (
 	"math"
-	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -343,96 +342,5 @@ func TestMaxPending(t *testing.T) {
 	s.Run()
 	if s.MaxPending() != 5 {
 		t.Fatalf("MaxPending after run = %d, want 5 (high-water, not current)", s.MaxPending())
-	}
-}
-
-func TestPostponeBasics(t *testing.T) {
-	s := New()
-	var at Time
-	tm := s.Schedule(1, func() { at = s.Now() })
-	tm2, ok := tm.Postpone(3)
-	if !ok {
-		t.Fatal("Postpone of a pending timer declined")
-	}
-	if !tm.Active() || !tm2.Active() {
-		t.Fatal("both handles should remain active after Postpone")
-	}
-	if tm2.When() != 3 {
-		t.Fatalf("When = %v, want 3", tm2.When())
-	}
-	if _, ok := tm2.Postpone(2); ok {
-		t.Fatal("Postpone to an earlier deadline should decline")
-	}
-	s.Run()
-	if at != 3 {
-		t.Fatalf("fired at %v, want 3", at)
-	}
-	if _, ok := tm2.Postpone(5); ok {
-		t.Fatal("Postpone of a fired timer should decline")
-	}
-	var zero Timer
-	if _, ok := zero.Postpone(5); ok {
-		t.Fatal("Postpone of a zero-value timer should decline")
-	}
-}
-
-// TestPostponeMatchesCancelReschedule pins Postpone's contract: combined
-// with its documented fallback, it produces exactly the execution that
-// Cancel plus re-scheduling the same callback at the new time would, on
-// randomized programs.
-func TestPostponeMatchesCancelReschedule(t *testing.T) {
-	type ppOp struct {
-		Delay  uint8
-		Victim uint8
-		Extend uint8
-	}
-	type trace struct {
-		fired    []int
-		executed uint64
-		now      Time
-		pending  int
-	}
-	f := func(ops []ppOp) bool {
-		if len(ops) == 0 {
-			return true
-		}
-		run := func(usePostpone bool) trace {
-			s := New()
-			var tr trace
-			timers := make([]Timer, len(ops))
-			fns := make([]func(), len(ops))
-			for i, o := range ops {
-				i, o := i, o
-				fns[i] = func() {
-					tr.fired = append(tr.fired, i)
-					v := int(o.Victim) % len(ops)
-					vt := timers[v]
-					if !vt.Active() {
-						return
-					}
-					at := vt.When() + Time(o.Extend%8)/8
-					if usePostpone {
-						if tm, ok := vt.Postpone(at); ok {
-							timers[v] = tm
-							return
-						}
-					}
-					vt.Cancel()
-					timers[v] = s.At(at, fns[v])
-				}
-				timers[i] = s.Schedule(Time(o.Delay%16)/4, fns[i])
-			}
-			s.Run()
-			tr.executed = s.Executed()
-			tr.now = s.Now()
-			tr.pending = s.Pending()
-			return tr
-		}
-		a, b := run(false), run(true)
-		return slices.Equal(a.fired, b.fired) && a.executed == b.executed &&
-			a.now == b.now && a.pending == b.pending
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -8,10 +8,12 @@ import (
 
 // RecvFn observes every data segment arriving at a sink (before duplicate
 // filtering of the in-order stream — trace semantics: one event per
-// received packet). Metrics collectors subscribe here. p is valid only for
-// the call: the network layer releases it when the sink returns, so an
-// observer copies the fields it keeps.
-type RecvFn func(p *packet.Packet, at sim.Time)
+// received packet). first reports whether this is the segment number's
+// first arrival, as the sink's reassembly state decides it. Metrics
+// collectors subscribe here. p is valid only for the call: the network
+// layer releases it when the sink returns, so an observer copies the
+// fields it keeps.
+type RecvFn func(p *packet.Packet, at sim.Time, first bool)
 
 // SinkStats counts receiver-side events.
 type SinkStats struct {
@@ -73,10 +75,11 @@ func (k *Sink) RecvFromNet(p *packet.Packet) {
 		return
 	}
 	k.stats.SegmentsReceived++
-	if k.onRecv != nil {
-		k.onRecv(p, k.sched.Now())
-	}
 	seq := p.TCP.Seq
+	if k.onRecv != nil {
+		first := seq == k.expected || seq > k.expected && !k.buffered[seq]
+		k.onRecv(p, k.sched.Now(), first)
+	}
 	switch {
 	case seq == k.expected:
 		k.stats.BytesReceived += p.Size - k.cfg.HdrBytes

@@ -51,7 +51,7 @@ func TestBulkTransferInOrderComplete(t *testing.T) {
 	const n = 200
 	var seqs []int
 	var lastDelivery sim.Time
-	snk.OnRecv(func(p *packet.Packet, at sim.Time) {
+	snk.OnRecv(func(p *packet.Packet, at sim.Time, _ bool) {
 		seqs = append(seqs, p.TCP.Seq)
 		lastDelivery = at
 	})
@@ -160,7 +160,7 @@ func TestOneWayDelayStampSurvivesRetransmit(t *testing.T) {
 	snd := tcp.NewSender(w.Sched, w.Nodes[0].Net, w.PF, 100, 1, 200, cfg)
 	snk := tcp.NewSink(w.Sched, w.Nodes[1].Net, w.PF, 200, cfg)
 	var delays []sim.Time
-	snk.OnRecv(func(p *packet.Packet, at sim.Time) {
+	snk.OnRecv(func(p *packet.Packet, at sim.Time, _ bool) {
 		delays = append(delays, at-p.SentAt)
 	})
 	snd.SendBytes(cfg.SegmentSize)
