@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"errors"
+	"flag"
 	"io"
 	"math"
 	"os"
@@ -192,6 +194,55 @@ func TestRunFaultFlagErrors(t *testing.T) {
 	}
 }
 
+// stderrOf runs fn with os.Stderr redirected to a file and returns what fn
+// wrote there.
+func stderrOf(t *testing.T, fn func()) string {
+	t.Helper()
+	f, err := os.CreateTemp(t.TempDir(), "stderr")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	saved := os.Stderr
+	os.Stderr = f
+	defer func() { os.Stderr = saved }()
+	fn()
+	b, err := os.ReadFile(f.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
+}
+
+// TestFlagErrorsOneLine pins the flag errors' shape: a malformed or
+// unknown flag is one error line for main to print, with no usage dump on
+// stderr; -h prints the usage and returns flag.ErrHelp, which main does
+// not report as a failure.
+func TestFlagErrorsOneLine(t *testing.T) {
+	for _, args := range [][]string{
+		{"-outage", "x:1:2"},
+		{"-outage", "4294967297:10:5"},
+		{"-duration", "soon"},
+		{"-bogus"},
+	} {
+		var err error
+		if got := stderrOf(t, func() { _, err = parse(args) }); got != "" {
+			t.Errorf("%v wrote to stderr:\n%s", args, got)
+		}
+		if err == nil || strings.Contains(err.Error(), "\n") {
+			t.Errorf("%v: error %q, want one line", args, err)
+		}
+	}
+	var err error
+	usage := stderrOf(t, func() { _, err = parse([]string{"-h"}) })
+	if !errors.Is(err, flag.ErrHelp) {
+		t.Errorf("-h: error %v, want flag.ErrHelp", err)
+	}
+	if !strings.HasPrefix(usage, "Usage of vanetsim:") || !strings.Contains(usage, "-outage") {
+		t.Errorf("-h printed %q, want the usage", usage)
+	}
+}
+
 func TestRunDense(t *testing.T) {
 	var culled strings.Builder
 	if err := run([]string{"-dense", "48", "-duration", "6"}, &culled); err != nil {
@@ -297,6 +348,8 @@ func TestFrontDoorAgrees(t *testing.T) {
 			outages(canon.OutageRequest{Node: 1, StartS: 22, DurationS: 5}, canon.OutageRequest{Node: 4, StartS: 10, DurationS: 3})},
 		{[]string{"-duration", "40", "-outage", "5:10:5"}, outages(canon.OutageRequest{Node: 5, StartS: 10, DurationS: 5})},
 		{[]string{"-duration", "40", "-burst-loss", "0.5", "-burst-len", "1"}, faults(canon.FaultRequest{BurstLoss: 0.5, BurstLen: 1})},
+		// The edge L/(1−L) runs even where PGoodBad rounds a few ulps over 1.
+		{[]string{"-duration", "40", "-burst-loss", "0.8", "-burst-len", "4"}, faults(canon.FaultRequest{BurstLoss: 0.8, BurstLen: 4})},
 	} {
 		cl, cliErr := parse(c.args)
 		want, reqErr := canon.Canonicalize(c.req)

@@ -101,8 +101,11 @@ func (g GilbertElliott) StationaryLossProb() float64 {
 // frames, or the good state would have to leave with probability above 1.
 // Burst repairs nothing: a loss probability outside [0, 1], a mean burst
 // length that is not finite and at least one frame, or one too short for
-// the loss yields a model that Plan.Validate rejects. Total loss (lossProb
-// 1) is the absorbing all-bad chain, whatever the burst length.
+// the loss yields a model that Plan.Validate rejects. The edge itself runs:
+// at a burst length of exactly L/(1−L), rounding can put PGoodBad a few
+// ulps above 1 (Burst(0.8, 4) computes 1.0000000000000002), and a PGoodBad
+// within edgeULPs of 1 is taken as exactly 1. Total loss (lossProb 1) is
+// the absorbing all-bad chain, whatever the burst length.
 func Burst(lossProb, meanBurstLen float64) GilbertElliott {
 	if lossProb == 0 {
 		return GilbertElliott{}
@@ -112,8 +115,19 @@ func Burst(lossProb, meanBurstLen float64) GilbertElliott {
 	}
 	pBG := 1 / meanBurstLen
 	pGB := lossProb * pBG / (1 - lossProb)
+	if pGB > 1 && pGB <= 1+edgeULPs*epsilon {
+		pGB = 1
+	}
 	return GilbertElliott{PGoodBad: pGB, PBadGood: pBG, LossBad: 1}
 }
+
+// edgeULPs is how far above 1, in units of epsilon (the spacing of
+// float64 values just above 1), Burst still reads PGoodBad as 1. The
+// three roundings in L·(1/len)/(1−L) stay well inside it.
+const (
+	edgeULPs = 4
+	epsilon  = 0x1p-52
+)
 
 // Outage takes one node's radio off the air for a window of simulated time:
 // it neither transmits energy nor hears arrivals, and any reception in

@@ -119,6 +119,39 @@ func TestBurstParameterisationEdges(t *testing.T) {
 	}
 }
 
+// TestBurstAtTheReachableEdge pins the edge L/(1−L) itself: a burst length
+// of exactly that many frames runs at PGoodBad 1, even where the
+// arithmetic rounds a few ulps above 1, and stays at loss L.
+func TestBurstAtTheReachableEdge(t *testing.T) {
+	for _, c := range []struct{ loss, burstLen float64 }{
+		{0.8, 4},       // 0.2 divides as 0.19999999999999996: PGoodBad rounds above 1
+		{0.9, 9},       // likewise
+		{0.75, 3},      // exact
+		{0.6, 1.5},     // rounds below 1, already accepted
+		{0.5, 1},       // the one-frame edge
+		{0.3, 3.0 / 7}, // below one frame: the edge holds, Validate rejects the length
+	} {
+		g := Burst(c.loss, c.burstLen)
+		if g.PGoodBad > 1 {
+			t.Errorf("Burst(%v, %v).PGoodBad = %v, want at most 1", c.loss, c.burstLen, g.PGoodBad)
+		}
+		if got := g.StationaryLossProb(); math.Abs(got-c.loss) > 1e-12 {
+			t.Errorf("Burst(%v, %v) stationary loss = %v, want %v", c.loss, c.burstLen, got, c.loss)
+		}
+		err := Plan{Burst: g}.Validate()
+		if wantErr := c.burstLen < 1; (err != nil) != wantErr {
+			t.Errorf("Burst(%v, %v): Validate = %v, want error %v", c.loss, c.burstLen, err, wantErr)
+		}
+	}
+	// Past the edge is still out of reach, not rounded onto it.
+	for _, c := range []struct{ loss, burstLen float64 }{{0.9, 1}, {0.8, 3.99}, {0.9, 8.999}} {
+		err := Plan{Burst: Burst(c.loss, c.burstLen)}.Validate()
+		if err == nil || !strings.Contains(err.Error(), "PGoodBad") {
+			t.Errorf("Burst(%v, %v): Validate = %v, want a PGoodBad range error", c.loss, c.burstLen, err)
+		}
+	}
+}
+
 func TestPerLinkStreamsIndependentOfDiscoveryOrder(t *testing.T) {
 	plan := Plan{Bernoulli: Bernoulli{LossProb: 0.3}, Burst: Burst(0.1, 3)}
 	links := []packet.NodeID{2, 3, 4}
