@@ -29,6 +29,7 @@ package main
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -37,10 +38,12 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+
+	"vanetsim/internal/cliflag"
 )
 
 func main() {
-	if err := run(os.Args[1:], os.Stdin, os.Stdout); err != nil {
+	if err := run(os.Args[1:], os.Stdin, os.Stdout); err != nil && !errors.Is(err, flag.ErrHelp) {
 		fmt.Fprintln(os.Stderr, "benchguard:", err)
 		os.Exit(1)
 	}
@@ -80,7 +83,7 @@ func run(args []string, stdin io.Reader, out io.Writer) error {
 		maxNsReg     = fs.Float64("max-ns-regression", 0.20, "maximum tolerated fractional ns/op regression")
 		allowMissing = fs.Bool("allow-missing", false, "do not fail when a baseline benchmark is absent from the input")
 	)
-	if err := fs.Parse(args); err != nil {
+	if err := cliflag.Parse(fs, args); err != nil {
 		return err
 	}
 

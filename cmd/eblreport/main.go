@@ -22,6 +22,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -34,7 +35,7 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:], os.Stdout); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil && !errors.Is(err, flag.ErrHelp) {
 		fmt.Fprintln(os.Stderr, "eblreport:", err)
 		os.Exit(1)
 	}
@@ -53,7 +54,7 @@ func run(args []string, out io.Writer) error {
 		tolerance = fs.Float64("tolerance", 0, "print only the adaptive-precision report: replicate until every 95% CI is within this relative half-width (e.g. 0.05 = ±5%)")
 		maxReps   = fs.Int("max-reps", 0, "replication budget for -tolerance (0 = 64, otherwise at least 4); the achieved bound is reported if the budget is hit")
 	)
-	if err := fs.Parse(args); err != nil {
+	if err := cliflag.Parse(fs, args); err != nil {
 		return err
 	}
 	var modes []string

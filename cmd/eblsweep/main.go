@@ -31,6 +31,7 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -46,7 +47,7 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:], os.Stdout); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil && !errors.Is(err, flag.ErrHelp) {
 		fmt.Fprintln(os.Stderr, "eblsweep:", err)
 		os.Exit(1)
 	}
@@ -91,7 +92,7 @@ func runWith(args []string, out, progress io.Writer) (err error) {
 		degOutage  = fs.String("degrade-outage", "", "radio outage applied at every point, as node:start:duration")
 		degMAC     = fs.String("degrade-mac", "tdma", "MAC for the degradation sweep: tdma or 802.11")
 	)
-	if err := fs.Parse(args); err != nil {
+	if err := cliflag.Parse(fs, args); err != nil {
 		return err
 	}
 	// 0 stays accepted: it runs nothing, and the safety matrix then

@@ -10,6 +10,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -26,7 +27,7 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:], os.Stdin, os.Stdout); err != nil {
+	if err := run(os.Args[1:], os.Stdin, os.Stdout); err != nil && !errors.Is(err, flag.ErrHelp) {
 		fmt.Fprintln(os.Stderr, "ebltrace:", err)
 		os.Exit(1)
 	}
@@ -38,7 +39,7 @@ func run(args []string, in io.Reader, out io.Writer) error {
 	stats := fs.Bool("stats", false, "print a telemetry-style summary of the trace records")
 	statsJSN := fs.String("stats-json", "", "write the trace summary as NDJSON to this path")
 	format := fs.String("format", "report", "output format: report (delay/throughput tables) or chrome (trace-event JSON)")
-	if err := fs.Parse(args); err != nil {
+	if err := cliflag.Parse(fs, args); err != nil {
 		return err
 	}
 	if fs.NArg() != 1 {

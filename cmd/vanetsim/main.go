@@ -30,6 +30,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -44,7 +45,7 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:], os.Stdout); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil && !errors.Is(err, flag.ErrHelp) {
 		fmt.Fprintln(os.Stderr, "vanetsim:", err)
 		os.Exit(1)
 	}
@@ -167,7 +168,7 @@ func parse(args []string) (*cmdline, error) {
 	fs.StringVar(&o.spansChrome, "spans-chrome", "", "write span events as Chrome trace-event JSON to this path")
 	fs.StringVar(&o.statsJSON, "stats-json", "", "write run telemetry as NDJSON to this path")
 	fs.StringVar(&o.statsProm, "stats-prom", "", "write run telemetry in Prometheus text format to this path")
-	if err := fs.Parse(args); err != nil {
+	if err := cliflag.Parse(fs, args); err != nil {
 		return nil, err
 	}
 	var req canon.Request

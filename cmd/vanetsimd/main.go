@@ -35,11 +35,12 @@ import (
 	"syscall"
 	"time"
 
+	"vanetsim/internal/cliflag"
 	"vanetsim/internal/service"
 )
 
 func main() {
-	if err := run(os.Args[1:]); err != nil {
+	if err := run(os.Args[1:]); err != nil && !errors.Is(err, flag.ErrHelp) {
 		fmt.Fprintln(os.Stderr, "vanetsimd:", err)
 		os.Exit(1)
 	}
@@ -59,7 +60,7 @@ func run(args []string) error {
 		burst    = fs.Int("rate-burst", 8, "per-client token-bucket burst")
 		drainFor = fs.Duration("drain-timeout", 10*time.Minute, "how long shutdown waits for in-flight jobs")
 	)
-	if err := fs.Parse(args); err != nil {
+	if err := cliflag.Parse(fs, args); err != nil {
 		return err
 	}
 	budgetBytes, err := parseBytes(*budget)
