@@ -306,7 +306,7 @@ func TestCancelRemovesFromHeap(t *testing.T) {
 	timers[3].Cancel()
 	timers[7].Cancel()
 	if s.Pending() != 5 {
-		t.Fatalf("Pending = %d after 3 cancels, want 5 (cancel must remove eagerly)", s.Pending())
+		t.Fatalf("Pending = %d after 3 cancels, want 5 (a cancelled event stops counting at once)", s.Pending())
 	}
 	s.Run()
 	if s.Executed() != 5 {
