@@ -65,6 +65,7 @@ bench-guard:
 	$(GO) test -bench='BenchmarkTrial1(Baseline|SpansDisarmed)$$' -benchmem -benchtime=5x -run='^$$' . | tee -a $(BIN)/bench.txt
 	$(GO) test -bench='BenchmarkTrial3$$' -benchmem -benchtime=3x -run='^$$' . | tee -a $(BIN)/bench.txt
 	$(GO) test -bench='BenchmarkBroadcast(Scan|Culled|CulledMoving)' -benchmem -benchtime=1s -run='^$$' ./internal/phy | tee -a $(BIN)/bench.txt
+	$(GO) test -bench='BenchmarkAODVRecvRREQ$$' -benchmem -benchtime=2s -run='^$$' ./internal/aodv | tee -a $(BIN)/bench.txt
 	$(GO) test -bench='BenchmarkCanonicalHash$$' -benchmem -benchtime=2s -run='^$$' ./internal/service/canon | tee -a $(BIN)/bench.txt
 	$(GO) test -bench='Benchmark(CacheGet|ServeCachedResult)$$' -benchmem -benchtime=1s -run='^$$' ./internal/service | tee -a $(BIN)/bench.txt
 	$(BIN)/benchguard -baseline BENCH.json -input $(BIN)/bench.txt -max-ns-regression $(MAX_NS_REGRESSION)

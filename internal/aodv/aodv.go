@@ -30,8 +30,8 @@ type Config struct {
 	RREQRetries int
 	// TTLStart/TTLIncrement/TTLThreshold parameterise the expanding ring.
 	TTLStart, TTLIncrement, TTLThreshold int
-	// BcastIDSave is how long (origin, broadcast-id) pairs are remembered
-	// for RREQ duplicate suppression.
+	// BcastIDSave is how long a node remembers a flood it has seen; route
+	// requests older than this are discarded.
 	BcastIDSave sim.Time
 	// MaxBufferPerDest bounds packets queued awaiting a route.
 	MaxBufferPerDest int
@@ -83,11 +83,6 @@ type Stats struct {
 	RepairsFailed   int // local repairs that ended in a route error
 }
 
-type seenKey struct {
-	origin packet.NodeID
-	id     uint32
-}
-
 // discovery tracks one in-flight route search.
 type discovery struct {
 	ttl     int
@@ -108,11 +103,9 @@ type Agent struct {
 	rng   *sim.RNG
 	cfg   Config
 
-	seq     uint32
-	bcastID uint32
-	tbl     *table
-	seen    map[seenKey]sim.Time
-	disc    map[packet.NodeID]*discovery
+	seq  uint32
+	tbl  *table
+	disc map[packet.NodeID]*discovery
 
 	stats Stats
 
@@ -138,7 +131,6 @@ func New(sched *sim.Scheduler, net *netlayer.Net, pf *packet.Factory, rng *sim.R
 		rng:   rng,
 		cfg:   cfg,
 		tbl:   newTable(),
-		seen:  make(map[seenKey]sim.Time),
 		disc:  make(map[packet.NodeID]*discovery),
 	}
 	net.SetRouting(a)
@@ -218,20 +210,18 @@ func (a *Agent) bufferAndDiscoverMode(p *packet.Packet, repair bool, cause span.
 // and arms the retry timer.
 func (a *Agent) sendRREQ(dst packet.NodeID, d *discovery) {
 	a.seq++
-	a.bcastID++
 	a.stats.RREQOriginated++
 	rq := &RREQ{
-		BcastID:      a.bcastID,
 		Dst:          dst,
 		Origin:       a.id,
 		OriginSeq:    a.seq,
 		OriginatedAt: a.sched.Now(),
+		flood:        &flood{},
 	}
 	if e := a.tbl.lookup(dst); e != nil && e.SeqValid {
 		rq.DstSeq = e.Seq
 		rq.DstKnown = true
 	}
-	a.seen[seenKey{a.id, a.bcastID}] = a.sched.Now() + a.cfg.BcastIDSave
 	p := a.pf.New(packet.TypeAODV, rreqSize, a.sched.Now())
 	a.stats.RREQBytes += rreqSize
 	p.IP = packet.IPHdr{
@@ -339,21 +329,16 @@ func (a *Agent) recvRREQ(p *packet.Packet, rq *RREQ) {
 		return // our own flood echoed back
 	}
 	if now-rq.OriginatedAt > a.cfg.BcastIDSave {
-		// The flood has outlived its dedup window (it sat in slow MAC
-		// queues): discard it, or expired seen-entries would let it echo
-		// between neighbors forever.
+		// The flood has outlived the time a node remembers it (it sat in
+		// slow MAC queues): discard it, or a node that forgot it would let
+		// it echo between neighbors forever.
 		a.stats.RREQStale++
 		return
 	}
-	key := seenKey{rq.Origin, rq.BcastID}
-	if _, dup := a.seen[key]; dup {
+	if rq.flood.mark(a.id) {
 		a.stats.RREQDuplicates++
 		return
 	}
-	// The entry must outlast every copy of the flood still in flight; the
-	// age check above guarantees none survives past OriginatedAt + save.
-	a.seen[key] = rq.OriginatedAt + a.cfg.BcastIDSave
-	a.pruneSeen(now)
 
 	// Route back to the previous hop and to the originator.
 	a.tbl.update(from, 0, false, 1, from, now+a.cfg.ActiveRouteTimeout)
@@ -551,17 +536,5 @@ func (a *Agent) linkBreak(p *packet.Packet) {
 		// locally originated data.
 		a.stats.Salvaged++
 		a.bufferAndDiscoverMode(p, false, span.CauseSalvage)
-	}
-}
-
-// pruneSeen drops expired RREQ-dedup entries; called opportunistically.
-func (a *Agent) pruneSeen(now sim.Time) {
-	if len(a.seen) < 256 {
-		return
-	}
-	for k, exp := range a.seen {
-		if exp <= now {
-			delete(a.seen, k)
-		}
 	}
 }

@@ -25,7 +25,6 @@ const (
 // RREQ is a route request, flooded toward the destination.
 type RREQ struct {
 	HopCount  int
-	BcastID   uint32
 	Dst       packet.NodeID
 	DstSeq    uint32
 	DstKnown  bool // false = "unknown sequence number" flag
@@ -39,21 +38,42 @@ type RREQ struct {
 	// neighbors indefinitely. Real AODV never needs this field because it
 	// assumes millisecond MACs; it carries no wire bytes here.
 	OriginatedAt sim.Time
+	// flood is the flood's duplicate-suppression record, which stands in
+	// for RFC 3561's (originator, broadcast id) pair. Like OriginatedAt it
+	// is simulator-side and carries no wire bytes.
+	flood *flood
 }
 
-// ClonePayload implements packet.Payload.
+// ClonePayload implements packet.Payload; the copy shares the flood record.
 func (m *RREQ) ClonePayload() packet.Payload {
 	c := *m
 	return &c
 }
 
-// ClonePayloadOnto implements packet.ReusablePayload.
+// ClonePayloadOnto implements packet.ReusablePayload, sharing the record too.
 func (m *RREQ) ClonePayloadOnto(old packet.Payload) (packet.Payload, bool) {
 	if o, ok := old.(*RREQ); ok {
 		*o = *m
 		return o, true
 	}
 	return nil, false
+}
+
+// flood records which nodes have processed one route-request flood, as a
+// bitset over NodeID. sendRREQ makes one per flood and every copy carries
+// it, so a node's duplicate test is one bit, not a lookup in its own table.
+type flood struct{ seen []uint64 }
+
+// mark records that node id has processed the flood and reports whether
+// it already had.
+func (f *flood) mark(id packet.NodeID) (dup bool) {
+	w, bit := int(id)>>6, uint64(1)<<(uint(id)&63)
+	if w >= len(f.seen) {
+		f.seen = append(f.seen, make([]uint64, w+1-len(f.seen))...)
+	}
+	dup = f.seen[w]&bit != 0
+	f.seen[w] |= bit
+	return dup
 }
 
 // RREP is a route reply, unicast hop-by-hop back to the request origin.

@@ -64,5 +64,21 @@ func (v Vec2) ApproxEqual(w Vec2, tol float64) bool {
 	return math.Abs(v.X-w.X) <= tol && math.Abs(v.Y-w.Y) <= tol
 }
 
+// Kinematics is a constant-acceleration law: dt seconds after its base
+// the point is at Pos + Vel·dt + ½·Acc·dt², moving at Vel + Acc·dt. It is
+// the one place the law is evaluated, so every position computed from the
+// same base and dt is the same to the bit, whoever computes it.
+type Kinematics struct {
+	Pos, Vel, Acc Vec2
+}
+
+// At returns the position dt seconds after the base.
+func (k Kinematics) At(dt float64) Vec2 {
+	return k.Pos.Add(k.Vel.Scale(dt)).Add(k.Acc.Scale(0.5 * dt * dt))
+}
+
+// VelAt returns the velocity dt seconds after the base.
+func (k Kinematics) VelAt(dt float64) Vec2 { return k.Vel.Add(k.Acc.Scale(dt)) }
+
 // String formats the vector as "(x, y)" with centimetre precision.
 func (v Vec2) String() string { return fmt.Sprintf("(%.2f, %.2f)", v.X, v.Y) }

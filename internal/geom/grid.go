@@ -30,6 +30,9 @@ type Grid struct {
 	// word by word yields ascending order without a comparison sort; each
 	// query clears only the words it touched.
 	hits []uint64
+	// free holds the buckets of cells that emptied, reused for cells that
+	// fill, so points moving across cells allocate nothing in steady state.
+	free [][]int32
 }
 
 // NewGrid creates an empty grid with the given cell side. It panics on a
@@ -77,7 +80,11 @@ func (g *Grid) Update(id int32, p Vec2) {
 	g.pos[id] = p
 	g.key[id] = k
 	g.in[id] = true
-	g.cells[k] = append(g.cells[k], id)
+	bucket, ok := g.cells[k]
+	if n := len(g.free); !ok && n > 0 {
+		bucket, g.free = g.free[n-1], g.free[:n-1]
+	}
+	g.cells[k] = append(bucket, id)
 }
 
 // Remove deletes id from the grid. Removing an absent ID is a no-op.
@@ -132,6 +139,7 @@ func (g *Grid) removeFromCell(id int32, k uint64) {
 	}
 	if len(bucket) == 0 {
 		delete(g.cells, k)
+		g.free = append(g.free, bucket)
 	} else {
 		g.cells[k] = bucket
 	}

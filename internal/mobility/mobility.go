@@ -75,20 +75,11 @@ type Event struct {
 // start until the next segment's start.
 type segment struct {
 	start sim.Time
-	pos   geom.Vec2
-	vel   geom.Vec2
-	acc   geom.Vec2
+	geom.Kinematics
 }
 
-func (s segment) at(t sim.Time) geom.Vec2 {
-	dt := float64(t - s.start)
-	return s.pos.Add(s.vel.Scale(dt)).Add(s.acc.Scale(0.5 * dt * dt))
-}
-
-func (s segment) velAt(t sim.Time) geom.Vec2 {
-	dt := float64(t - s.start)
-	return s.vel.Add(s.acc.Scale(dt))
-}
+func (s segment) at(t sim.Time) geom.Vec2    { return s.At(float64(t - s.start)) }
+func (s segment) velAt(t sim.Time) geom.Vec2 { return s.VelAt(float64(t - s.start)) }
 
 // Vehicle is a single mobile node. Create vehicles with NewVehicle; the
 // zero value is not usable.
@@ -111,7 +102,7 @@ type Vehicle struct {
 // NewVehicle creates a stationary vehicle at pos.
 func NewVehicle(id packet.NodeID, sched *sim.Scheduler, pos geom.Vec2) *Vehicle {
 	v := &Vehicle{id: id, sched: sched, phase: Stopped}
-	v.segs = append(v.segs, segment{start: sched.Now(), pos: pos})
+	v.segs = append(v.segs, segment{sched.Now(), geom.Kinematics{Pos: pos}})
 	return v
 }
 
@@ -140,16 +131,15 @@ func (v *Vehicle) notifyMotion() {
 	}
 }
 
-// Motion returns the vehicle's instantaneous kinematic state — position,
-// velocity, and acceleration of the current motion segment — at the
-// current simulated time. Between OnMotionChange notifications the vehicle
-// follows exactly this constant-acceleration law, which is what lets the
-// PHY's spatial index bound how far the vehicle can stray from a sampled
-// position without re-asking.
-func (v *Vehicle) Motion() (pos, vel, acc geom.Vec2) {
-	now := v.sched.Now()
-	s := v.segmentAt(now)
-	return s.at(now), s.velAt(now), s.acc
+// Motion returns the vehicle's current motion segment: its start time and
+// the constant-acceleration law it follows from then on. Every segment
+// starts at the simulated time it was made, and between OnMotionChange
+// notifications the vehicle follows exactly this law, so the radio channel
+// can compute the vehicle's position itself, bit-identical to Position,
+// without asking again.
+func (v *Vehicle) Motion() (start sim.Time, law geom.Kinematics) {
+	s := v.segs[len(v.segs)-1]
+	return s.start, s.Kinematics
 }
 
 func (v *Vehicle) publish(t EventType) {
@@ -224,17 +214,17 @@ func (v *Vehicle) SetDest(dest geom.Vec2, speed float64) {
 	v.cancelPending()
 	dist := cur.Dist(dest)
 	if dist == 0 {
-		v.pushSegment(segment{start: now, pos: cur})
+		v.pushSegment(segment{now, geom.Kinematics{Pos: cur}})
 		v.setPhase(Stopped)
 		return
 	}
 	dir := dest.Sub(cur).Unit()
-	v.pushSegment(segment{start: now, pos: cur, vel: dir.Scale(speed)})
+	v.pushSegment(segment{now, geom.Kinematics{Pos: cur, Vel: dir.Scale(speed)}})
 	v.setPhase(Moving)
 	travel := sim.Time(dist / speed)
 	v.pending = v.sched.ScheduleKind(sim.KindMobility, travel, func() {
 		v.pending = sim.Timer{}
-		v.pushSegment(segment{start: v.sched.Now(), pos: dest})
+		v.pushSegment(segment{v.sched.Now(), geom.Kinematics{Pos: dest}})
 		v.setPhase(Stopped)
 	})
 }
@@ -256,13 +246,13 @@ func (v *Vehicle) Brake(decel float64) {
 	v.cancelPending()
 	cur := v.PositionAt(now)
 	dir := vel.Unit()
-	v.pushSegment(segment{start: now, pos: cur, vel: vel, acc: dir.Scale(-decel)})
+	v.pushSegment(segment{now, geom.Kinematics{Pos: cur, Vel: vel, Acc: dir.Scale(-decel)}})
 	v.setPhase(Braking)
 	stopIn := sim.Time(speed / decel)
 	v.pending = v.sched.ScheduleKind(sim.KindMobility, stopIn, func() {
 		v.pending = sim.Timer{}
 		stopPos := cur.Add(dir.Scale(speed * speed / (2 * decel)))
-		v.pushSegment(segment{start: v.sched.Now(), pos: stopPos})
+		v.pushSegment(segment{v.sched.Now(), geom.Kinematics{Pos: stopPos}})
 		v.setPhase(Stopped)
 	})
 }
@@ -275,7 +265,7 @@ func (v *Vehicle) Halt() {
 	now := v.sched.Now()
 	cur := v.PositionAt(now)
 	v.cancelPending()
-	v.pushSegment(segment{start: now, pos: cur})
+	v.pushSegment(segment{now, geom.Kinematics{Pos: cur}})
 	v.setPhase(Stopped)
 }
 

@@ -54,6 +54,10 @@ type Channel struct {
 	sched  *sim.Scheduler
 	prop   Propagation
 	radios []*Radio
+	// tracks is the motion table, indexed by attach slot like radios:
+	// broadcast reads receiver positions from it, one contiguous row per
+	// radio, and the spatial index buckets radios by it.
+	tracks []track
 	idx    *neighborIndex // nil: broadcast full-scans
 
 	arriveFn func(any)
@@ -62,6 +66,13 @@ type Channel struct {
 	// its pool and go back to it (Radio.ReleaseFrame).
 	pf    *packet.Factory
 	stats ChannelStats
+}
+
+// track is one radio's row in the channel's motion table: its MotionFn and
+// the segment that function last reported.
+type track struct {
+	fn MotionFn // nil: no motion info; the radio's PositionFn places it
+	m  Motion
 }
 
 // NewChannel creates a channel using the given propagation model. Its
@@ -98,7 +109,7 @@ func (c *Channel) EnableCulling() {
 	if c.idx != nil {
 		return
 	}
-	c.idx = newNeighborIndex(c.prop)
+	c.idx = newNeighborIndex(c)
 	for slot, r := range c.radios {
 		c.idx.attach(slot, r, c.sched.Now())
 	}
@@ -112,30 +123,52 @@ func (c *Channel) Attach(r *Radio) {
 	r.ch = c
 	r.slot = len(c.radios)
 	c.radios = append(c.radios, r)
+	c.tracks = append(c.tracks, track{})
 	if c.idx != nil {
 		c.idx.attach(r.slot, r, c.sched.Now())
 	}
 }
 
-// SetMotion gives the spatial index kinematic visibility into an attached
-// radio: its grid cell is revalidated on a deadline derived from the
-// reported motion segment instead of every broadcast. The caller must
-// pair this with MotionChanged notifications on every trajectory change.
-// A radio without motion info is never culled. No-op while culling is
-// disabled.
+// SetMotion enters an attached radio's motion into the channel's table:
+// broadcast computes the radio's position from its current segment, and
+// the spatial index revalidates its grid cell on a deadline derived from
+// that segment instead of every broadcast. The caller must pair this with
+// MotionChanged notifications on every trajectory change. A radio without
+// motion info is placed by its PositionFn and never culled. A radio's
+// first MotionFn stays; later calls are no-ops.
 func (c *Channel) SetMotion(r *Radio, fn MotionFn) {
-	if c.idx != nil && r.ch == c {
-		c.idx.setMotion(r.slot, fn, c.sched.Now())
+	if fn == nil || r.ch != c || c.tracks[r.slot].fn != nil {
+		return
+	}
+	c.tracks[r.slot] = track{fn: fn, m: fn()}
+	if c.idx != nil {
+		c.idx.setMotion(r.slot, c.sched.Now())
 	}
 }
 
-// MotionChanged tells the spatial index that r's trajectory changed and
-// its cached cell deadline no longer holds. No-op while culling is
-// disabled or for radios without motion info.
+// MotionChanged tells the channel that r's trajectory changed: its row in
+// the motion table is re-read, and the spatial index's cached cell
+// deadline, which no longer holds, is replaced. No-op for radios without
+// motion info.
 func (c *Channel) MotionChanged(r *Radio) {
-	if c.idx != nil && r.ch == c {
-		c.idx.motionChanged(r.slot, c.sched.Now())
+	if r.ch != c || c.tracks[r.slot].fn == nil {
+		return
 	}
+	t := &c.tracks[r.slot]
+	t.m = t.fn()
+	if c.idx != nil {
+		c.idx.resample(int32(r.slot), c.sched.Now())
+	}
+}
+
+// position returns the current position of the radio attached at slot:
+// from its row in the motion table, or from its PositionFn when it has no
+// motion info or its segment has not started yet.
+func (c *Channel) position(slot int, now sim.Time) geom.Vec2 {
+	if t := &c.tracks[slot]; t.fn != nil && t.m.Start <= now {
+		return t.m.at(now)
+	}
+	return c.radios[slot].pos()
 }
 
 // Radios returns all attached radios.
@@ -150,28 +183,32 @@ func (c *Channel) Propagation() Propagation { return c.prop }
 // its own clone of the packet (made at lock time) so that forwarding
 // never aliases.
 func (c *Channel) broadcast(src *Radio, p *packet.Packet, duration sim.Time) {
-	srcPos := src.pos()
+	now := c.sched.Now()
+	srcPos := c.position(src.slot, now)
 	txFreq := src.Freq()
 	if c.idx.active() {
-		for _, slot := range c.idx.candidates(c.sched.Now(), srcPos) {
-			c.offer(src, c.radios[slot], srcPos, p, duration, txFreq)
+		for _, slot := range c.idx.candidates(now, srcPos) {
+			c.offer(src, int(slot), srcPos, p, duration, txFreq)
 		}
 		return
 	}
-	for _, dst := range c.radios {
-		c.offer(src, dst, srcPos, p, duration, txFreq)
+	for slot := range c.radios {
+		c.offer(src, slot, srcPos, p, duration, txFreq)
 	}
 }
 
-// offer runs the per-receiver half of broadcast: the power check and, when
-// it passes, the pooled first-bit arrival. The receiver's position is
-// sampled exactly once, so received power and propagation delay are always
-// computed from the same point of its motion segment.
-func (c *Channel) offer(src, dst *Radio, srcPos geom.Vec2, p *packet.Packet, duration sim.Time, txFreq int) {
+// offer runs the per-receiver half of broadcast for the radio attached at
+// slot: the power check and, when it passes, the pooled first-bit arrival.
+// The receiver's position is sampled exactly once, so received power and
+// propagation delay are always computed from the same point of its motion
+// segment.
+func (c *Channel) offer(src *Radio, slot int, srcPos geom.Vec2, p *packet.Packet, duration sim.Time, txFreq int) {
+	dst := c.radios[slot]
 	if dst == src {
 		return
 	}
-	dist := srcPos.Dist(dst.pos())
+	now := c.sched.Now()
+	dist := srcPos.Dist(c.position(slot, now))
 	pr := c.prop.RxPower(src.Params.TxPowerW, dist)
 	if pr < dst.Params.CSThreshW {
 		return // below the noise floor: invisible
@@ -185,7 +222,7 @@ func (c *Channel) offer(src, dst *Radio, srcPos geom.Vec2, p *packet.Packet, dur
 		ar = &arrival{}
 	}
 	ap, owned := p, false
-	if now := c.sched.Now(); now+delay >= now+duration {
+	if now+delay >= now+duration {
 		// Pathological geometry: the first bit would arrive at or after the
 		// sender's end of transmission, when the MAC is free to mutate or
 		// release the frame. Fall back to the eager per-receiver clone.
@@ -207,6 +244,25 @@ type FreqFn func() int
 // PositionFn reports a node's current position; radios call it at
 // transmission and reception time so moving vehicles attenuate naturally.
 type PositionFn func() geom.Vec2
+
+// Motion is a radio's current motion segment: from Start on, the node
+// follows the constant-acceleration law until its next trajectory change.
+type Motion struct {
+	Start sim.Time
+	geom.Kinematics
+}
+
+// at returns the segment's position at t.
+func (m Motion) at(t sim.Time) geom.Vec2 { return m.At(float64(t - m.Start)) }
+
+// MotionFn reports a node's current motion segment. The contract the
+// channel depends on: between two calls with no MotionChanged
+// notification in between, the node moves exactly along the reported
+// segment, and its PositionFn reports the segment's position. A
+// mobility.Vehicle satisfies this: its trajectory is piecewise
+// constant-acceleration, every segment starts when it is made, and every
+// segment replacement fires OnMotionChange.
+type MotionFn func() Motion
 
 // MAC is the upward interface a radio delivers into. The 802.11 MAC uses
 // all three callbacks; the TDMA MAC ignores the carrier-sense pair.

@@ -7,20 +7,6 @@ import (
 	"vanetsim/internal/sim"
 )
 
-// Motion is an instantaneous kinematic sample: the node follows
-// pos + vel·t + ½·acc·t² until its next trajectory change.
-type Motion struct {
-	Pos, Vel, Acc geom.Vec2
-}
-
-// MotionFn reports a node's current motion segment. The contract the
-// spatial index depends on: between two calls with no MotionChanged
-// notification in between, the node moves exactly along the reported
-// constant-acceleration law. mobility.Vehicle satisfies this — its
-// trajectory is piecewise constant-acceleration and every segment
-// replacement fires OnMotionChange.
-type MotionFn func() Motion
-
 // rangeMargin widens the cull radius by a relative epsilon so that a
 // receiver sitting numerically on the carrier-sense boundary — where
 // Propagation.Range and Propagation.RxPower may round the last bit in
@@ -61,12 +47,10 @@ type idxItem struct {
 // range of every attached radio pair — the index changes who is iterated,
 // never what is delivered.
 type neighborIndex struct {
-	prop Propagation
+	ch   *Channel // motion table and propagation model
 	grid *geom.Grid
 
-	// Per-attach-slot state. motion is nil for unindexed radios.
-	motion []MotionFn
-	gen    []uint32
+	gen []uint32 // per attach slot: the current deadline's generation
 
 	heap      []idxItem
 	unindexed []int32 // attach slots without motion info, ascending
@@ -84,8 +68,8 @@ type neighborIndex struct {
 	merged  []int32 // grid hits merged with the unindexed list
 }
 
-func newNeighborIndex(prop Propagation) *neighborIndex {
-	return &neighborIndex{prop: prop, minCSW: math.Inf(1)}
+func newNeighborIndex(ch *Channel) *neighborIndex {
+	return &neighborIndex{ch: ch, minCSW: math.Inf(1)}
 }
 
 // active reports whether culling is usable: a finite positive cull range
@@ -98,8 +82,7 @@ func (ix *neighborIndex) active() bool {
 // attach registers a newly attached radio at slot. Radios start unindexed;
 // setMotion upgrades them.
 func (ix *neighborIndex) attach(slot int, r *Radio, now sim.Time) {
-	for len(ix.motion) <= slot {
-		ix.motion = append(ix.motion, nil)
+	for len(ix.gen) <= slot {
 		ix.gen = append(ix.gen, 0)
 	}
 	ix.unindexed = append(ix.unindexed, int32(slot))
@@ -126,7 +109,7 @@ func (ix *neighborIndex) recomputeRange(now sim.Time) {
 		ix.cullRange = 0
 		return
 	}
-	ix.cullRange = ix.prop.Range(ix.maxTxW, ix.minCSW)
+	ix.cullRange = ix.ch.prop.Range(ix.maxTxW, ix.minCSW)
 	ix.slack = ix.cullRange * slackFraction
 	if !ix.active() {
 		return
@@ -138,7 +121,7 @@ func (ix *neighborIndex) recomputeRange(now sim.Time) {
 		// gave the index a finite range to build cells from.
 		keep := ix.unindexed[:0]
 		for _, s := range ix.unindexed {
-			if ix.motion[s] != nil {
+			if ix.ch.tracks[s].fn != nil {
 				ix.resample(s, now)
 			} else {
 				keep = append(keep, s)
@@ -158,15 +141,11 @@ func (ix *neighborIndex) queryRadius() float64 {
 	return ix.cullRange*(1+rangeMargin) + ix.slack
 }
 
-// setMotion upgrades slot from unindexed to indexed, sampling its position
-// now. Before the grid materialises the radio simply stays unindexed (an
-// always-candidate); recomputeRange promotes it when the first finite cull
-// range arrives.
-func (ix *neighborIndex) setMotion(slot int, fn MotionFn, now sim.Time) {
-	if fn == nil || ix.motion[slot] != nil {
-		return
-	}
-	ix.motion[slot] = fn
+// setMotion upgrades slot, whose motion the channel's table now holds,
+// from unindexed to indexed, sampling its position now. Before the grid
+// materialises the radio simply stays unindexed (an always-candidate);
+// recomputeRange promotes it when the first finite cull range arrives.
+func (ix *neighborIndex) setMotion(slot int, now sim.Time) {
 	if ix.grid == nil {
 		return
 	}
@@ -179,33 +158,28 @@ func (ix *neighborIndex) setMotion(slot int, fn MotionFn, now sim.Time) {
 	ix.resample(int32(slot), now)
 }
 
-// motionChanged re-buckets slot immediately: its previous deadline was
-// computed from a trajectory that no longer holds.
-func (ix *neighborIndex) motionChanged(slot int, now sim.Time) {
-	if slot < len(ix.motion) && ix.motion[slot] != nil {
-		ix.resample(int32(slot), now)
-	}
-}
-
 // resample stores slot's current position and schedules (internally) its
-// next revalidation from the current motion segment.
+// next revalidation from the current motion segment. A radio whose motion
+// changed is resampled at once: its previous deadline was computed from a
+// trajectory that no longer holds.
 func (ix *neighborIndex) resample(slot int32, now sim.Time) {
 	if ix.grid == nil {
 		// No finite cull range yet; the index is inactive and broadcast
 		// full-scans, so positions need no maintenance.
 		return
 	}
-	m := ix.motion[slot]()
-	ix.grid.Update(slot, m.Pos)
+	m := ix.ch.tracks[slot].m
+	ix.grid.Update(slot, ix.ch.position(int(slot), now))
 	ix.gen[slot]++
-	ix.heapPush(idxItem{until: now + ix.horizon(m), slot: slot, gen: ix.gen[slot]})
+	ix.heapPush(idxItem{until: now + ix.horizon(m.VelAt(float64(now-m.Start)), m.Acc), slot: slot, gen: ix.gen[slot]})
 }
 
 // horizon bounds how long the sampled position stays within slack of the
 // true one: the first t with |v|·t + ½|a|·t² = slack, a conservative
-// (triangle-inequality) displacement bound for the current segment.
-func (ix *neighborIndex) horizon(m Motion) sim.Time {
-	v, a := m.Vel.Len(), m.Acc.Len()
+// (triangle-inequality) displacement bound for a node moving at vel with
+// constant acceleration acc.
+func (ix *neighborIndex) horizon(vel, acc geom.Vec2) sim.Time {
+	v, a := vel.Len(), acc.Len()
 	switch {
 	case a == 0 && v == 0:
 		return sim.Forever

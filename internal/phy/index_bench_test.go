@@ -71,12 +71,14 @@ func BenchmarkBroadcastCulled(b *testing.B) {
 }
 
 // BenchmarkBroadcastCulledMoving is the culled path with every radio
-// reporting highway cruise velocity: cell-revalidation deadlines expire a
+// moving at highway cruise velocity: cell-revalidation deadlines expire a
 // few simulated seconds apart forever, so each broadcast pays the index's
 // lazy refresh (deadline-heap pops and grid re-buckets) on top of
 // candidate selection — the mobility-aware machinery, not just the
-// static-grid best case. Positions are pinned so the neighborhood, and
-// with it the work being measured, stays constant across iterations.
+// static-grid best case. Every radio follows one law, reported by its
+// MotionFn and its PositionFn alike, and all share the velocity, so the
+// geometry, and with it the work being measured, stays constant across
+// iterations.
 func BenchmarkBroadcastCulledMoving(b *testing.B) {
 	const n = 1000
 	s := sim.New()
@@ -84,17 +86,14 @@ func BenchmarkBroadcastCulledMoving(b *testing.B) {
 	ch.EnableCulling()
 	offChannel := func() int { return 1 }
 	for i := 0; i < n; i++ {
-		x := float64(i) * 25
-		r := NewRadio(packet.NodeID(i), s, fixedPos(x, 0), DefaultRadioParams())
+		m := Motion{Start: s.Now(), Kinematics: geom.Kinematics{Pos: geom.V(float64(i)*25, 0), Vel: geom.V(30, 0)}}
+		r := NewRadio(packet.NodeID(i), s, func() geom.Vec2 { return m.at(s.Now()) }, DefaultRadioParams())
 		r.SetMAC(nullMAC{})
 		if i != n/2 {
 			r.SetFreqFn(offChannel)
 		}
 		ch.Attach(r)
-		xi := x
-		ch.SetMotion(r, func() Motion {
-			return Motion{Pos: geom.V(xi, 0), Vel: geom.V(30, 0)}
-		})
+		ch.SetMotion(r, func() Motion { return m })
 	}
 	src := ch.Radios()[n/2]
 	var pf packet.Factory

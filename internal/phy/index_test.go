@@ -10,9 +10,9 @@ import (
 	"vanetsim/internal/sim"
 )
 
-// staticMotion adapts a fixed point to the index's MotionFn.
+// staticMotion adapts a fixed point to the channel's MotionFn.
 func staticMotion(x, y float64) MotionFn {
-	return func() Motion { return Motion{Pos: geom.V(x, y)} }
+	return func() Motion { return Motion{Kinematics: geom.Kinematics{Pos: geom.V(x, y)}} }
 }
 
 // TestCandidatesCoverAllAudibleRadios is the core culling property: every
@@ -109,8 +109,8 @@ func TestCulledBroadcastMatchesScanWithMobility(t *testing.T) {
 			v := mobility.NewVehicle(packet.NodeID(i), s, geom.V(float64(i)*150, 0))
 			r := attach(i, v.Position)
 			ch.SetMotion(r, func() Motion {
-				pos, vel, acc := v.Motion()
-				return Motion{Pos: pos, Vel: vel, Acc: acc}
+				start, law := v.Motion()
+				return Motion{Start: start, Kinematics: law}
 			})
 			radio := r
 			v.OnMotionChange(func() { ch.MotionChanged(radio) })

@@ -371,17 +371,19 @@ func (w *World) ifqHook(n *Node) queue.Hook {
 	}
 }
 
-// AddVehicleNode assembles a stack for a mobile vehicle and gives the
-// channel's spatial index kinematic visibility into it: the index learns
-// the vehicle's constant-acceleration segment and is notified on every
-// trajectory change, so the radio's grid cell is revalidated only when the
-// vehicle could actually have strayed. Nodes added via plain AddNode are
-// never culled, so mixing the two stays exact.
+// AddVehicleNode assembles a stack for a mobile vehicle and makes the
+// channel the vehicle's position source: the channel's motion table holds
+// the vehicle's current constant-acceleration segment and is refreshed on
+// every trajectory change, so broadcast computes the vehicle's position
+// from it, bit-identical to Position, and the spatial index revalidates
+// the radio's grid cell only when the vehicle could actually have strayed.
+// Nodes added via plain AddNode are placed by their PositionFn and never
+// culled, so mixing the two stays exact.
 func (w *World) AddVehicleNode(v *mobility.Vehicle) *Node {
 	n := w.AddNode(v.ID(), v.Position)
 	w.Channel.SetMotion(n.Radio, func() phy.Motion {
-		pos, vel, acc := v.Motion()
-		return phy.Motion{Pos: pos, Vel: vel, Acc: acc}
+		start, law := v.Motion()
+		return phy.Motion{Start: start, Kinematics: law}
 	})
 	radio := n.Radio
 	v.OnMotionChange(func() { w.Channel.MotionChanged(radio) })
