@@ -90,9 +90,10 @@ fuzz:
 # config moves it), the O(n) MSER-5 against the exact O(n²) scan
 # (identical cut on any series), and the interface queues' own books
 # (accepted = dequeued + evicted + queued, drops = rejected + evicted,
-# hook events matching every call), and the event queue against a
-# container/heap reference (same firing order, clock and profile), a
-# couple of minutes each.
+# hook events matching every call), the event queue against a
+# container/heap reference (same firing order, clock and profile), and
+# the PHY's culled broadcast against the full scan over random fleets
+# (same deliveries and counters), a couple of minutes each.
 FUZZTIME ?= 2m
 fuzz-nightly:
 	$(GO) test -run='^$$' -fuzz=FuzzParseLine -fuzztime=$(FUZZTIME) ./internal/trace
@@ -101,6 +102,7 @@ fuzz-nightly:
 	$(GO) test -run='^$$' -fuzz=FuzzTruncationIndex -fuzztime=$(FUZZTIME) ./internal/metrics
 	$(GO) test -run='^$$' -fuzz=FuzzQueueAccounting -fuzztime=$(FUZZTIME) ./internal/queue
 	$(GO) test -run='^$$' -fuzz=FuzzSchedulerMatchesReference -fuzztime=$(FUZZTIME) ./internal/sim
+	$(GO) test -run='^$$' -fuzz=FuzzCulledMatchesScan -fuzztime=$(FUZZTIME) ./internal/phy
 
 # lint runs the static analyzers CI uses; tools are expected on PATH
 # (CI installs them, see .github/workflows/ci.yml).

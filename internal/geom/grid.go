@@ -87,46 +87,6 @@ func (g *Grid) Update(id int32, p Vec2) {
 	g.cells[k] = append(bucket, id)
 }
 
-// Remove deletes id from the grid. Removing an absent ID is a no-op.
-func (g *Grid) Remove(id int32) {
-	if int(id) >= len(g.in) || !g.in[id] {
-		return
-	}
-	g.removeFromCell(id, g.key[id])
-	g.in[id] = false
-}
-
-// CellKey returns the packed key of the cell currently holding id, and
-// whether id is stored. The key identifies a grid region: two IDs share a
-// key exactly when they occupy the same cell. Its bit layout is otherwise
-// opaque (callers reducing it to a small range should mix it first — the
-// packed fields make raw modulo degenerate).
-func (g *Grid) CellKey(id int32) (uint64, bool) {
-	if int(id) >= len(g.in) || !g.in[id] {
-		return 0, false
-	}
-	return g.key[id], true
-}
-
-// Pos returns id's stored position and whether it is present.
-func (g *Grid) Pos(id int32) (Vec2, bool) {
-	if int(id) >= len(g.in) || !g.in[id] {
-		return Vec2{}, false
-	}
-	return g.pos[id], true
-}
-
-// Len returns the number of stored IDs.
-func (g *Grid) Len() int {
-	n := 0
-	for _, present := range g.in {
-		if present {
-			n++
-		}
-	}
-	return n
-}
-
 func (g *Grid) removeFromCell(id int32, k uint64) {
 	bucket := g.cells[k]
 	for i, v := range bucket {

@@ -54,13 +54,13 @@ func TestGridMatchesBruteForce(t *testing.T) {
 		update(id, V(float64(i)*cell+cell/2, cell))
 		id++
 	}
-	// Churn: move half the IDs (some across cells), remove a few.
+	// Churn: move half the IDs (some across cells), and a few more onto
+	// lattice corners.
 	for i := int32(0); i < 100; i++ {
 		update(i, V(rng.float(-5000, 5000), rng.float(-5000, 5000)))
 	}
 	for i := int32(100); i < 110; i++ {
-		g.Remove(i)
-		delete(ref, i)
+		update(i, V(float64(i-105)*cell, float64(i%3)*cell))
 	}
 
 	for trial := 0; trial < 200; trial++ {
@@ -96,21 +96,12 @@ func TestGridUpdateMovesAcrossCells(t *testing.T) {
 	if len(got) != 1 || got[0] != 7 {
 		t.Fatalf("moved entry missing from new cell: %v", got)
 	}
-	if g.Len() != 1 {
-		t.Fatalf("Len = %d after a move, want 1", g.Len())
-	}
 }
 
-func TestGridRemoveAndRebuild(t *testing.T) {
+func TestGridRebuildKeepsQueries(t *testing.T) {
 	g := NewGrid(50)
 	for id := int32(0); id < 20; id++ {
 		g.Update(id, V(float64(id)*40, float64(id%3)*40))
-	}
-	g.Remove(5)
-	g.Remove(5) // double remove is a no-op
-	g.Remove(99)
-	if g.Len() != 19 {
-		t.Fatalf("Len = %d, want 19", g.Len())
 	}
 	before := g.QueryInto(nil, V(300, 40), 500)
 	g.Rebuild(200)
@@ -120,9 +111,6 @@ func TestGridRemoveAndRebuild(t *testing.T) {
 	after := g.QueryInto(nil, V(300, 40), 500)
 	if !slices.Equal(before, after) {
 		t.Fatalf("rebuild changed query results: %v vs %v", before, after)
-	}
-	if _, ok := g.Pos(5); ok {
-		t.Fatal("removed ID resurrected by rebuild")
 	}
 }
 

@@ -68,11 +68,13 @@ type Channel struct {
 	stats ChannelStats
 }
 
-// track is one radio's row in the channel's motion table: its MotionFn and
-// the segment that function last reported.
+// track is one radio's row in the channel's motion table: its MotionFn,
+// the segment that function last reported and, with culling, the time the
+// spatial index must re-bucket the radio by.
 type track struct {
-	fn MotionFn // nil: no motion info; the radio's PositionFn places it
-	m  Motion
+	fn    MotionFn // nil: no motion info; the radio's PositionFn places it
+	m     Motion
+	until sim.Time // the index's revalidation deadline (neighborIndex.resample)
 }
 
 // NewChannel creates a channel using the given propagation model. Its

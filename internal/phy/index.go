@@ -2,6 +2,7 @@ package phy
 
 import (
 	"math"
+	"slices"
 
 	"vanetsim/internal/geom"
 	"vanetsim/internal/sim"
@@ -19,23 +20,18 @@ const rangeMargin = 1e-9
 // query disc; a quarter of the carrier-sense range keeps both costs small.
 const slackFraction = 0.25
 
-// idxItem is one pending revalidation deadline in the index's internal
-// min-heap. Items are lazily deleted: a resample bumps the slot's
-// generation, turning every older item for that slot inert.
-type idxItem struct {
-	until sim.Time
-	slot  int32
-	gen   uint32
-}
-
 // neighborIndex culls broadcast receivers to the transmitter's
 // neighborhood. It keeps a uniform grid of slack-stale radio positions:
 // each indexed radio's stored position is guaranteed within slack metres
 // of its true position until the radio's revalidation deadline, derived
 // from its current motion segment (a vehicle doing 30 m/s with a 130 m
-// slack needs re-bucketing every ~4 s; a parked one never). Deadlines are
-// processed lazily inside broadcast — never via scheduler events, which
-// would perturb the sched/* telemetry the golden digests pin.
+// slack needs re-bucketing every ~4 s; a parked one never). Each deadline
+// lives in the radio's row of the channel's motion table (track.until) and
+// the index keeps only the earliest one: a broadcast before it costs one
+// comparison, and the first broadcast after it sweeps the table once,
+// re-bucketing every expired row. Deadlines are processed lazily inside
+// broadcast — never via scheduler events, which would perturb the sched/*
+// telemetry the golden digests pin.
 //
 // Radios attached without motion information are never culled: they join
 // the always-candidate list, so an index over a partially mobile world
@@ -50,10 +46,8 @@ type neighborIndex struct {
 	ch   *Channel // motion table and propagation model
 	grid *geom.Grid
 
-	gen []uint32 // per attach slot: the current deadline's generation
-
-	heap      []idxItem
-	unindexed []int32 // attach slots without motion info, ascending
+	next      sim.Time // earliest revalidation deadline in the motion table
+	unindexed []int32  // attach slots without motion info, ascending
 
 	// Cull-range inputs, maintained over attached radios. The query disc
 	// must cover the worst pair: strongest possible transmitter heard by
@@ -69,7 +63,7 @@ type neighborIndex struct {
 }
 
 func newNeighborIndex(ch *Channel) *neighborIndex {
-	return &neighborIndex{ch: ch, minCSW: math.Inf(1)}
+	return &neighborIndex{ch: ch, minCSW: math.Inf(1), next: sim.Forever}
 }
 
 // active reports whether culling is usable: a finite positive cull range
@@ -80,11 +74,10 @@ func (ix *neighborIndex) active() bool {
 }
 
 // attach registers a newly attached radio at slot. Radios start unindexed;
-// setMotion upgrades them.
+// one that already has motion info (culling enabled after SetMotion) is
+// indexed at once, so that once the grid exists a row is indexed exactly
+// when it has motion info — the set refresh sweeps.
 func (ix *neighborIndex) attach(slot int, r *Radio, now sim.Time) {
-	for len(ix.gen) <= slot {
-		ix.gen = append(ix.gen, 0)
-	}
 	ix.unindexed = append(ix.unindexed, int32(slot))
 	changed := false
 	if r.Params.TxPowerW > ix.maxTxW {
@@ -97,6 +90,9 @@ func (ix *neighborIndex) attach(slot int, r *Radio, now sim.Time) {
 	}
 	if changed {
 		ix.recomputeRange(now)
+	}
+	if ix.ch.tracks[slot].fn != nil {
+		ix.setMotion(slot, now)
 	}
 }
 
@@ -149,29 +145,28 @@ func (ix *neighborIndex) setMotion(slot int, now sim.Time) {
 	if ix.grid == nil {
 		return
 	}
-	for i, s := range ix.unindexed {
-		if s == int32(slot) {
-			ix.unindexed = append(ix.unindexed[:i], ix.unindexed[i+1:]...)
-			break
-		}
+	i := slices.Index(ix.unindexed, int32(slot))
+	if i < 0 {
+		return // promoted by recomputeRange
 	}
+	ix.unindexed = slices.Delete(ix.unindexed, i, i+1)
 	ix.resample(int32(slot), now)
 }
 
-// resample stores slot's current position and schedules (internally) its
-// next revalidation from the current motion segment. A radio whose motion
-// changed is resampled at once: its previous deadline was computed from a
-// trajectory that no longer holds.
+// resample stores slot's current position and writes its next revalidation
+// deadline, from the current motion segment, into its motion-table row. A
+// radio whose motion changed is resampled at once: its previous deadline
+// was computed from a trajectory that no longer holds.
 func (ix *neighborIndex) resample(slot int32, now sim.Time) {
 	if ix.grid == nil {
 		// No finite cull range yet; the index is inactive and broadcast
 		// full-scans, so positions need no maintenance.
 		return
 	}
-	m := ix.ch.tracks[slot].m
+	t := &ix.ch.tracks[slot]
 	ix.grid.Update(slot, ix.ch.position(int(slot), now))
-	ix.gen[slot]++
-	ix.heapPush(idxItem{until: now + ix.horizon(m.VelAt(float64(now-m.Start)), m.Acc), slot: slot, gen: ix.gen[slot]})
+	t.until = now + ix.horizon(t.m.VelAt(float64(now-t.m.Start)), t.m.Acc)
+	ix.next = min(ix.next, t.until)
 }
 
 // horizon bounds how long the sampled position stays within slack of the
@@ -191,19 +186,25 @@ func (ix *neighborIndex) horizon(vel, acc geom.Vec2) sim.Time {
 }
 
 // refresh re-buckets every indexed radio whose revalidation deadline has
-// passed. Amortised cost is one heap pop per expiry, independent of the
-// radio count.
+// passed. Before the earliest deadline it returns at once; after it, one
+// sweep of the motion table re-buckets the expired rows and finds the new
+// earliest deadline. Re-bucket order cannot reach any output: QueryInto
+// orders its hits by slot.
 func (ix *neighborIndex) refresh(now sim.Time) {
-	for len(ix.heap) > 0 {
-		top := ix.heap[0]
-		if top.until > now {
-			return
+	if now < ix.next {
+		return
+	}
+	ix.next = sim.Forever
+	for slot := range ix.ch.tracks {
+		t := &ix.ch.tracks[slot]
+		switch {
+		case t.fn == nil:
+			// Unindexed: no deadline.
+		case t.until <= now:
+			ix.resample(int32(slot), now)
+		default:
+			ix.next = min(ix.next, t.until)
 		}
-		ix.heapPop()
-		if top.gen != ix.gen[top.slot] {
-			continue // superseded by a later resample
-		}
-		ix.resample(top.slot, now)
 	}
 }
 
@@ -234,43 +235,4 @@ func (ix *neighborIndex) candidates(now sim.Time, srcPos geom.Vec2) []int32 {
 	out = append(out, ix.unindexed[j:]...)
 	ix.merged = out
 	return out
-}
-
-// The deadline heap: a hand-rolled binary min-heap on until (ties in any
-// order — expired items are processed in one batch and resampling is
-// order-independent), matching the repo's no-interface-boxing idiom.
-
-func (ix *neighborIndex) heapPush(it idxItem) {
-	ix.heap = append(ix.heap, it)
-	j := len(ix.heap) - 1
-	for j > 0 {
-		parent := (j - 1) / 2
-		if ix.heap[parent].until <= ix.heap[j].until {
-			break
-		}
-		ix.heap[parent], ix.heap[j] = ix.heap[j], ix.heap[parent]
-		j = parent
-	}
-}
-
-func (ix *neighborIndex) heapPop() {
-	last := len(ix.heap) - 1
-	ix.heap[0] = ix.heap[last]
-	ix.heap = ix.heap[:last]
-	j := 0
-	for {
-		l := 2*j + 1
-		if l >= last {
-			break
-		}
-		small := l
-		if r := l + 1; r < last && ix.heap[r].until < ix.heap[l].until {
-			small = r
-		}
-		if ix.heap[j].until <= ix.heap[small].until {
-			break
-		}
-		ix.heap[j], ix.heap[small] = ix.heap[small], ix.heap[j]
-		j = small
-	}
 }

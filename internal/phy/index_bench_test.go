@@ -73,9 +73,9 @@ func BenchmarkBroadcastCulled(b *testing.B) {
 // BenchmarkBroadcastCulledMoving is the culled path with every radio
 // moving at highway cruise velocity: cell-revalidation deadlines expire a
 // few simulated seconds apart forever, so each broadcast pays the index's
-// lazy refresh (deadline-heap pops and grid re-buckets) on top of
-// candidate selection — the mobility-aware machinery, not just the
-// static-grid best case. Every radio follows one law, reported by its
+// lazy refresh (a sweep of the motion table and grid re-buckets whenever
+// the earliest deadline has passed) on top of candidate selection — the
+// mobility-aware machinery, not just the static-grid best case. Every radio follows one law, reported by its
 // MotionFn and its PositionFn alike, and all share the velocity, so the
 // geometry, and with it the work being measured, stays constant across
 // iterations.

@@ -77,78 +77,160 @@ func TestCandidatesCoverAllAudibleRadios(t *testing.T) {
 // redirecting mid-run, plus an unindexed static radio — and demands the
 // delivery logs be identical event for event.
 func TestCulledBroadcastMatchesScanWithMobility(t *testing.T) {
-	type delivery struct {
-		at    sim.Time
-		radio int
-		uid   uint64
+	var prog mobilityProgram
+	for i := 0; i < 40; i++ {
+		v := vehicleScript{speed: 30 + float64(i%5), brake: -1, redirect: -1}
+		if i%3 == 0 {
+			v.brake = sim.Time(2 + float64(i)/10)
+		}
+		if i%7 == 1 {
+			v.redirect = sim.Time(4 + float64(i)/10)
+		}
+		prog.vehicles = append(prog.vehicles, v)
 	}
-	run := func(cull bool) ([]delivery, ChannelStats) {
-		s := sim.New()
-		ch := NewChannel(s, DefaultPropagation(), &packet.Factory{})
-		if cull {
-			ch.EnableCulling()
-		}
-		var log []delivery
-		var pf packet.Factory
-		const n = 40
-		radios := make([]*Radio, 0, n+1)
-		attach := func(id int, pos PositionFn) *Radio {
-			r := NewRadio(packet.NodeID(id), s, pos, DefaultRadioParams())
-			idx := len(radios)
-			r.SetMAC(recorderFunc(func(p *packet.Packet, _ bool) {
-				log = append(log, delivery{at: s.Now(), radio: idx, uid: p.UID})
-			}))
-			ch.Attach(r)
-			radios = append(radios, r)
-			return r
-		}
-		// A column of vehicles along +x, spaced past each other's carrier
-		// sense, cruising then braking at staggered times.
-		vehicles := make([]*mobility.Vehicle, 0, n)
-		for i := 0; i < n; i++ {
-			v := mobility.NewVehicle(packet.NodeID(i), s, geom.V(float64(i)*150, 0))
-			r := attach(i, v.Position)
-			ch.SetMotion(r, func() Motion {
-				start, law := v.Motion()
-				return Motion{Start: start, Kinematics: law}
-			})
-			radio := r
-			v.OnMotionChange(func() { ch.MotionChanged(radio) })
-			vehicles = append(vehicles, v)
-		}
-		// One radio with no motion info: must stay an always-candidate.
-		attach(n, fixedPos(1000, 40))
+	// Transmissions sprinkled through the run, mid-segment by design.
+	for tick := 0; tick < 80; tick++ {
+		prog.txs = append(prog.txs, txScript{at: sim.Time(float64(tick) * 0.11), src: (tick * 7) % 41})
+	}
+	checkCulledMatchesScan(t, prog)
+}
 
-		for i, v := range vehicles {
-			v.SetDest(geom.V(1e6, 0), 30+float64(i%5))
-		}
-		for i, v := range vehicles {
+// FuzzCulledMatchesScan runs checkCulledMatchesScan on programs decoded
+// from fuzz bytes. The first byte sets the vehicle count; the next four
+// per vehicle set its cruise speed (m/s, less one) and its depart, brake
+// and redirect times (tenths of a second; past the 10 s run they never
+// fire). Each pair after that is one transmission: the source radio, then
+// the time in 25ths of a second.
+func FuzzCulledMatchesScan(f *testing.F) {
+	// Seeds: the mobility test's fleet, once cruising from the start and
+	// once parked until staggered departures.
+	for _, depart := range []byte{0, 10} {
+		seed := []byte{39}
+		for i := 0; i < 40; i++ {
+			brake, redirect := byte(255), byte(255)
 			if i%3 == 0 {
-				v := v
-				s.At(sim.Time(2+float64(i)/10), func() { v.Brake(6) })
+				brake = byte(20 + i)
 			}
 			if i%7 == 1 {
-				v := v
-				// Redirect mid-run: a phase-preserving trajectory change the
-				// index must hear about.
-				s.At(sim.Time(4+float64(i)/10), func() { v.SetDest(geom.V(0, 1e6), 25) })
+				redirect = byte(40 + i)
 			}
+			seed = append(seed, byte(29+i%5), depart+byte(i%4), brake, redirect)
 		}
-		// Transmissions sprinkled through the run, mid-segment by design.
 		for tick := 0; tick < 80; tick++ {
-			src := radios[(tick*7)%len(radios)]
-			at := sim.Time(float64(tick) * 0.11)
-			s.At(at, func() {
-				p := pf.New(packet.TypeCBR, 100, s.Now())
-				_ = src.Transmit(p, 0.001)
+			seed = append(seed, byte(tick*7%41), byte(tick*3))
+		}
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		n := min(1+int(data[0])%48, (len(data)-1)/4)
+		data = data[1:]
+		tenths := func(b byte) sim.Time { return sim.Time(float64(b) / 10) }
+		var prog mobilityProgram
+		for ; len(prog.vehicles) < n; data = data[4:] {
+			prog.vehicles = append(prog.vehicles, vehicleScript{
+				speed:  1 + float64(data[0]),
+				depart: tenths(data[1]), brake: tenths(data[2]), redirect: tenths(data[3]),
 			})
 		}
-		s.RunUntil(10)
-		return log, ch.Stats()
-	}
+		for ; len(data) >= 2; data = data[2:] {
+			prog.txs = append(prog.txs, txScript{at: sim.Time(float64(data[1]) / 25), src: int(data[0]) % (n + 1)})
+		}
+		checkCulledMatchesScan(t, prog)
+	})
+}
 
-	culled, culledStats := run(true)
-	scanned, scannedStats := run(false)
+// mobilityProgram is one culled-versus-scan workload: a column of vehicles
+// 150 m apart along +x, spaced past each other's carrier sense, one
+// unindexed static radio after them, and a transmit schedule, run for 10 s.
+type mobilityProgram struct {
+	vehicles []vehicleScript
+	txs      []txScript
+}
+
+// vehicleScript drives one vehicle: it leaves rest at depart, cruising at
+// speed along +x, brakes at 6 m/s² at brake and turns toward +y at 25 m/s
+// at redirect. A negative time never fires.
+type vehicleScript struct {
+	speed                   float64
+	depart, brake, redirect sim.Time
+}
+
+// txScript is one 1 ms transmission by the radio attached at src (the
+// vehicles in order, then the static radio) at time at.
+type txScript struct {
+	at  sim.Time
+	src int
+}
+
+type delivery struct {
+	at    sim.Time
+	radio int
+	uid   uint64
+}
+
+// runMobility runs prog over one channel, culled or full-scan, and returns
+// its delivery log and arrival counters.
+func runMobility(prog mobilityProgram, cull bool) ([]delivery, ChannelStats) {
+	s := sim.New()
+	ch := NewChannel(s, DefaultPropagation(), &packet.Factory{})
+	if cull {
+		ch.EnableCulling()
+	}
+	var log []delivery
+	var pf packet.Factory
+	var radios []*Radio
+	attach := func(id int, pos PositionFn) *Radio {
+		r := NewRadio(packet.NodeID(id), s, pos, DefaultRadioParams())
+		idx := len(radios)
+		r.SetMAC(recorderFunc(func(p *packet.Packet, _ bool) {
+			log = append(log, delivery{at: s.Now(), radio: idx, uid: p.UID})
+		}))
+		ch.Attach(r)
+		radios = append(radios, r)
+		return r
+	}
+	at := func(t sim.Time, fn func()) {
+		if t >= 0 {
+			s.At(t, fn)
+		}
+	}
+	for i, vs := range prog.vehicles {
+		v := mobility.NewVehicle(packet.NodeID(i), s, geom.V(float64(i)*150, 0))
+		r := attach(i, v.Position)
+		ch.SetMotion(r, func() Motion {
+			start, law := v.Motion()
+			return Motion{Start: start, Kinematics: law}
+		})
+		v.OnMotionChange(func() { ch.MotionChanged(r) })
+		at(vs.depart, func() { v.SetDest(geom.V(1e6, 0), vs.speed) })
+		at(vs.brake, func() { v.Brake(6) })
+		// A phase-preserving trajectory change the index must hear about.
+		at(vs.redirect, func() { v.SetDest(geom.V(0, 1e6), 25) })
+	}
+	// One radio with no motion info: must stay an always-candidate.
+	attach(len(prog.vehicles), fixedPos(1000, 40))
+
+	for _, tx := range prog.txs {
+		src := radios[tx.src]
+		at(tx.at, func() {
+			p := pf.New(packet.TypeCBR, 100, s.Now())
+			_ = src.Transmit(p, 0.001)
+		})
+	}
+	s.RunUntil(10)
+	return log, ch.Stats()
+}
+
+// checkCulledMatchesScan fails t unless prog delivers the same frames to
+// the same radios at the same times, with the same counters, culled and
+// full-scan.
+func checkCulledMatchesScan(t *testing.T, prog mobilityProgram) {
+	t.Helper()
+	culled, culledStats := runMobility(prog, true)
+	scanned, scannedStats := runMobility(prog, false)
 	if culledStats != scannedStats {
 		t.Fatalf("channel stats diverged: culled %+v vs scan %+v", culledStats, scannedStats)
 	}
@@ -347,5 +429,31 @@ func TestIndexLateActivation(t *testing.T) {
 	want := []int32{0, 1}
 	if fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Fatalf("candidates = %v, want %v (degenerate-era radio lost)", got, want)
+	}
+}
+
+// TestIndexEnabledAfterMotion covers culling switched on after radios
+// already carry motion: each is indexed exactly once, so neither a
+// trajectory change nor an expired deadline can put a radio in the grid
+// while it is still an always-candidate, where it would be offered twice.
+func TestIndexEnabledAfterMotion(t *testing.T) {
+	s := sim.New()
+	ch := NewChannel(s, DefaultPropagation(), &packet.Factory{})
+	var radios []*Radio
+	for i := 0; i < 3; i++ {
+		m := Motion{Kinematics: geom.Kinematics{Pos: geom.V(float64(i)*100, 0), Vel: geom.V(30, 0)}}
+		r := NewRadio(packet.NodeID(i), s, func() geom.Vec2 { return m.at(s.Now()) }, DefaultRadioParams())
+		r.SetMAC(&recorder{})
+		ch.Attach(r)
+		ch.SetMotion(r, func() Motion { return m })
+		radios = append(radios, r)
+	}
+	ch.EnableCulling()
+	ch.MotionChanged(radios[1])
+	// 20 s on, every deadline has passed and the column sits at x = 600..800.
+	got := ch.idx.candidates(20, geom.V(700, 0))
+	want := []int32{0, 1, 2}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("candidates = %v, want %v", got, want)
 	}
 }

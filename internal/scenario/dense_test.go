@@ -1,6 +1,7 @@
 package scenario_test
 
 import (
+	"fmt"
 	"testing"
 
 	"vanetsim/internal/scenario"
@@ -54,42 +55,48 @@ func TestDenseHighwaySmoke(t *testing.T) {
 // TestDenseHighwayCulledMatchesScan is the determinism contract end to end:
 // the spatial index changes who is iterated, never what is delivered, so a
 // culled run and a full-scan run of the same config are indistinguishable
-// in every simulation-visible output.
+// in every simulation-visible output. 45 vehicles on 3 lanes fit inside
+// one query disc, so nobody is culled; 120 stretch the road past it, and
+// a stale index would drop receivers.
 func TestDenseHighwayCulledMatchesScan(t *testing.T) {
-	cfg := denseTestConfig(scenario.MAC80211, 45)
-	culled := mustDense(t, cfg)
-	scan, err := scenario.RunDenseHighwayFullScan(cfg)
-	if err != nil {
-		t.Fatalf("RunDenseHighwayFullScan: %v", err)
-	}
+	for _, n := range []int{45, 120} {
+		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
+			cfg := denseTestConfig(scenario.MAC80211, n)
+			culled := mustDense(t, cfg)
+			scan, err := scenario.RunDenseHighwayFullScan(cfg)
+			if err != nil {
+				t.Fatalf("RunDenseHighwayFullScan: %v", err)
+			}
 
-	if !culled.World.Channel.CullingEnabled() {
-		t.Fatal("culled run did not enable the spatial index")
-	}
-	if scan.World.Channel.CullingEnabled() {
-		t.Fatal("scan run unexpectedly enabled the spatial index")
-	}
-	if culled.Channel != scan.Channel {
-		t.Fatalf("channel stats diverged: culled %+v vs scan %+v", culled.Channel, scan.Channel)
-	}
-	if culled.Collisions != scan.Collisions || culled.RxCollided != scan.RxCollided {
-		t.Fatalf("collision outcomes diverged: culled (%d, rx %d) vs scan (%d, rx %d)",
-			culled.Collisions, culled.RxCollided, scan.Collisions, scan.RxCollided)
-	}
-	if culled.SafetySent != scan.SafetySent || culled.SafetyReceived != scan.SafetyReceived ||
-		culled.BeaconSent != scan.BeaconSent || culled.BeaconReceived != scan.BeaconReceived {
-		t.Fatalf("traffic totals diverged: culled %+v vs scan %+v",
-			[4]int{culled.SafetySent, culled.SafetyReceived, culled.BeaconSent, culled.BeaconReceived},
-			[4]int{scan.SafetySent, scan.SafetyReceived, scan.BeaconSent, scan.BeaconReceived})
-	}
-	if len(culled.Indications) != len(scan.Indications) {
-		t.Fatalf("indication counts diverged: %d vs %d", len(culled.Indications), len(scan.Indications))
-	}
-	for i := range culled.Indications {
-		if culled.Indications[i] != scan.Indications[i] {
-			t.Fatalf("indication %d diverged: culled %+v vs scan %+v",
-				i, culled.Indications[i], scan.Indications[i])
-		}
+			if !culled.World.Channel.CullingEnabled() {
+				t.Fatal("culled run did not enable the spatial index")
+			}
+			if scan.World.Channel.CullingEnabled() {
+				t.Fatal("scan run unexpectedly enabled the spatial index")
+			}
+			if culled.Channel != scan.Channel {
+				t.Fatalf("channel stats diverged: culled %+v vs scan %+v", culled.Channel, scan.Channel)
+			}
+			if culled.Collisions != scan.Collisions || culled.RxCollided != scan.RxCollided {
+				t.Fatalf("collision outcomes diverged: culled (%d, rx %d) vs scan (%d, rx %d)",
+					culled.Collisions, culled.RxCollided, scan.Collisions, scan.RxCollided)
+			}
+			if culled.SafetySent != scan.SafetySent || culled.SafetyReceived != scan.SafetyReceived ||
+				culled.BeaconSent != scan.BeaconSent || culled.BeaconReceived != scan.BeaconReceived {
+				t.Fatalf("traffic totals diverged: culled %+v vs scan %+v",
+					[4]int{culled.SafetySent, culled.SafetyReceived, culled.BeaconSent, culled.BeaconReceived},
+					[4]int{scan.SafetySent, scan.SafetyReceived, scan.BeaconSent, scan.BeaconReceived})
+			}
+			if len(culled.Indications) != len(scan.Indications) {
+				t.Fatalf("indication counts diverged: %d vs %d", len(culled.Indications), len(scan.Indications))
+			}
+			for i := range culled.Indications {
+				if culled.Indications[i] != scan.Indications[i] {
+					t.Fatalf("indication %d diverged: culled %+v vs scan %+v",
+						i, culled.Indications[i], scan.Indications[i])
+				}
+			}
+		})
 	}
 }
 
